@@ -52,9 +52,9 @@ from .solver import (
     halfspace_solve,
     hemisphere_mode_solve,
     kernel_check,
+    mode_solve,
 )
 from .fractional import (
-    FractionalMultiplier,
     dtn_selfadjointness,
     dtn_verify,
     multiplier,

@@ -7,6 +7,10 @@ curvature data on the four model geometries, with polynomial fields on the
 flat models, and with the conformally-flat calculus ring used for the
 covariance checks.  Zeroth-order blocks carry the factor (n-5)/2 and vanish
 identically in the critical dimension n = 5.
+
+``field_ops`` is the only place that picks the primitive kit for a field
+representation on a model geometry, and ``leading_part`` holds the only table
+from primitive names to kit calls.
 """
 from __future__ import annotations
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fractional import sphere_eigenvalue
-from .geometry import BoundaryGeometryData, GeometryKind, ModelGeometry, boundary_data
+from .geometry import GeometryKind, ModelGeometry, boundary_data
 
 Q = Fraction
 
@@ -419,37 +423,43 @@ def apply_boundary_operator(j: int, n: int, C: CurvatureInputs, ops: BoundaryOps
 # dispatch over field representations
 # ---------------------------------------------------------------------------
 
-def apply_B(j, geom: ModelGeometry, u):
-    """Apply the boundary operator of normal order j on a model geometry.
+def field_ops(geom: ModelGeometry, u) -> BoundaryOps:
+    """The primitive kit for the field ``u`` on a model geometry.
 
-    Accepts a BoundaryOperatorId or plain integer for j.  Supported field
-    representations: Poly on the flat models, ExpPolyMode on the upper half
-    space, and SeparatedMode on any model.  Exact for exact inputs.
+    The only dispatch from a field representation to its kit: SeparatedMode
+    on any model, ExpPolyMode on the upper half space, and Poly on the flat
+    models (half space and ball).
     """
     from . import reps
     from .polys import ExpPolyMode, Poly
 
+    if isinstance(u, reps.SeparatedMode):
+        return reps.separated_ops(geom, u)
+    if isinstance(u, ExpPolyMode):
+        if geom.kind is not GeometryKind.UPPER_HALF_SPACE:
+            raise ValueError("exponential-polynomial modes live on the upper half space")
+        return reps.HalfspaceModeOps(geom.n)
+    if isinstance(u, Poly):
+        if geom.kind is GeometryKind.UPPER_HALF_SPACE:
+            return reps.HalfspacePolyOps(geom.n)
+        if geom.kind is GeometryKind.EUCLIDEAN_BALL:
+            return reps.BallPolyOps(geom.n)
+        raise ValueError(f"polynomial fields are not supported on {geom.kind}")
+    raise TypeError(f"unsupported field representation {type(u).__name__}")
+
+
+def apply_B(j, geom: ModelGeometry, u):
+    """Apply the boundary operator of normal order j on a model geometry.
+
+    Accepts a BoundaryOperatorId or plain integer for j, and any field
+    representation that ``field_ops`` has a kit for.  Exact for exact inputs.
+    """
     if isinstance(j, BoundaryOperatorId):
         j = j.j
     if not 0 <= j <= 5:
         raise ValueError("boundary operator index must lie in 0..5")
     C = model_curvature_inputs(geom)
-    if isinstance(u, reps.SeparatedMode):
-        ops = reps.separated_ops(geom, u)
-    elif isinstance(u, ExpPolyMode):
-        if geom.kind is not GeometryKind.UPPER_HALF_SPACE:
-            raise ValueError("exponential-polynomial modes live on the upper half space")
-        ops = reps.HalfspaceModeOps(geom.n)
-    elif isinstance(u, Poly):
-        if geom.kind is GeometryKind.UPPER_HALF_SPACE:
-            ops = reps.HalfspacePolyOps(geom.n)
-        elif geom.kind is GeometryKind.EUCLIDEAN_BALL:
-            ops = reps.BallPolyOps(geom.n)
-        else:
-            raise ValueError(f"polynomial fields are not supported on {geom.kind}")
-    else:
-        raise TypeError(f"unsupported field representation {type(u).__name__}")
-    return apply_boundary_operator(j, geom.n, C, ops, u)
+    return apply_boundary_operator(j, geom.n, C, field_ops(geom, u), u)
 
 
 # ---------------------------------------------------------------------------
@@ -557,32 +567,11 @@ class NormalFormOperators:
 
     def apply_flat(self, j: int, u):
         """Evaluate on the flat upper half space, where the curvature factors
-        vanish and the table reduces to its differential part."""
-        from . import reps
+        vanish and the table reduces to its differential part, which is
+        ``LEADING_TERMS[j]``."""
+        from .geometry import halfspace
 
-        ops = reps.HalfspacePolyOps(self.n)
-        table = self.table(j)
-        out = ops.bzero()
-        lap_u = ops.lap(u)
-        prim = {
-            "u": lambda: ops.restrict(u),
-            "eta": lambda: ops.eta(u),
-            "lap": lambda: ops.restrict(lap_u),
-            "lapbar": lambda: ops.lapbar(ops.restrict(u)),
-            "eta_lap": lambda: ops.eta(lap_u),
-            "lapbar_eta": lambda: ops.lapbar(ops.eta(u)),
-            "lap2": lambda: ops.restrict(ops.lap(lap_u)),
-            "lapbar_lap": lambda: ops.lapbar(ops.restrict(lap_u)),
-            "lapbar2": lambda: ops.lapbar(ops.lapbar(ops.restrict(u))),
-            "eta_lap2": lambda: ops.eta(ops.lap(lap_u)),
-            "lapbar_eta_lap": lambda: ops.lapbar(ops.eta(lap_u)),
-            "lapbar2_eta": lambda: ops.lapbar(ops.lapbar(ops.eta(u))),
-        }
-        for key, coeff in table.items():
-            if key in prim:
-                out = out + coeff * prim[key]()
-            # curvature-weighted terms vanish on the flat model
-        return out
+        return leading_part(j, halfspace(self.n), u)
 
 
 def normal_form_operators(n: int) -> NormalFormOperators:
@@ -606,21 +595,11 @@ LEADING_TERMS = {
 
 
 def leading_part(j: int, geom: ModelGeometry, u):
-    """The universal leading part of the order-j operator applied to u."""
-    from . import reps
-    from .polys import ExpPolyMode, Poly
+    """The universal leading part of the order-j operator applied to u.
 
-    C = model_curvature_inputs(geom)
-    if isinstance(u, reps.SeparatedMode):
-        ops = reps.separated_ops(geom, u)
-    elif isinstance(u, ExpPolyMode):
-        ops = reps.HalfspaceModeOps(geom.n)
-    elif isinstance(u, Poly) and geom.kind is GeometryKind.UPPER_HALF_SPACE:
-        ops = reps.HalfspacePolyOps(geom.n)
-    elif isinstance(u, Poly) and geom.kind is GeometryKind.EUCLIDEAN_BALL:
-        ops = reps.BallPolyOps(geom.n)
-    else:
-        raise TypeError("unsupported representation")
+    Holds the only table from primitive names to calls on the kit.
+    """
+    ops = field_ops(geom, u)
     lap_u = ops.lap(u)
     lap2_u = ops.lap(lap_u)
     prim = {

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import geometry
 from .geometry import GeometryKind, ModelGeometry
+from .polys import random_poly
 from .report import CheckReport, Stopwatch, emit_csv
 
 Q = Fraction
@@ -34,20 +35,6 @@ class ConfigError(ValueError):
     pass
 
 
-def _rand_poly(rng, d, deg, nterms, maxc=3):
-    from .polys import Poly
-
-    p = Poly.zero(d)
-    for _ in range(nterms):
-        e = [0] * d
-        for _ in range(rng.randint(0, deg)):
-            e[rng.randrange(d)] += 1
-        c = rng.randint(-maxc, maxc)
-        if c:
-            p = p + Poly.monomial(d, e, c)
-    return p
-
-
 def run_covariance(report: CheckReport, n: int, seed: int, probes: int = 12):
     from .conformal import VariationProbe, critical_T_shift, finite_covariance_residual, infinitesimal_covariance_residual
     from .geometry import halfspace
@@ -56,8 +43,8 @@ def run_covariance(report: CheckReport, n: int, seed: int, probes: int = 12):
     g = halfspace(n)
     d = n + 1
     for k in range(probes):
-        sigma = _rand_poly(rng, d, 3, 2)
-        u = _rand_poly(rng, d, 3, 2)
+        sigma = random_poly(rng, d, 3, 2)
+        u = random_poly(rng, d, 3, 2)
         probe = VariationProbe(sigma=sigma)
         for j in range(6):
             with Stopwatch() as sw:
@@ -65,8 +52,8 @@ def run_covariance(report: CheckReport, n: int, seed: int, probes: int = 12):
             report.add(f"covariance-infinitesimal-B{j}-probe{k}", "boundary-operator-covariance",
                        Q(0) if r.iszero() else Q(1), 0.0, True, sw.ms)
     for k in range(max(2, probes // 4)):
-        sigma = _rand_poly(rng, d, 2, 2, 2)
-        u = _rand_poly(rng, d, 2, 2, 2)
+        sigma = random_poly(rng, d, 2, 2, 2)
+        u = random_poly(rng, d, 2, 2, 2)
         for j in range(6):
             with Stopwatch() as sw:
                 r = finite_covariance_residual(j, sigma, u, g, order=6)
@@ -74,7 +61,7 @@ def run_covariance(report: CheckReport, n: int, seed: int, probes: int = 12):
                        Q(0) if r.iszero() else Q(1), 0.0, True, sw.ms)
     if n == 5:
         for k in range(max(2, probes // 4)):
-            sigma = _rand_poly(rng, 6, 2, 2, 2)
+            sigma = random_poly(rng, 6, 2, 2, 2)
             for j in range(1, 6):
                 with Stopwatch() as sw:
                     r = critical_T_shift(j, sigma, g)
@@ -90,14 +77,14 @@ def run_symmetry(report: CheckReport, n: int, seed: int, pairs: int = 20):
     g = ball(n)
     d = n + 1
     for k in range(pairs):
-        u = _rand_poly(rng, d, 5, 3)
-        v = _rand_poly(rng, d, 5, 3)
+        u = random_poly(rng, d, 5, 3)
+        v = random_poly(rng, d, 5, 3)
         with Stopwatch() as sw:
             res = symmetry_residual(g, u, v)
         report.add(f"energy-symmetry-pair{k}", "energy-form-symmetry", res.q, 0.0, True, sw.ms)
     for k in range(3):
-        u = _rand_poly(rng, d, 4, 3)
-        v = _rand_poly(rng, d, 4, 3)
+        u = random_poly(rng, d, 4, 3)
+        v = random_poly(rng, d, 4, 3)
         with Stopwatch() as sw:
             dec = fi_fb_decompose(g, u, v)
             tot = q6_form(g, u, v).total
@@ -215,6 +202,10 @@ def run_suite(args) -> CheckReport:
         raise ConfigError("boundary dimension must satisfy n >= 5")
     if args.tol <= 0:
         raise ConfigError("tolerance must be positive")
+    if args.lmax < 0:
+        raise ConfigError("harmonic-degree cap must be nonnegative")
+    if args.grid < 2:
+        raise ConfigError("collocation size must be at least 2")
     if args.suite == "critical" and args.n != 5:
         raise ConfigError("the critical suite requires n = 5")
     if args.suite in ("trace",) and args.n < 6:
@@ -256,8 +247,14 @@ def main(argv=None) -> int:
                     help="emit a data series (multiplier_table, gap_vs_epsilon, ...)")
     args = ap.parse_args(argv)
 
+    what, _, path = (args.csv or "").partition(":")
     try:
+        if args.csv and not path:
+            raise ConfigError("csv argument must look like WHAT:PATH")
         report = run_suite(args)
+        if args.csv and what not in report.series:
+            raise ConfigError(f"the {args.suite} suite emits no series {what!r}; "
+                              f"it emits {', '.join(sorted(report.series))}")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -266,10 +263,6 @@ def main(argv=None) -> int:
         report.write_json(args.out)
         print(f"report written to {args.out}")
     if args.csv:
-        what, _, path = args.csv.partition(":")
-        if not path:
-            print("csv argument must look like WHAT:PATH", file=sys.stderr)
-            return 2
         emit_csv(report, what, path)
         print(f"series {what!r} written to {path}")
     return 0 if report.ok else 1

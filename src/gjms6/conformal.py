@@ -8,14 +8,14 @@ model geometries.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import apply_B, model_curvature_inputs
+from .boundary import apply_B
 from .confcalc import DualKit, HalfspaceConformalEngine, JetCtx
 from .geometry import GeometryKind, ModelGeometry
 from .polys import Poly
-from .reps import SeparatedMode, separated_ops
+from .reps import SeparatedMode
 
 Q = Fraction
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 import numpy as np
 
 from .boundary import apply_B
-from .fractional import round_multiplier, sphere_eigenvalue
+from .fractional import round_multiplier
 from .geometry import GeometryKind, ModelGeometry
 from .polys import MomentScalar, Poly, ball_integral, grad_dot, laplacian, reduce_mod_sphere, sphere_integral
-from .reps import RadialProfile, radial_l2_integral, radial_pair_integral
+from .reps import RadialProfile, radial_l2_integral
 from .solver import BoundaryTriple, ball_mode_solve
 
 Q = Fraction

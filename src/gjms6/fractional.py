@@ -16,8 +16,6 @@ from .geometry import GeometryKind, ModelGeometry
 
 Q = Fraction
 
-SUPPORTED_GAMMAS = (Q(1, 2), Q(1), Q(3, 2), Q(2), Q(5, 2), Q(3))
-
 
 def rising(z: Fraction, k: int) -> Fraction:
     """Rising factorial z (z+1) ... (z+k-1), exact over rationals."""
@@ -95,12 +93,6 @@ def d_gamma(gamma) -> Fraction:
     return table[gamma]
 
 
-def scattering_multiplier(n: int, gamma, ell: int) -> Fraction:
-    """Per-mode eigenvalue of the scattering operator at s = n/2 + gamma on
-    the round sphere: the fractional multiplier divided by d_gamma."""
-    return round_multiplier(n, gamma, ell) / d_gamma(gamma)
-
-
 # ---------------------------------------------------------------------------
 # expansion coefficients of the Poisson operator
 # ---------------------------------------------------------------------------
@@ -164,24 +156,6 @@ def scattering_T2_T4(n: int, s, boundary: str, mode):
     return scattering_T2(n, s, boundary, mode), scattering_T4(n, s, boundary, mode)
 
 
-@dataclass(frozen=True)
-class FractionalMultiplier:
-    """Order-2*gamma fractional operator on a model boundary, as a mode
-    multiplier table."""
-
-    gamma: Fraction
-    boundary: str  # "round" | "flat"
-    n: int
-
-    def value(self, mode):
-        return multiplier(self.boundary, self.n, self.gamma, mode)
-
-
-def boundary_kind(geom: ModelGeometry) -> str:
-    """Which model boundary a geometry induces ("round" or "flat")."""
-    return "flat" if geom.kind is GeometryKind.UPPER_HALF_SPACE else "round"
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet-to-Neumann verification
 # ---------------------------------------------------------------------------
@@ -204,25 +178,14 @@ class DtNOperator:
     def multiplier_from_solve(self, ell: int):
         """Solve-then-apply route; exact on the ball and geodesic model."""
         from .boundary import apply_B
-        from .solver import BoundaryTriple, ball_mode_solve, geodesic_mode_solve, hemisphere_mode_solve
+        from .solver import BoundaryTriple, mode_solve
 
         slot = {5: 0, 3: 1, 1: 2}[self.j]
         read = {5: 5, 3: 4, 1: 3}[self.j]
         data = [Q(0)] * 3
         data[slot] = Q(1)
-        kind = self.geom.kind
-        if kind is GeometryKind.EUCLIDEAN_BALL:
-            res = ball_mode_solve(self.geom.n, ell, BoundaryTriple(*data))
-            prof = res.profile.to_separated()
-        elif kind is GeometryKind.ROUND_HEMISPHERE:
-            res = hemisphere_mode_solve(self.geom.n, ell, BoundaryTriple(*[float(x) for x in data]))
-            prof = res.profile.separated()
-        elif kind is GeometryKind.HYPERBOLIC_GEODESIC:
-            res = geodesic_mode_solve(self.geom.n, ell, BoundaryTriple(*data))
-            prof = res.profile
-        else:
-            raise ValueError("per-mode multipliers live on the round-boundary models")
-        return apply_B(read, self.geom, prof)
+        res = mode_solve(self.geom, ell, BoundaryTriple(*data))
+        return apply_B(read, self.geom, res.mode)
 
     def multiplier_expected(self, ell: int) -> Fraction:
         return self.front_constant() * round_multiplier(self.geom.n, self.gamma(), ell)
@@ -281,27 +244,12 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
             for j, r in zip((1, 3, 5), res)
         ]
     from .boundary import apply_B
-    from .solver import BoundaryTriple, ball_mode_solve, geodesic_mode_solve, hemisphere_mode_solve
+    from .solver import BoundaryTriple, mode_solve
 
     ell = mode if isinstance(mode, int) else mode.ell
     if data is None:
         data = (Q(1), Q(1), Q(1))
-    kind = geom.kind
-    exact = kind in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.HYPERBOLIC_GEODESIC) and all(
-        isinstance(v, (int, Fraction)) for v in data
-    )
-    if kind is GeometryKind.EUCLIDEAN_BALL:
-        res = ball_mode_solve(n, ell, BoundaryTriple(*data))
-        prof = res.profile.to_separated()
-    elif kind is GeometryKind.ROUND_HEMISPHERE:
-        res = hemisphere_mode_solve(n, ell, BoundaryTriple(*[float(x) for x in data]))
-        prof = res.profile.separated()
-        exact = False
-    elif kind is GeometryKind.HYPERBOLIC_GEODESIC:
-        res = geodesic_mode_solve(n, ell, BoundaryTriple(*data))
-        prof = res.profile
-    else:
-        raise ValueError(kind)
+    res = mode_solve(geom, ell, BoundaryTriple(*data))
     f, phi, psi = res.achieved.aslist()
     out = []
     for j, front, slot_val in (
@@ -310,16 +258,16 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
         (5, Q(8, 3), f),
     ):
         read = {1: 3, 3: 4, 5: 5}[j]
-        lhs = apply_B(read, geom, prof)
+        lhs = apply_B(read, geom, res.mode)
         rhs = front * round_multiplier(n, Q(j, 2), ell) * slot_val
         resid = lhs - rhs
         scale = max(abs(float(rhs)), 1.0)
         out.append(
             CheckRecord(
                 f"dtn-{geom.kind.value}-order-{j}-ell-{ell}",
-                resid if exact else abs(float(resid)) / scale,
-                0.0 if exact else tol,
-                exact,
+                resid if res.exact else abs(float(resid)) / scale,
+                0.0 if res.exact else tol,
+                res.exact,
             )
         )
     return out

@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polys import Poly, euler_op, grad_dot, laplacian, reduce_mod_sphere
+from .polys import Poly, euler_op, grad_dot, reduce_mod_sphere
 
 Q = Fraction
 

@@ -10,35 +10,13 @@ through its scalar coefficients and the energy form.
 """
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import GeometryKind, ModelGeometry, boundary_data
+from .geometry import GeometryKind, ModelGeometry
 from .polys import ExpPolyMode, Poly, laplacian
-from .reps import SeparatedMode, SeparatedOps
+from .reps import SeparatedMode, separated_ops
 
 Q = Fraction
-
-
-class L6Form(enum.Enum):
-    FLAT_TRIHARMONIC = "flat"
-    EINSTEIN_FACTORIZED = "factorized"
-    GEODESIC_INTERIOR = "geodesic"
-
-
-@dataclass(frozen=True)
-class L6Realization:
-    geom: ModelGeometry
-    form: L6Form
-
-
-def realization(geom: ModelGeometry) -> L6Realization:
-    if geom.kind in (GeometryKind.UPPER_HALF_SPACE, GeometryKind.EUCLIDEAN_BALL):
-        return L6Realization(geom, L6Form.FLAT_TRIHARMONIC)
-    if geom.kind is GeometryKind.ROUND_HEMISPHERE:
-        return L6Realization(geom, L6Form.EINSTEIN_FACTORIZED)
-    return L6Realization(geom, L6Form.GEODESIC_INTERIOR)
 
 
 def factorization_shifts(n: int) -> tuple:
@@ -66,7 +44,7 @@ def apply_L6(geom: ModelGeometry, u):
         if isinstance(u, ExpPolyMode):
             return -u.lap().lap().lap()
         if isinstance(u, SeparatedMode):
-            ops = SeparatedOps(geom, u.lam, order=max(u.profile.ord, 6))
+            ops = separated_ops(geom, u)
             return -ops.lap(ops.lap(ops.lap(u)))
         raise TypeError("unsupported representation for a flat model")
     if kind is GeometryKind.ROUND_HEMISPHERE:
@@ -77,7 +55,7 @@ def apply_L6(geom: ModelGeometry, u):
                 out = c * out
             return out
         if isinstance(u, SeparatedMode):
-            ops = SeparatedOps(geom, u.lam, order=max(u.profile.ord, 6))
+            ops = separated_ops(geom, u)
             out = u
             for c in shifts:
                 out = -ops.lap(out) + c * out
@@ -128,10 +106,6 @@ def q6_constant_curvature(d: int) -> Fraction:
     P2 = Q(d, 4)
     P3 = Q(d, 8)
     return Q((n - 1) * (n + 3), 4) * J**3 - 4 * (n + 1) * J * P2 + 16 * P3
-
-
-def q6_flat() -> Fraction:
-    return Q(0)
 
 
 # ---------------------------------------------------------------------------

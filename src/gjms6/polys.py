@@ -152,17 +152,6 @@ class Poly:
         pad = (0,) * (d - self.d)
         return Poly(d, {e + pad: c for e, c in self.terms.items()})
 
-    def eval(self, point):
-        """Evaluate at a point (Fractions give an exact result)."""
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for xi, ei in zip(point, e):
-                if ei:
-                    v = v * xi**ei
-            total = total + v
-        return total
-
     # -- queries --------------------------------------------------------
     def iszero(self) -> bool:
         return not self.terms
@@ -186,6 +175,23 @@ class Poly:
             mono = "*".join(f"x{i}^{p}" if p > 1 else f"x{i}" for i, p in enumerate(e) if p)
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
+
+
+def random_poly(rng, d: int, deg: int, nterms: int, maxc: int = 3) -> Poly:
+    """Sum of ``nterms`` random monomials in ``d`` variables, each of degree
+    at most ``deg`` with an integer coefficient in [-maxc, maxc] (zero draws
+    are dropped).  ``rng`` is a ``random.Random``; the draws for one term are
+    the degree, the variables, then the coefficient, so seeded callers get
+    reproducible polynomials."""
+    p = Poly.zero(d)
+    for _ in range(nterms):
+        e = [0] * d
+        for _ in range(rng.randint(0, deg)):
+            e[rng.randrange(d)] += 1
+        c = rng.randint(-maxc, maxc)
+        if c:
+            p = p + Poly.monomial(d, e, c)
+    return p
 
 
 def laplacian(p: Poly) -> Poly:

@@ -76,9 +76,6 @@ class Series:
             raise TruncationError("series order exhausted")
         return self.coeffs[0]
 
-    def truncate(self, order):
-        return Series(self.coeffs[: order + 1], min(order, self.ord))
-
     def __repr__(self):
         return f"Series({self.coeffs!r}, ord={self.ord})"
 
@@ -117,16 +114,3 @@ def sec2_series(order: int) -> Series:
     """Taylor series of sec^2 = 1 + tan^2 at 0."""
     t = tan_series(order)
     return Series.const(Q(1), order) + t * t
-
-
-def sin_shift_series(order: int) -> Series:
-    """Series of -sin(tau) = cos(pi/2 + tau) at tau = 0, exact."""
-    c = [Q(0)] * (order + 1)
-    sign = -1
-    fact = 1
-    for k in range(order + 1):
-        if k % 2 == 1:
-            c[k] = Q(sign, fact)
-            sign = -sign
-        fact *= k + 1
-    return Series(c, order)

@@ -5,6 +5,9 @@ operator-harmonic extension on each model geometry: exact triangular solves
 on the half space, exact 3x3 solves in the triharmonic basis on the ball,
 Chebyshev-collocated factor kernels on the hemisphere, and scattering-series
 jets on the geodesic compactification of hyperbolic space.
+
+``mode_solve`` is the only place that picks the per-mode solver of a
+round-boundary model; callers that extend one boundary harmonic go through it.
 """
 from __future__ import annotations
 
@@ -33,12 +36,6 @@ class ModeIndex:
     ell: int | None = None
     t: float | Fraction | None = None
 
-    def eigenvalue(self, n: int):
-        """Eigenvalue of minus the boundary Laplacian."""
-        if self.ell is not None:
-            return sphere_eigenvalue(n, self.ell)
-        return self.t**2
-
 
 @dataclass
 class BoundaryTriple:
@@ -59,10 +56,16 @@ class BoundaryTriple:
 
 @dataclass
 class SolveResult:
+    """A per-mode extension: ``profile`` in the solver's native form
+    (RadialProfile, HemisphereProfile or SeparatedMode), ``mode`` the same
+    extension as the boundary jet that ``apply_B`` reads (None on the half
+    space)."""
+
     profile: object
     achieved: BoundaryTriple
     residual_norms: tuple
     exact: bool
+    mode: SeparatedMode | None = None
 
 
 class DegenerateModeError(ValueError):
@@ -164,7 +167,7 @@ def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     sep = prof.to_separated()
     achieved = BoundaryTriple(*(apply_B(j, g, sep) for j in range(3)))
     res = tuple(x - y for x, y in zip(achieved.aslist(), data.aslist()))
-    return SolveResult(prof, achieved, res, exact)
+    return SolveResult(prof, achieved, res, exact, sep)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +367,7 @@ def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple, N: int = 64,
     sep = prof.separated(order)
     achieved = BoundaryTriple(*(float(apply_B(j, g, sep)) for j in range(3)))
     res = tuple(abs(a - float(b)) for a, b in zip(achieved.aslist(), data.aslist()))
-    return SolveResult(prof, achieved, res, False)
+    return SolveResult(prof, achieved, res, False, sep)
 
 
 def hemisphere_factored_residual(prof: HemisphereProfile, thetas, seed_order: int = 10) -> float:
@@ -395,8 +398,7 @@ def hemisphere_factored_residual(prof: HemisphereProfile, thetas, seed_order: in
 
         total = None
         for fac, al in zip(prof.factors, prof.alphas):
-            v, dv = fac.v_and_dv(cth)
-            chi0, dchi0 = float(fac.chi_and_dchi(th)[0]), float(fac.chi_and_dchi(th)[1])
+            chi0, dchi0 = (float(x) for x in fac.chi_and_dchi(th))
             # local Taylor from the factor ODE: chi'' = -n cot chi' + (lam csc^2 + c) chi
             a = [0.0] * (K + 1)
             a[0], a[1] = chi0, dchi0
@@ -535,43 +537,39 @@ def geodesic_mode_solve(n: int, ell: int, data: BoundaryTriple, order: int = 8) 
     achieved = BoundaryTriple(*(apply_B(j, g, mode) for j in range(3)))
     exact = all(isinstance(v, (int, Fraction)) for v in data.aslist())
     res = tuple(x - y for x, y in zip(achieved.aslist(), data.aslist()))
-    return SolveResult(mode, achieved, res, exact)
+    return SolveResult(mode, achieved, res, exact, mode)
 
 
 # ---------------------------------------------------------------------------
-# kernel checks
+# one entry point per mode
 # ---------------------------------------------------------------------------
+
+def mode_solve(geom: ModelGeometry, ell: int, data: BoundaryTriple, N: int = 64) -> SolveResult:
+    """Extend the degree-l boundary data on a round-boundary model.
+
+    The only dispatch from a model to its per-mode solver: ball, hemisphere
+    (N Chebyshev nodes per factor kernel) or geodesic compactification.  The
+    half space is parametrized by a frequency and solved by
+    ``halfspace_solve``.
+    """
+    if geom.kind is GeometryKind.EUCLIDEAN_BALL:
+        return ball_mode_solve(geom.n, ell, data)
+    if geom.kind is GeometryKind.ROUND_HEMISPHERE:
+        return hemisphere_mode_solve(geom.n, ell, data, N=N)
+    if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
+        return geodesic_mode_solve(geom.n, ell, data)
+    raise ValueError("per-mode extensions by harmonic degree live on the round-boundary models")
+
 
 def kernel_check(geom: ModelGeometry, mode: ModeIndex, N: int = 64) -> bool:
-    """True iff the per-mode Dirichlet system is nonsingular."""
-    n = geom.n
-    if geom.kind is GeometryKind.UPPER_HALF_SPACE:
-        return mode.t is not None and mode.t > 0
-    if geom.kind is GeometryKind.EUCLIDEAN_BALL:
-        M = ball_dirichlet_matrix(n, mode.ell)
-        det = (
-            M[0][0] * (M[1][1] * M[2][2] - M[1][2] * M[2][1])
-            - M[0][1] * (M[1][0] * M[2][2] - M[1][2] * M[2][0])
-            + M[0][2] * (M[1][0] * M[2][1] - M[1][1] * M[2][0])
-        )
-        return det != 0
-    if geom.kind is GeometryKind.ROUND_HEMISPHERE:
-        try:
-            hemisphere_mode_solve(n, mode.ell, BoundaryTriple(Q(1), Q(0), Q(0)), N=N)
-        except CollocationError:
-            return False
-        return True
-    if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
-        # the scattering multipliers are finite rationals for every mode
-        return True
-    raise ValueError(geom.kind)
-
-
-SPECTRAL_FACTS = {
-    # static record: the hyperbolic Laplacian has spectrum [n^2/4, oo), so
-    # n^2/4 - gamma^2 is never an eigenvalue for gamma in (0, n/2), and the
-    # first eigenvalue exceeds (n^2-1)/4.
-    "hyperbolic_spectrum_bottom": "n^2/4",
-    "fractional_hypothesis_holds": True,
-    "trace_hypothesis_holds": True,
-}
+    """True iff the per-mode Dirichlet system is nonsingular: unit data
+    solve without a degenerate system or a tripped condition guard."""
+    unit = BoundaryTriple(Q(1), Q(0), Q(0))
+    try:
+        if geom.kind is GeometryKind.UPPER_HALF_SPACE:
+            halfspace_solve(mode.t, unit)
+        else:
+            mode_solve(geom, mode.ell, unit, N)
+    except (DegenerateModeError, CollocationError):
+        return False
+    return True

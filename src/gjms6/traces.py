@@ -17,13 +17,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .boundary import apply_B
 from .conformal import round_bubble_center
 from .fractional import gamma_ratio, round_multiplier, sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry
 from .polys import vol_sphere
 from .reps import radial_pair_integral
-from .solver import BoundaryTriple, ball_mode_solve, hemisphere_mode_solve
+from .solver import BoundaryTriple, mode_solve
 
 Q = Fraction
 
@@ -254,6 +253,8 @@ class TraceChecker:
 
     def __init__(self, geom: ModelGeometry, lmax: int = 32, nodes: int = 256,
                  grid_size: int = 64, tail_guard: float = 1e-7):
+        if geom.kind not in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE):
+            raise ValueError("per-mode extensions live on the ball or hemisphere")
         self.geom = geom
         self.n = geom.n
         self.lmax = lmax
@@ -297,18 +298,12 @@ class TraceChecker:
     # -- per-mode extensions ------------------------------------------------
     def _unit_solution(self, ell: int, slot: int):
         key = (ell, slot)
-        if key in self._solve_cache:
-            return self._solve_cache[key]
-        data = [0.0, 0.0, 0.0]
-        data[slot] = 1.0
-        if self.geom.kind is GeometryKind.EUCLIDEAN_BALL:
-            res = ball_mode_solve(self.n, ell, BoundaryTriple(*data))
-        elif self.geom.kind is GeometryKind.ROUND_HEMISPHERE:
-            res = hemisphere_mode_solve(self.n, ell, BoundaryTriple(*data), N=self.grid_size)
-        else:
-            raise ValueError("per-mode extensions live on the ball or hemisphere")
-        self._solve_cache[key] = res.profile
-        return res.profile
+        if key not in self._solve_cache:
+            data = [0.0, 0.0, 0.0]
+            data[slot] = 1.0
+            res = mode_solve(self.geom, ell, BoundaryTriple(*data), N=self.grid_size)
+            self._solve_cache[key] = res.profile
+        return self._solve_cache[key]
 
     def _interior_pair_ball(self, ell, profa, profb) -> float:
         return float(radial_pair_integral(profa.lap(), profb.lap()))

@@ -19,7 +19,7 @@ from gjms6.energy import q6_form, symmetry_residual, trace_lower_bound_check
 from gjms6.fractional import round_multiplier
 from gjms6.geometry import ball, halfspace, hemisphere
 from gjms6.gjms import apply_L6, q6_constant_curvature
-from gjms6.polys import MomentScalar, Poly
+from gjms6.polys import MomentScalar, Poly, random_poly
 from gjms6.solver import BoundaryTriple, halfspace_symbolic_mode, hemisphere_factored_residual, hemisphere_mode_solve
 from gjms6.traces import ExtremalSpec, corollary_check, critical_check
 
@@ -28,18 +28,6 @@ def announce(num: int, ok: bool, desc: str):
     line = f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {desc}"
     print(line, file=sys.__stdout__, flush=True)
     assert ok, line
-
-
-def rand_poly(rng, d, deg, nterms, maxc=3):
-    p = Poly.zero(d)
-    for _ in range(nterms):
-        e = [0] * d
-        for _ in range(rng.randint(0, deg)):
-            e[rng.randrange(d)] += 1
-        c = rng.randint(-maxc, maxc)
-        if c:
-            p = p + Poly.monomial(d, e, c)
-    return p
 
 
 def test_criterion_1_dtn_identities_halfspace_symbolic():
@@ -65,8 +53,8 @@ def test_criterion_2_energy_symmetry():
     d = 8
     ok = True
     for _ in range(20):
-        u = rand_poly(rng, d, 5, 3)
-        v = rand_poly(rng, d, 5, 3)
+        u = random_poly(rng, d, 5, 3)
+        v = random_poly(rng, d, 5, 3)
         if not symmetry_residual(g, u, v).iszero():
             ok = False
     elapsed = time.perf_counter() - t0
@@ -82,14 +70,14 @@ def test_criterion_3_conformal_covariance():
         d = n + 1
         g = halfspace(n)
         for _ in range(50):
-            probe = VariationProbe(rand_poly(rng, d, 3, 2))
-            u = rand_poly(rng, d, 3, 2)
+            probe = VariationProbe(random_poly(rng, d, 3, 2))
+            u = random_poly(rng, d, 3, 2)
             for j in range(6):
                 if not infinitesimal_covariance_residual(j, probe, u, g).iszero():
                     ok = False
         for _ in range(3):
-            sigma = rand_poly(rng, d, 2, 2, 2)
-            u = rand_poly(rng, d, 2, 2, 2)
+            sigma = random_poly(rng, d, 2, 2, 2)
+            u = random_poly(rng, d, 2, 2, 2)
             for j in range(6):
                 if not finite_covariance_residual(j, sigma, u, g, order=6).iszero():
                     ok = False
@@ -196,7 +184,7 @@ def test_criterion_9_critical_coefficient_shift():
     g = halfspace(5)
     ok = True
     for _ in range(3):
-        sigma = rand_poly(rng, d, 2, 2, 2)
+        sigma = random_poly(rng, d, 2, 2, 2)
         for j in range(1, 6):
             if not critical_T_shift(j, sigma, g).iszero():
                 ok = False

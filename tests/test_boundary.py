@@ -179,6 +179,8 @@ def test_normal_form_operators():
     g = halfspace(n)
     for j in range(6):
         assert (nf.apply_flat(j, u) - apply_B(j, g, u)).iszero()
+        # the differential part of each table is the universal leading part
+        assert {k: nf.table(j)[k] for k in LEADING_TERMS[j]} == LEADING_TERMS[j]
 
 
 def test_leading_symbol():

@@ -1,6 +1,7 @@
 """CLI suites, JSON reports, CSV emission, exit codes."""
 
 import json
+import pathlib
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -47,11 +48,33 @@ def test_covariance_suite_small():
     assert report.ok and report.n_pass > 0
 
 
-def test_config_errors():
+def test_config_errors(tmp_path, capsys):
     assert main(["all", "--n", "4"]) == 2
     assert main(["critical", "--n", "7"]) == 2
     assert main(["trace", "--n", "5"]) == 2
     assert main(["trace", "--geometry", "hyperbolic", "--n", "7"]) == 2
+    capsys.readouterr()
+    csv = tmp_path / "series.csv"
+    for argv in (
+        ["dtn", "--lmax", "-1"],
+        ["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "1"],
+        ["dtn", "--grid", "0"],
+        ["dtn", "--csv", "multiplier_table"],
+        ["dtn", "--csv", f"nosuch:{csv}"],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("configuration error:"), argv
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("geometry,n", [("ball", "7"), ("hyperbolic", "8")])
+def test_dtn_reports_match_golden_files(tmp_path, geometry, n):
+    """Byte-identical default reports; both suites are exact-only, so the
+    files do not depend on BLAS or libm."""
+    out = tmp_path / "report.json"
+    assert main(["dtn", "--geometry", geometry, "--n", n, "--out", str(out)]) == 0
+    golden = pathlib.Path(__file__).parent / "data" / f"dtn-{geometry}-n{n}.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_multiplier_table_csv(tmp_path):

@@ -20,20 +20,8 @@ from gjms6.conformal import (
     stereo_to_sphere,
 )
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
-from gjms6.polys import Poly
+from gjms6.polys import Poly, random_poly
 from gjms6.series import TruncationError
-
-
-def rand_poly(rng, d, deg, nterms, maxc=3):
-    p = Poly.zero(d)
-    for _ in range(nterms):
-        e = [0] * d
-        for _ in range(rng.randint(0, deg)):
-            e[rng.randrange(d)] += 1
-        c = rng.randint(-maxc, maxc)
-        if c:
-            p = p + Poly.monomial(d, e, c)
-    return p
 
 
 def test_infinitesimal_trivial_weight_zero_order():
@@ -64,8 +52,8 @@ def test_infinitesimal_random_sweep(n):
     d = n + 1
     g = halfspace(n)
     for _ in range(4):
-        probe = VariationProbe(rand_poly(rng, d, 3, 2))
-        u = rand_poly(rng, d, 3, 2)
+        probe = VariationProbe(random_poly(rng, d, 3, 2))
+        u = random_poly(rng, d, 3, 2)
         for j in range(6):
             assert infinitesimal_covariance_residual(j, probe, u, g).iszero()
 
@@ -99,8 +87,8 @@ def test_finite_random_order6(n):
     d = n + 1
     g = halfspace(n)
     for _ in range(2):
-        sigma = rand_poly(rng, d, 2, 2, 2)
-        u = rand_poly(rng, d, 2, 2, 2)
+        sigma = random_poly(rng, d, 2, 2, 2)
+        u = random_poly(rng, d, 2, 2, 2)
         for j in range(6):
             assert finite_covariance_residual(j, sigma, u, g, order=6).iszero()
 
@@ -131,7 +119,7 @@ def test_critical_shift_random():
     d = 6
     g = halfspace(5)
     for _ in range(2):
-        sigma = rand_poly(rng, d, 2, 2, 2)
+        sigma = random_poly(rng, d, 2, 2, 2)
         for j in range(1, 6):
             assert critical_T_shift(j, sigma, g).iszero()
 

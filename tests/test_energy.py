@@ -16,20 +16,8 @@ from gjms6.energy import (
     zero_data_profile,
 )
 from gjms6.geometry import ball, halfspace
-from gjms6.polys import MomentScalar, Poly
+from gjms6.polys import MomentScalar, Poly, random_poly
 from gjms6.reps import RadialProfile
-
-
-def rand_poly(rng, d, deg, nterms, maxc=3):
-    p = Poly.zero(d)
-    for _ in range(nterms):
-        e = [0] * d
-        for _ in range(rng.randint(0, deg)):
-            e[rng.randrange(d)] += 1
-        c = rng.randint(-maxc, maxc)
-        if c:
-            p = p + Poly.monomial(d, e, c)
-    return p
 
 
 def test_q6_examples():
@@ -58,8 +46,8 @@ def test_symmetry_spec_pair_and_random():
     assert symmetry_residual(g, Poly.var(d, 0), Poly.var(d, 1, 2)).iszero()
     rng = random.Random(11)
     for _ in range(6):
-        u = rand_poly(rng, d, 5, 3)
-        v = rand_poly(rng, d, 5, 3)
+        u = random_poly(rng, d, 5, 3)
+        v = random_poly(rng, d, 5, 3)
         assert symmetry_residual(g, u, v).iszero()
 
 
@@ -68,8 +56,8 @@ def test_polarization_identity():
     d = n + 1
     g = ball(n)
     rng = random.Random(4)
-    u = rand_poly(rng, d, 4, 3)
-    v = rand_poly(rng, d, 4, 3)
+    u = random_poly(rng, d, 4, 3)
+    v = random_poly(rng, d, 4, 3)
     lhs = q6_form(g, u, v).total
     rhs = Q(1, 4) * (energy(g, u + v) - energy(g, u - v))
     assert (lhs - rhs).iszero()
@@ -85,8 +73,8 @@ def test_fi_fb_decomposition():
     assert dec.FB == MomentScalar(Q(576), "vol_sn", n)
     rng = random.Random(21)
     for _ in range(4):
-        u = rand_poly(rng, d, 4, 3)
-        v = rand_poly(rng, d, 4, 3)
+        u = random_poly(rng, d, 4, 3)
+        v = random_poly(rng, d, 4, 3)
         dec = fi_fb_decompose(g, u, v)
         tot = q6_form(g, u, v).total
         assert (dec.FI + dec.FB - tot).iszero()

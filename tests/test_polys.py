@@ -14,6 +14,7 @@ from gjms6.polys import (
     ball_integral,
     laplacian,
     mode_apply,
+    random_poly,
     reduce_mod_sphere,
     sphere_integral,
 )
@@ -118,6 +119,13 @@ def test_reduce_mod_sphere():
     # the reduction is a sphere-identity: integrals agree
     p = z**4 * x**2
     assert (sphere_integral(p) - sphere_integral(reduce_mod_sphere(p))).iszero()
+
+
+def test_random_poly_draw_order_is_pinned():
+    # seeded CLI reports depend on the order of the draws
+    rng = random.Random(5)
+    assert random_poly(rng, 4, 3, 3).terms == {(1, 0, 1, 0): Q(3), (1, 2, 0, 0): Q(-3)}
+    assert random_poly(rng, 4, 2, 2, 2).terms == {(1, 1, 0, 0): Q(-2)}
 
 
 def test_random_reduce_consistency():

@@ -24,6 +24,7 @@ from gjms6.solver import (
     hemisphere_factored_residual,
     hemisphere_mode_solve,
     kernel_check,
+    mode_solve,
     poisson_branch_series,
 )
 
@@ -85,6 +86,33 @@ def test_kernel_checks():
             assert kernel_check(ball(n), ModeIndex(ell=ell)), (n, ell)
     assert kernel_check(hyperbolic_geodesic(7), ModeIndex(ell=3))
     assert kernel_check(hemisphere(7), ModeIndex(ell=2))
+
+
+def test_mode_solve_exact_on_ball_and_geodesic():
+    data = BoundaryTriple(Q(1), Q(-2), Q(3, 4))
+    for geom in (ball(7), hyperbolic_geodesic(7)):
+        for ell in (0, 2, 5):
+            res = mode_solve(geom, ell, data)
+            assert res.exact
+            got = [apply_B(j, geom, res.mode) for j in range(3)]
+            assert all(isinstance(v, (int, Q)) for v in got)
+            assert got == data.aslist(), (geom.kind, ell)
+
+
+def test_mode_solve_hemisphere_matches_direct_solve():
+    data = BoundaryTriple(0.2, 0.5, 0.3)
+    for N in (32, 64):
+        via = mode_solve(hemisphere(7), 2, data, N=N)
+        direct = hemisphere_mode_solve(7, 2, data, N=N)
+        assert not via.exact
+        assert np.array_equal(via.profile.alphas, direct.profile.alphas)
+        assert via.achieved == direct.achieved
+        assert via.mode.profile.coeffs == direct.mode.profile.coeffs
+
+
+def test_mode_solve_rejects_the_half_space():
+    with pytest.raises(ValueError):
+        mode_solve(halfspace(7), 1, BoundaryTriple(Q(1), Q(0), Q(0)))
 
 
 def test_hemisphere_solve_achieves_data():

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from gjms6.geometry import ball, halfspace, hemisphere
+from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import vol_sphere
 from gjms6.traces import (
     CriticalExponentError,
@@ -193,6 +193,11 @@ def test_critical_requires_dimension():
         critical_check(ball(7), centered_specs(7))
     with pytest.raises(ValueError):
         corollary_check(ball(5), centered_specs(5))
+
+
+def test_trace_checks_reject_the_geodesic_model():
+    with pytest.raises(ValueError, match="per-mode extensions live on the ball or hemisphere"):
+        corollary_check(hyperbolic_geodesic(7), centered_specs(7))
 
 
 def test_critical_rejects_power_top_slot():
