@@ -170,7 +170,7 @@ def run_critical(report: CheckReport, geom: ModelGeometry, lmax: int, grid: int,
         rep = critical_check(geom, specs, lmax=lmax, grid_size=grid)
     report.add("critical-trace-extremals", "critical-trace-equality", rep.gap, tol, False, sw.ms)
     if geom.kind is GeometryKind.ROUND_HEMISPHERE:
-        sol = hemisphere_mode_solve(n, 1, BoundaryTriple(0.2, 0.5, 0.3), N=grid)
+        sol = hemisphere_mode_solve(n, 1, BoundaryTriple(0.2, 0.5, 0.3))
         with Stopwatch() as sw:
             resid = hemisphere_factored_residual(sol.profile, np.linspace(0.3, 1.5, 7))
         report.add("critical-factorized-equation", "critical-extremal-equation", resid, 1e-8, False, sw.ms)
@@ -205,7 +205,7 @@ def run_suite(args) -> CheckReport:
     if args.lmax < 0:
         raise ConfigError("harmonic-degree cap must be nonnegative")
     if args.grid < 2:
-        raise ConfigError("collocation size must be at least 2")
+        raise ConfigError("quadrature size must be at least 2")
     if args.suite == "critical" and args.n != 5:
         raise ConfigError("the critical suite requires n = 5")
     if args.suite in ("trace",) and args.n < 6:
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     ap.add_argument("--geometry", choices=sorted(GEOMETRIES), default="ball")
     ap.add_argument("--n", type=int, default=7, help="boundary dimension (>= 5)")
     ap.add_argument("--lmax", type=int, default=32, help="harmonic-degree cap")
-    ap.add_argument("--grid", type=int, default=64, help="collocation size")
+    ap.add_argument("--grid", type=int, default=64, help="Gauss-Legendre nodes of the hemisphere interior quadrature")
     ap.add_argument("--tol", type=float, default=1e-6, help="numeric tolerance")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=str, default=None, help="JSON report path")

@@ -235,8 +235,9 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
     On the half space the check is the symbolic polynomial identity; on the
     round-boundary models the extension with the given (possibly mixed)
     data is solved and the three identities checked directly.
-    Returns a list of CheckRecord.
+    Returns a list of CheckRecord.  ``n`` must equal ``geom.n``.
     """
+    _check_dimension(geom, n)
     if geom.kind is GeometryKind.UPPER_HALF_SPACE:
         res = dtn_verify_halfspace_symbolic()
         return [
@@ -259,7 +260,7 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
     ):
         read = {1: 3, 3: 4, 5: 5}[j]
         lhs = apply_B(read, geom, res.mode)
-        rhs = front * round_multiplier(n, Q(j, 2), ell) * slot_val
+        rhs = front * round_multiplier(geom.n, Q(j, 2), ell) * slot_val
         resid = lhs - rhs
         scale = max(abs(float(rhs)), 1.0)
         out.append(
@@ -279,7 +280,9 @@ def dtn_selfadjointness(geom: ModelGeometry, n: int, j: int, modes, tol: float =
     Per-mode multipliers are real (exact rationals); cross-degree pairings
     vanish by orthogonality, so symmetry reduces to the reality of the
     diagonal.  The solve-then-apply route must reproduce the multipliers.
+    ``n`` must equal ``geom.n``.
     """
+    _check_dimension(geom, n)
     op = DtNOperator(j, geom)
     out = []
     for ell in modes:
@@ -298,3 +301,8 @@ def dtn_selfadjointness(geom: ModelGeometry, n: int, j: int, modes, tol: float =
             )
         )
     return out
+
+
+def _check_dimension(geom: ModelGeometry, n: int):
+    if n != geom.n:
+        raise ValueError(f"dimension n = {n} differs from the geometry's n = {geom.n}")

@@ -3,14 +3,15 @@
 Given boundary data for the first three boundary operators, construct the
 operator-harmonic extension on each model geometry: exact triangular solves
 on the half space, exact 3x3 solves in the triharmonic basis on the ball,
-Chebyshev-collocated factor kernels on the hemisphere, and scattering-series
-jets on the geodesic compactification of hyperbolic space.
+hypergeometric factor kernels summed as power series on the hemisphere, and
+scattering-series jets on the geodesic compactification of hyperbolic space.
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,10 +70,6 @@ class SolveResult:
 
 
 class DegenerateModeError(ValueError):
-    pass
-
-
-class CollocationError(RuntimeError):
     pass
 
 
@@ -174,49 +171,28 @@ def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
 # round hemisphere
 # ---------------------------------------------------------------------------
 
-def cheb_lobatto_unit(N: int):
-    """Chebyshev-Lobatto nodes on [0, 1] (z[0] = 1, z[-1] = 0) and the
-    differentiation matrix."""
-    if N < 2:
-        raise ValueError("need at least two nodes")
-    k = np.arange(N)
-    x = np.cos(np.pi * k / (N - 1))
-    c = np.ones(N)
-    c[0] = c[-1] = 2.0
-    c = c * (-1.0) ** k
-    X = np.tile(x, (N, 1)).T
-    dX = X - X.T + np.eye(N)
-    D = np.outer(c, 1.0 / c) / dX
-    D = D - np.diag(D.sum(axis=1))
-    z = (x + 1.0) / 2.0
-    return z, 2.0 * D
-
-
-@dataclass
+@dataclass(frozen=True)
 class HemisphereFactor:
-    """Regular solution of one second-order factor on the hemisphere,
-    as a Chebyshev interpolant in z = cos(colatitude) plus equator data."""
+    """Regular solution of one second-order factor on the hemisphere, as
+    power series in x = (1 - z)/2 (z = cos(colatitude)) of its value and of
+    its z-derivative, normalized to v0 = 1 at the equator."""
 
     n: int
     ell: int
     shift: Fraction
-    z: np.ndarray
-    values: np.ndarray
-    cheb_coeffs: np.ndarray
+    coeffs: np.ndarray
+    dcoeffs: np.ndarray
     v0: float
     dv0: float
-    cond: float
 
     def chi_series(self, order: int = 8) -> Series:
         """Profile series in tau = colatitude - pi/2 at the equator."""
         return hemisphere_profile_series(self.n, self.ell, float(self.shift), self.v0, self.dv0, order)
 
     def v_and_dv(self, z):
-        cs = self.cheb_coeffs
-        x = 2.0 * np.asarray(z) - 1.0
-        v = np.polynomial.chebyshev.chebval(x, cs)
-        dv = 2.0 * np.polynomial.chebyshev.chebval(x, np.polynomial.chebyshev.chebder(cs))
-        return v, dv
+        x = (1.0 - np.asarray(z)) / 2.0
+        polyval = np.polynomial.polynomial.polyval
+        return polyval(x, self.coeffs), polyval(x, self.dcoeffs)
 
     def chi_and_dchi(self, theta):
         """chi = sin^l(theta) v(cos theta) and its theta-derivative."""
@@ -229,59 +205,41 @@ class HemisphereFactor:
         return chi, dchi
 
 
-# Memo of collocated factors keyed on (n, ell, shift, N), the inputs that
-# determine the result; cond_guard is not part of the key because it is
-# compared with the stored condition number on every call.
-_factor_cache: dict = {}
-
-
-def hemisphere_factor_solve(n: int, ell: int, shift, N: int = 64, cond_guard: float = 1e12) -> HemisphereFactor:
-    """Collocate one factor kernel.
+@functools.lru_cache(maxsize=None)
+def hemisphere_factor_solve(n: int, ell: int, shift) -> HemisphereFactor:
+    """The regular kernel of one factor, in closed form.
 
     In z = cos(theta) with chi = sin^l(theta) v(z), the factor
     (-Delta + shift) chi Y = 0 becomes
-    (1-z^2) v'' - (2l+n+1) z v' + (mu - l(l+n)) v = 0 with mu = -shift.
-    Regularity at the pole z = 1 enters through the ODE's own limit row
-    (the leading coefficient vanishes there); the solution is normalized at
-    the equator, which keeps the system well conditioned uniformly in l.
-    Rows are sup-norm equilibrated before the condition guard is applied.
-
-    The collocated factor is memoized on (n, ell, shift, N). On every call,
-    cached or not, its condition number is compared with cond_guard, and
-    CollocationError is raised when it exceeds the guard.
+    (1-z^2) v'' - (2l+n+1) z v' - (l(l+n) + shift) v = 0, and in
+    x = (1-z)/2 the hypergeometric equation, whose solution regular at the
+    pole x = 0 is 2F1(A, B; C; x) with A, B = l + n/2 +- sqrt(n^2/4 - shift)
+    and C = l + (n+1)/2 (DLMF 15.10).  For the factorization shifts A, B and
+    C, hence every Taylor coefficient, are nonnegative, and the hemisphere is
+    0 <= x <= 1/2, so the series is summed without cancellation.  It is cut
+    where a term at x = 1/2 falls below 1e-18 of the partial sum and scaled
+    to v = 1 at the equator.  The equator sums are taken with math.fsum: the
+    3x3 mode system amplifies the rounding error of dv0, and summed term by
+    term it lifts the DtN residuals up to l = 16 from about 1e-9 to 1e-8.
+    Memoized on (n, ell, shift).
     """
-    key = (n, ell, Q(shift), N)
-    out = _factor_cache.get(key)
-    if out is None:
-        out = _factor_cache[key] = _collocate_factor(n, ell, shift, N)
-    if out.cond > cond_guard:
-        raise CollocationError(f"collocation matrix condition {out.cond:.3g} exceeds the guard")
-    return out
-
-
-def _collocate_factor(n: int, ell: int, shift, N: int) -> HemisphereFactor:
-    mu = -float(shift)
-    z, D = cheb_lobatto_unit(N)
-    D2 = D @ D
-    w = (1.0 - z**2)
-    L = (w[:, None] * D2) - (2 * ell + n + 1) * (z[:, None] * D) + (mu - ell * (ell + n)) * np.eye(N)
-    rhs = np.zeros(N)
-    # node 0 is the pole z = 1: the ODE limit there is the regularity
-    # (Robin) condition; node N-1 is the equator z = 0: normalization.
-    L[-1, :] = 0.0
-    L[-1, -1] = 1.0
-    rhs[-1] = 1.0
-    scale = np.abs(L).max(axis=1)
-    L = L / scale[:, None]
-    rhs = rhs / scale
-    cond = np.linalg.cond(L)
-    v = np.linalg.solve(L, rhs)
-    x = 2.0 * z - 1.0
-    V = np.polynomial.chebyshev.chebvander(x, N - 1)
-    coeffs, *_ = np.linalg.lstsq(V, v, rcond=None)
-    iz0 = N - 1  # z[-1] = 0 is the equator
-    dv = D @ v
-    return HemisphereFactor(n, ell, Q(shift), z, v, coeffs, float(v[iz0]), float(dv[iz0]), float(cond))
+    beta = math.sqrt(n * n / 4 - float(shift))
+    A, B, C = ell + n / 2 + beta, ell + n / 2 - beta, ell + (n + 1) / 2
+    if B < 0:
+        raise ValueError(f"shift {shift} gives a series with terms of both signs")
+    # terms of the series at x = 1/2; the coefficients are terms * 2^k
+    terms = [1.0]
+    total = 1.0
+    k = 0
+    while terms[-1] >= 1e-18 * total:
+        terms.append(terms[-1] * (A + k) * (B + k) / ((C + k) * (k + 1) * 2))
+        total += terms[-1]
+        k += 1
+    total = math.fsum(terms)
+    dv0 = -math.fsum(k * t for k, t in enumerate(terms)) / total
+    coeffs = np.ldexp(np.array(terms) / total, np.arange(len(terms)))
+    dcoeffs = -0.5 * np.polynomial.polynomial.polyder(coeffs)
+    return HemisphereFactor(n, ell, Q(shift), coeffs, dcoeffs, 1.0, dv0)
 
 
 def hemisphere_profile_series(n: int, ell: int, shift: float, v0: float, dv0: float, order: int) -> Series:
@@ -344,13 +302,14 @@ class HemisphereProfile:
         return chi, dchi, lap, dlap
 
 
-def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple, N: int = 64,
-                          order: int = 8, cond_guard: float = 1e12) -> SolveResult:
-    """Solve the hemisphere extension per mode via the three factor kernels."""
+def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple, order: int = 8,
+                          cond_guard: float = 1e12) -> SolveResult:
+    """Solve the hemisphere extension per mode via the three factor kernels;
+    DegenerateModeError when the 3x3 mode matrix condition exceeds cond_guard."""
     from .geometry import hemisphere as hemi_geom
 
     shifts = factorization_shifts(n)
-    factors = [hemisphere_factor_solve(n, ell, c, N, cond_guard) for c in shifts]
+    factors = [hemisphere_factor_solve(n, ell, c) for c in shifts]
     g = hemi_geom(n)
     lam = sphere_eigenvalue(n, ell)
     cols = []
@@ -361,7 +320,7 @@ def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple, N: int = 64,
     rhs = np.array([float(v) for v in data.aslist()])
     cond = np.linalg.cond(M)
     if cond > cond_guard:
-        raise CollocationError(f"mode matrix condition {cond:.3g} exceeds the guard")
+        raise DegenerateModeError(f"mode matrix condition {cond:.3g} exceeds the guard")
     alphas = np.linalg.solve(M, rhs)
     prof = HemisphereProfile(n, ell, factors, alphas)
     sep = prof.separated(order)
@@ -374,7 +333,7 @@ def hemisphere_factored_residual(prof: HemisphereProfile, thetas, seed_order: in
     """Max residual of the factorized sixth-order equation at sample points.
 
     At each point, local Taylor series of every factor kernel are regenerated
-    from its own second-order equation (seeded by the collocation values),
+    from its own second-order equation (seeded by the kernel values),
     the three factors are composed in series arithmetic, and the value at the
     point is read off.
     """
@@ -544,24 +503,23 @@ def geodesic_mode_solve(n: int, ell: int, data: BoundaryTriple, order: int = 8) 
 # one entry point per mode
 # ---------------------------------------------------------------------------
 
-def mode_solve(geom: ModelGeometry, ell: int, data: BoundaryTriple, N: int = 64) -> SolveResult:
+def mode_solve(geom: ModelGeometry, ell: int, data: BoundaryTriple) -> SolveResult:
     """Extend the degree-l boundary data on a round-boundary model.
 
     The only dispatch from a model to its per-mode solver: ball, hemisphere
-    (N Chebyshev nodes per factor kernel) or geodesic compactification.  The
-    half space is parametrized by a frequency and solved by
-    ``halfspace_solve``.
+    or geodesic compactification.  The half space is parametrized by a
+    frequency and solved by ``halfspace_solve``.
     """
     if geom.kind is GeometryKind.EUCLIDEAN_BALL:
         return ball_mode_solve(geom.n, ell, data)
     if geom.kind is GeometryKind.ROUND_HEMISPHERE:
-        return hemisphere_mode_solve(geom.n, ell, data, N=N)
+        return hemisphere_mode_solve(geom.n, ell, data)
     if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
         return geodesic_mode_solve(geom.n, ell, data)
     raise ValueError("per-mode extensions by harmonic degree live on the round-boundary models")
 
 
-def kernel_check(geom: ModelGeometry, mode: ModeIndex, N: int = 64) -> bool:
+def kernel_check(geom: ModelGeometry, mode: ModeIndex) -> bool:
     """True iff the per-mode Dirichlet system is nonsingular: unit data
     solve without a degenerate system or a tripped condition guard."""
     unit = BoundaryTriple(Q(1), Q(0), Q(0))
@@ -569,7 +527,7 @@ def kernel_check(geom: ModelGeometry, mode: ModeIndex, N: int = 64) -> bool:
         if geom.kind is GeometryKind.UPPER_HALF_SPACE:
             halfspace_solve(mode.t, unit)
         else:
-            mode_solve(geom, mode.ell, unit, N)
-    except (DegenerateModeError, CollocationError):
+            mode_solve(geom, mode.ell, unit)
+    except DegenerateModeError:
         return False
     return True

@@ -4,7 +4,7 @@ Evaluates both sides of the six trace-inequality statements (three
 subcritical, three critical Lebedev-Milin type) for zonal boundary data,
 including every displayed boundary cross term.  Boundary functions are
 expanded in Gegenbauer zonal series; interior energies reduce per harmonic
-degree to exact radial integrals (ball) or collocation quadrature
+degree to exact radial integrals (ball) or Gauss-Legendre quadrature
 (hemisphere); flat half-space data are transported to the ball through
 stereographic projection, under which both sides of the statements are
 invariant.
@@ -249,7 +249,9 @@ SLOT_GAMMAS = (Q(5, 2), Q(3, 2), Q(1, 2))
 
 
 class TraceChecker:
-    """Evaluator for the trace-inequality statements on one geometry."""
+    """Evaluator for the trace-inequality statements on one geometry;
+    ``grid_size`` Gauss-Legendre nodes carry the hemisphere interior
+    quadrature."""
 
     def __init__(self, geom: ModelGeometry, lmax: int = 32, nodes: int = 256,
                  grid_size: int = 64, tail_guard: float = 1e-7):
@@ -259,7 +261,6 @@ class TraceChecker:
         self.n = geom.n
         self.lmax = lmax
         self.grid = ZonalGrid(geom.n, lmax, nodes)
-        self.grid_size = grid_size
         self.tail_guard = tail_guard
         if geom.kind is GeometryKind.ROUND_HEMISPHERE:
             x, w = np.polynomial.legendre.leggauss(grid_size)
@@ -301,19 +302,21 @@ class TraceChecker:
         if key not in self._solve_cache:
             data = [0.0, 0.0, 0.0]
             data[slot] = 1.0
-            res = mode_solve(self.geom, ell, BoundaryTriple(*data), N=self.grid_size)
+            res = mode_solve(self.geom, ell, BoundaryTriple(*data))
             self._solve_cache[key] = res.profile
         return self._solve_cache[key]
 
     def _interior_pair_ball(self, ell, profa, profb) -> float:
         return float(radial_pair_integral(profa.lap(), profb.lap()))
 
-    def _interior_pair_hemisphere(self, ell, profa, profb, critical: bool) -> float:
+    def _interior_pair_hemisphere(self, ell, evala, evalb, critical: bool) -> float:
+        """Interior pairing of two profiles given as their
+        ``chi_dchi_lapchi_dlapchi`` values on the quadrature nodes."""
         lam = sphere_eigenvalue(self.n, ell)
         th, w = self.itheta, self.iw
         s2 = np.sin(th) ** 2
-        ca, dca, la, dla = profa.chi_dchi_lapchi_dlapchi(th)
-        cb, dcb, lb, dlb = profb.chi_dchi_lapchi_dlapchi(th)
+        ca, dca, la, dla = evala
+        cb, dcb, lb, dlb = evalb
         c1, c2, c3, c4 = hemisphere_interior_coeffs(self.n, critical)
         integ = (
             c1 * (dla * dlb + lam * la * lb / s2)
@@ -336,6 +339,8 @@ class TraceChecker:
             if all(abs(c) < 1e-300 for c in lamfree):
                 continue
             profs = [self._unit_solution(ell, s) for s in range(3)]
+            if self.geom.kind is GeometryKind.ROUND_HEMISPHERE:
+                profs = [p.chi_dchi_lapchi_dlapchi(self.itheta) for p in profs]
             for a in range(3):
                 for b in range(3):
                     ca, cb = lamfree[a], lamfree[b]

@@ -82,6 +82,24 @@ def test_dtn_verify_all_models():
     assert all(r.passed for r in recs)
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_dtn_verify_hemisphere_across_degrees(n):
+    """The residuals stay within the default tolerance up to l = 16 and
+    within the CLI tolerance up to l = 32."""
+    for ell in range(33):
+        tol = 1e-8 if ell <= 16 else 1e-6
+        recs = dtn_verify(hemisphere(n), n, ell, tol=tol)
+        assert all(r.passed for r in recs), (n, ell, [r.residual for r in recs])
+
+
+def test_dtn_checks_reject_a_second_dimension():
+    for geom in (ball(7), hemisphere(7), halfspace(7)):
+        with pytest.raises(ValueError, match="differs"):
+            dtn_verify(geom, 9, 1)
+        with pytest.raises(ValueError, match="differs"):
+            dtn_selfadjointness(geom, 9, 5, range(2))
+
+
 def test_dtn_mixed_data_independence():
     """The order-5 operator of an extension depends only on the first slot."""
     from gjms6.boundary import apply_B

@@ -1,5 +1,7 @@
 """Per-mode extension solvers on the four models."""
 
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import mpmath as mp
@@ -9,10 +11,10 @@ import pytest
 from gjms6.boundary import apply_B
 from gjms6.fractional import round_multiplier, sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
+from gjms6.gjms import factorization_shifts
 from gjms6.polys import Poly
 from gjms6.solver import (
     BoundaryTriple,
-    CollocationError,
     DegenerateModeError,
     ModeIndex,
     ball_mode_solve,
@@ -101,13 +103,12 @@ def test_mode_solve_exact_on_ball_and_geodesic():
 
 def test_mode_solve_hemisphere_matches_direct_solve():
     data = BoundaryTriple(0.2, 0.5, 0.3)
-    for N in (32, 64):
-        via = mode_solve(hemisphere(7), 2, data, N=N)
-        direct = hemisphere_mode_solve(7, 2, data, N=N)
-        assert not via.exact
-        assert np.array_equal(via.profile.alphas, direct.profile.alphas)
-        assert via.achieved == direct.achieved
-        assert via.mode.profile.coeffs == direct.mode.profile.coeffs
+    via = mode_solve(hemisphere(7), 2, data)
+    direct = hemisphere_mode_solve(7, 2, data)
+    assert not via.exact
+    assert np.array_equal(via.profile.alphas, direct.profile.alphas)
+    assert via.achieved == direct.achieved
+    assert via.mode.profile.coeffs == direct.mode.profile.coeffs
 
 
 def test_mode_solve_rejects_the_half_space():
@@ -125,44 +126,55 @@ def test_hemisphere_solve_achieves_data():
 
 
 def test_hemisphere_factor_against_hypergeometric():
-    """Collocated factor kernels match the classical hypergeometric solution
-    at the equator (value and derivative)."""
+    """The series factor kernels match 2F1(A, B; C; (1-z)/2), scaled to 1 at
+    the equator, in value and z-derivative across the hemisphere."""
     mp.mp.dps = 30
-    n = 7
-    for ell, shift in ((0, Q(12)), (2, Q(10)), (5, Q(6))):
-        fac = hemisphere_factor_solve(n, ell, shift)
-        beta = mp.sqrt(mp.mpf(n) ** 2 / 4 - mp.mpf(float(shift)))
-        A = ell + mp.mpf(n) / 2 + beta
-        Bp = ell + mp.mpf(n) / 2 - beta
-        C = ell + mp.mpf(n + 1) / 2
-        v_pole = 1.0 / float(mp.hyp2f1(A, Bp, C, mp.mpf(1) / 2))  # our v(0)=1
-        v0_ref = 1.0
-        dv_ref = float(-A * Bp / C * mp.hyp2f1(A + 1, Bp + 1, C + 1, mp.mpf(1) / 2) / 2)
-        dv_ref *= v_pole  # rescale reference to equator normalization
-        assert abs(fac.v0 - v0_ref) < 1e-12
-        assert abs(fac.dv0 - dv_ref) < 1e-9 * max(1.0, abs(dv_ref))
+    for n in (5, 7):
+        for shift in factorization_shifts(n):
+            beta = mp.sqrt(mp.mpf(n) ** 2 / 4 - mp.mpf(shift.numerator) / shift.denominator)
+            for ell in range(33):
+                fac = hemisphere_factor_solve(n, ell, shift)
+                A = ell + mp.mpf(n) / 2 + beta
+                Bp = ell + mp.mpf(n) / 2 - beta
+                C = ell + mp.mpf(n + 1) / 2
+                equator = mp.hyp2f1(A, Bp, C, mp.mpf(1) / 2)
+                assert fac.v0 == 1.0
+                for z in (0, 0.25, 0.5, 0.75, 1):
+                    x = (1 - mp.mpf(z)) / 2
+                    v_ref = mp.hyp2f1(A, Bp, C, x) / equator
+                    dv_ref = -A * Bp / C * mp.hyp2f1(A + 1, Bp + 1, C + 1, x) / 2 / equator
+                    v, dv = fac.v_and_dv(z)
+                    assert abs(v - v_ref) <= 1e-13 * abs(v_ref), (n, shift, ell, z)
+                    assert abs(dv - dv_ref) <= 1e-13 * abs(dv_ref), (n, shift, ell, z)
+                    if z == 0:
+                        assert abs(fac.dv0 - dv_ref) <= 1e-13 * abs(dv_ref), (n, shift, ell)
+    with pytest.raises(ValueError, match="both signs"):
+        hemisphere_factor_solve(7, 0, Q(-1))
 
 
-def test_hemisphere_condition_guard():
-    with pytest.raises(CollocationError):
-        hemisphere_factor_solve(7, 3, Q(10), N=64, cond_guard=1.0)
-
-
-def test_hemisphere_condition_guard_holds_on_cached_factor():
-    """The guard is compared with the memoized condition number, so a warm
-    cache neither bypasses it nor is changed by a call that trips it."""
-    first = hemisphere_factor_solve(7, 3, Q(10), N=64)
-    with pytest.raises(CollocationError, match="collocation matrix condition"):
-        hemisphere_factor_solve(7, 3, Q(10), N=64, cond_guard=1.0)
-    again = hemisphere_factor_solve(7, 3, Q(10), N=64)
-    assert (again.v0, again.dv0, again.cond) == (first.v0, first.dv0, first.cond)
-
-
-def test_hemisphere_mode_solve_applies_factor_guard_after_warm_solve():
+def test_hemisphere_mode_solve_applies_mode_guard_after_warm_solve():
     data = BoundaryTriple(Q(1), Q(0), Q(0))
     hemisphere_mode_solve(7, 3, data)
-    with pytest.raises(CollocationError, match="collocation matrix condition"):
+    with pytest.raises(DegenerateModeError, match="mode matrix condition"):
         hemisphere_mode_solve(7, 3, data, cond_guard=1.0)
+
+
+def test_hemisphere_paths_load_neither_scipy_nor_mpmath():
+    """The closed-form kernels keep the hemisphere solves and trace checks
+    free of scipy.special (about 26 MB of resident memory) and mpmath."""
+    code = (
+        "import sys\n"
+        "import gjms6\n"
+        "from gjms6.geometry import hemisphere\n"
+        "from gjms6.solver import BoundaryTriple, hemisphere_mode_solve\n"
+        "from gjms6.traces import corollary_check\n"
+        "hemisphere_mode_solve(7, 3, BoundaryTriple(0.2, 0.5, 0.3))\n"
+        "corollary_check(hemisphere(7), [[1.0, 0.3, 0.1], [0.5, 0.2], [0.4, 0.1, 0.05]], lmax=8)\n"
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_hemisphere_factored_residual_small():
