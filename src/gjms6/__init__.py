@@ -31,7 +31,6 @@ from .boundary import (
     CurvatureCoefficients,
     apply_B,
     coefficients,
-    geodesic_forms,
     normal_form_operators,
 )
 from .conformal import (

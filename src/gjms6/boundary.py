@@ -1,12 +1,15 @@
 """The six conformally covariant boundary operators of the sixth-order
 GJMS operator, with all curvature coefficients.
 
-The scalar coefficients and the operator assembly are written once, generic
-over an arithmetic kit, and instantiated three ways: with exact rational
-curvature data on the four model geometries, with polynomial fields on the
-flat models, and with the conformally-flat calculus ring used for the
-covariance checks.  Zeroth-order blocks carry the factor (n-5)/2 and vanish
-identically in the critical dimension n = 5.
+The scalar coefficients and the operator assembly are written once, in
+``apply_boundary_operator``, generic over an arithmetic kit: exact rational
+curvature data with polynomial or exponential-polynomial fields on the flat
+models, and the conformally-flat calculus ring used for the covariance
+checks.  On separated modes of a model geometry the same assembly, run once
+on a symbolic jet, gives ``separated_stencil``: each operator as a linear
+form in the profile jet with coefficients polynomial in the boundary
+eigenvalue, which ``apply_B`` evaluates.  Zeroth-order blocks carry the
+factor (n-5)/2 and vanish identically in the critical dimension n = 5.
 
 ``field_ops`` is the only place that picks the primitive kit for a field
 representation on a model geometry, and ``leading_part`` holds the only table
@@ -14,11 +17,12 @@ from primitive names to kit calls.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fractional import sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry, boundary_data
+from .series import Series, TruncationError
 
 Q = Fraction
 
@@ -357,7 +361,7 @@ def apply_boundary_operator(j: int, n: int, C: CurvatureInputs, ops: BoundaryOps
         grad_combo = (
             Q(3 * n - 11) * C.Jb
             - Q(5 * n - 29) * C.Pnn
-            + Q(5 * n**2 - 53 * n + 128, 2 * n**2) * (C.H * C.H)
+            + Q(5 * n**2 - 45 * n + 112, 2 * n**2) * (C.H * C.H)
         )
         return (
             -ops.restrict(lap2_u)
@@ -448,73 +452,63 @@ def field_ops(geom: ModelGeometry, u) -> BoundaryOps:
     raise TypeError(f"unsupported field representation {type(u).__name__}")
 
 
+@functools.lru_cache(maxsize=None)
+def separated_stencil(geom: ModelGeometry) -> tuple:
+    """B0..B5 on the separated modes of a model geometry, as linear forms in
+    the profile jet.
+
+    Derived from ``apply_boundary_operator`` with ``SeparatedOps`` on a mode
+    whose Taylor coefficients c0..c5 and eigenvalue lam are Poly symbols.
+    Entry j lists, for each k, the coefficient of c_k as a polynomial in lam,
+    given as ((power, Fraction), ...).  Memoized per model geometry.
+    """
+    from .polys import Poly
+    from .reps import SeparatedMode, SeparatedOps
+
+    n = geom.n
+    syms = [Poly.var(7, i) for i in range(7)]
+    lam = syms[6]
+    mode = SeparatedMode(n, lam, Series(syms[:6], 5))
+    ops = SeparatedOps(geom, lam, order=6)
+    C = model_curvature_inputs(geom)
+    coeffs = coefficient_scalars(n, C)
+    out = []
+    for j in range(6):
+        form: dict = {}
+        for e, c in apply_boundary_operator(j, n, C, ops, mode, coeffs).terms.items():
+            form.setdefault(e[:6].index(1), []).append((e[6], c))
+        out.append(tuple((k, tuple(sorted(form[k]))) for k in sorted(form)))
+    return tuple(out)
+
+
 def apply_B(j, geom: ModelGeometry, u):
     """Apply the boundary operator of normal order j on a model geometry.
 
     Accepts a BoundaryOperatorId or plain integer for j, and any field
-    representation that ``field_ops`` has a kit for.  Exact for exact inputs.
+    representation that ``field_ops`` has a kit for; separated modes are read
+    through ``separated_stencil``.  Exact for exact inputs.
     """
+    from .reps import SeparatedMode
+
     if isinstance(j, BoundaryOperatorId):
         j = j.j
     if not 0 <= j <= 5:
         raise ValueError("boundary operator index must lie in 0..5")
+    if isinstance(u, SeparatedMode):
+        chi = u.profile
+        if chi.ord < j:
+            raise TruncationError(f"B{j} needs a profile jet of order {j}, got order {chi.ord}")
+        out = 0
+        for k, poly in separated_stencil(geom)[j]:
+            out = out + sum(c * u.lam**p for p, c in poly) * chi.coeffs[k]
+        return out
     C = model_curvature_inputs(geom)
     return apply_boundary_operator(j, geom.n, C, field_ops(geom, u), u)
 
 
 # ---------------------------------------------------------------------------
-# specialized operator tables
+# normal-form tables
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeodesicOperators:
-    """Boundary operators of a geodesic compactification over a round
-    conformal infinity, as normal-derivative stencils per boundary harmonic.
-
-    apply(j, derivs, ell) takes the one-sided derivatives
-    derivs[k] = (d/dr)^k u at r = 0 and returns the operator value; the
-    outward normal is -d/dr.
-    """
-
-    n: int
-
-    def _L2(self, s, lam):
-        # -lapbar + s*Jbar on the mode, with Jbar = n/2
-        return lam + Q(s) * Q(self.n, 2)
-
-    def _L4(self, s, lam):
-        # divbar((2 Pbar - Jbar gbar) dbar) + Jbar lapbar - s |Pbar|^2
-        return -lam - Q(s) * Q(self.n, 4)
-
-    def apply(self, j: int, derivs, ell: int):
-        n = self.n
-        lam = sphere_eigenvalue(n, ell)
-        u0, u1, u2, u3, u4, u5 = (list(derivs) + [0] * 6)[:6]
-        if j == 0:
-            return u0
-        if j == 1:
-            return -u1
-        if j == 2:
-            return u2 + Q(1, 3) * self._L2(Q(n - 5, 2), lam) * u0
-        if j == 3:
-            return -u3 - 3 * self._L2(Q(n - 3, 2), lam) * u1
-        if j == 4:
-            a = self._L2(Q(n - 1, 2), lam)
-            b = self._L2(Q(n - 5, 2), lam)
-            return -u4 + 6 * a * u2 + 3 * a * b * u0 + 3 * self._L4(Q(n - 5, 2), lam) * u0
-        if j == 5:
-            a = self._L2(Q(n + 1, 2), lam)
-            b = self._L2(Q(n - 3, 2), lam)
-            return -u5 + Q(10, 3) * a * u3 - 5 * a * b * u1 - 15 * self._L4(Q(n - 3, 2), lam) * u1
-        raise ValueError("boundary operator index must lie in 0..5")
-
-
-def geodesic_forms(n: int) -> GeodesicOperators:
-    """The six geodesic-compactification boundary operators."""
-    if n < 5:
-        raise ValueError("n >= 5 required")
-    return GeodesicOperators(n)
-
 
 @dataclass(frozen=True)
 class NormalFormOperators:

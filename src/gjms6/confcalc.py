@@ -195,7 +195,7 @@ class Jet:
         self.ord = order
         cs = list(coeffs)[: order + 1] if order >= 0 else []
         while len(cs) < order + 1:
-            cs.append(ctx.wzero())
+            cs.append(ctx.zero_boundary())
         self.coeffs = cs
 
     def _co(self, other):
@@ -225,7 +225,7 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         o = min(self.ord, other.ord)
-        out = [self.ctx.wzero() for _ in range(o + 1)]
+        out = [self.ctx.zero_boundary() for _ in range(o + 1)]
         for i in range(o + 1):
             ci = self.coeffs[i]
             if ci.iszero():
@@ -279,10 +279,10 @@ class JetCtx:
                 out[k] = out[k] + Poly(d - 1, {e[:-1]: c})
         return out
 
-    def wzero(self) -> WxPoly:
+    def zero_boundary(self) -> WxPoly:
         return WxPoly(self, {})
 
-    def wone(self) -> WxPoly:
+    def one_boundary(self) -> WxPoly:
         return WxPoly(self, {Q(0): Poly.const(self.n, 1)})
 
     def wexp(self, m) -> WxPoly:
@@ -302,7 +302,7 @@ class JetCtx:
         return Jet(self, [], self.order)
 
     def one_ambient(self) -> Jet:
-        return Jet(self, [self.wone()], self.order)
+        return Jet(self, [self.one_boundary()], self.order)
 
     def exp_ambient(self, m) -> Jet:
         """e^(m*sigma) as a jet: weight m on e^(sigma0) times the exact
@@ -391,7 +391,7 @@ class HalfspaceConformalEngine(BoundaryOps):
 
     def be(self, m):
         if not self.conformal:
-            return self.kit.one_boundary() if hasattr(self.kit, "one_boundary") else self.kit.wone()
+            return self.kit.one_boundary()
         return self.kit.exp_boundary(m)
 
     # -- ambient tensor helpers -----------------------------------------
@@ -589,7 +589,7 @@ class HalfspaceConformalEngine(BoundaryOps):
 
     # -- BoundaryOps interface ---------------------------------------------
     def bzero(self):
-        return self.kit.zero_boundary() if hasattr(self.kit, "zero_boundary") else self.kit.wzero()
+        return self.kit.zero_boundary()
 
     def restrict(self, u):
         return u.restrict()

@@ -12,11 +12,15 @@ per model:
     hyperbolic    tau = r       outward = -d/dtau   A = n rho'/rho   B = rho^-2,
                                                     rho = 1 - tau^2/4
 
+``collar_coefficients`` holds this table; ``boundary.separated_stencil`` and
+the hemisphere factor jets of ``solver`` read it.
+
 Profile coefficients may be Fractions (exact), floats (numeric solves), or
 Poly symbols (operator-identity checks); the code is generic over them.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .boundary import BoundaryOps
@@ -88,8 +92,10 @@ class SeparatedMode:
         return SeparatedMode(self.n, self.lam, -self.profile)
 
 
+@functools.lru_cache(maxsize=None)
 def collar_coefficients(kind: GeometryKind, n: int, order: int):
-    """(A, B, eta_sign, cPbar) for the collar Laplacian of a model."""
+    """(A, B, eta_sign, cPbar) for the collar Laplacian of a model.
+    Memoized, so callers share the series and must not mutate them."""
     if kind is GeometryKind.UPPER_HALF_SPACE:
         return Series.const(Q(0), order), Series.const(Q(1), order), -1, Q(0)
     if kind is GeometryKind.EUCLIDEAN_BALL:

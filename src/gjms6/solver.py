@@ -5,6 +5,8 @@ operator-harmonic extension on each model geometry: exact triangular solves
 on the half space, exact 3x3 solves in the triharmonic basis on the ball,
 hypergeometric factor kernels summed as power series on the hemisphere, and
 scattering-series jets on the geodesic compactification of hyperbolic space.
+Boundary values are ``apply_B`` of boundary jets, read through the one
+``boundary.separated_stencil`` of each model.
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
@@ -23,7 +25,7 @@ from .fractional import d_gamma, round_multiplier, sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry
 from .gjms import factorization_shifts
 from .polys import ExpPolyMode, Poly
-from .reps import RadialProfile, SeparatedMode
+from .reps import RadialProfile, SeparatedMode, collar_coefficients
 from .series import Series, series_inverse
 
 Q = Fraction
@@ -122,14 +124,14 @@ def ball_dirichlet_matrix(n: int, ell: int):
     """Exact 3x3 matrix of the first three boundary operators on the basis."""
     from .geometry import ball as ball_geom
 
-    basis = ball_basis(n, ell)
     g = ball_geom(n)
-    return [[apply_B(j, g, b.to_separated()) for b in basis] for j in range(3)]
+    modes = [b.to_separated() for b in ball_basis(n, ell)]
+    return [[apply_B(j, g, m) for m in modes] for j in range(3)]
 
 
 def _solve3(M, rhs):
     """Gaussian elimination, generic over Fraction or float entries."""
-    A = [list(map(lambda x: x, M[i])) + [rhs[i]] for i in range(3)]
+    A = [list(M[i]) + [rhs[i]] for i in range(3)]
     for c in range(3):
         piv = None
         for r in range(c, 3):
@@ -186,8 +188,24 @@ class HemisphereFactor:
     dv0: float
 
     def chi_series(self, order: int = 8) -> Series:
-        """Profile series in tau = colatitude - pi/2 at the equator."""
-        return hemisphere_profile_series(self.n, self.ell, float(self.shift), self.v0, self.dv0, order)
+        """Profile series in tau = colatitude - pi/2 at the equator: the jet
+        of lap chi = shift chi, with lap = d^2 + A d - lam B the hemisphere
+        collar Laplacian of ``reps.collar_coefficients``, solved order by
+        order from chi(0) = v0 and chi'(0) = -dv0 (z = cos(theta) decreases
+        with theta)."""
+        A, B, _, _ = collar_coefficients(GeometryKind.ROUND_HEMISPHERE, self.n, order)
+        A = [float(c) for c in A.coeffs]
+        B = [float(c) for c in B.coeffs]
+        lam = sphere_eigenvalue(self.n, self.ell)
+        shift = float(self.shift)
+        a = [self.v0, -self.dv0] + [0.0] * (order - 1)
+        for k in range(order - 1):
+            # coefficient k of chi'' = shift chi - A chi' + lam B chi
+            acc = shift * a[k]
+            for i in range(k + 1):
+                acc += lam * B[i] * a[k - i] - A[i] * (k - i + 1) * a[k - i + 1]
+            a[k + 2] = acc / ((k + 2) * (k + 1))
+        return Series(a, order)
 
     def v_and_dv(self, z):
         x = (1.0 - np.asarray(z)) / 2.0
@@ -240,35 +258,6 @@ def hemisphere_factor_solve(n: int, ell: int, shift) -> HemisphereFactor:
     coeffs = np.ldexp(np.array(terms) / total, np.arange(len(terms)))
     dcoeffs = -0.5 * np.polynomial.polynomial.polyder(coeffs)
     return HemisphereFactor(n, ell, Q(shift), coeffs, dcoeffs, 1.0, dv0)
-
-
-def hemisphere_profile_series(n: int, ell: int, shift: float, v0: float, dv0: float, order: int) -> Series:
-    """Equator Taylor series of the factor profile from its second-order ODE.
-
-    chi'' = n tan(tau) chi' + (lam sec^2(tau) + shift) chi, seeded by
-    chi(0) = v0 and chi'(0) = -dv0 (z = cos(theta) decreases with theta).
-    """
-    from .series import sec2_series, tan_series
-
-    lam = sphere_eigenvalue(n, ell)
-    tn = tan_series(order)
-    sc2 = sec2_series(order)
-    a = [0.0] * (order + 1)
-    a[0] = v0
-    if order >= 1:
-        a[1] = -dv0
-    for k in range(order - 1):
-        # coefficient k of n tan * chi' + (lam sec^2 + shift) chi
-        acc = 0.0
-        for i in range(1, k + 1):
-            ti = float(tn.coeffs[i]) if i <= tn.ord else 0.0
-            acc += n * ti * (k - i + 1) * a[k - i + 1]
-        for i in range(0, k + 1):
-            si = float(sc2.coeffs[i]) if i <= sc2.ord else 0.0
-            acc += lam * si * a[k - i]
-        acc += float(shift) * a[k]
-        a[k + 2] = acc / ((k + 2) * (k + 1))
-    return Series(a, order)
 
 
 @dataclass

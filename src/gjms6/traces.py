@@ -253,20 +253,19 @@ class TraceChecker:
     ``grid_size`` Gauss-Legendre nodes carry the hemisphere interior
     quadrature."""
 
-    def __init__(self, geom: ModelGeometry, lmax: int = 32, nodes: int = 256,
-                 grid_size: int = 64, tail_guard: float = 1e-7):
+    def __init__(self, geom: ModelGeometry, lmax: int = 32, grid_size: int = 64,
+                 tail_guard: float = 1e-7):
         if geom.kind not in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE):
             raise ValueError("per-mode extensions live on the ball or hemisphere")
         self.geom = geom
         self.n = geom.n
         self.lmax = lmax
-        self.grid = ZonalGrid(geom.n, lmax, nodes)
+        self.grid = ZonalGrid(geom.n, lmax)
         self.tail_guard = tail_guard
         if geom.kind is GeometryKind.ROUND_HEMISPHERE:
             x, w = np.polynomial.legendre.leggauss(grid_size)
             self.itheta = (x + 1.0) * (math.pi / 4)
             self.iw = w * (math.pi / 4) * np.sin(self.itheta) ** self.n
-        self._solve_cache: dict = {}
 
     # -- data preparation -------------------------------------------------
     def slot_weights(self):
@@ -289,22 +288,19 @@ class TraceChecker:
             coeffs = np.zeros(self.lmax + 1)
             cs = np.asarray(cs, dtype=float)
             coeffs[: len(cs)] = cs
-            axis = np.zeros(self.n + 1)
-            axis[0 if axes is None else 0] = 1.0
-            if axes is not None:
+            if axes is None:
+                axis = np.zeros(self.n + 1)
+                axis[0] = 1.0
+            else:
                 axis = np.asarray(axes[i], dtype=float)
             out.append(SlotData(coeffs, axis, self.grid.reconstruct(coeffs)))
         return out
 
     # -- per-mode extensions ------------------------------------------------
     def _unit_solution(self, ell: int, slot: int):
-        key = (ell, slot)
-        if key not in self._solve_cache:
-            data = [0.0, 0.0, 0.0]
-            data[slot] = 1.0
-            res = mode_solve(self.geom, ell, BoundaryTriple(*data))
-            self._solve_cache[key] = res.profile
-        return self._solve_cache[key]
+        data = [0.0, 0.0, 0.0]
+        data[slot] = 1.0
+        return mode_solve(self.geom, ell, BoundaryTriple(*data)).profile
 
     def _interior_pair_ball(self, ell, profa, profb) -> float:
         return float(radial_pair_integral(profa.lap(), profb.lap()))
@@ -399,7 +395,7 @@ class TraceChecker:
 
 
 def corollary_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32,
-                    nodes: int = 256, grid_size: int = 64) -> InequalityReport:
+                    grid_size: int = 64) -> InequalityReport:
     """Sharp subcritical trace inequality on a model geometry.
 
     ``specs_or_slots`` is either a triple of ExtremalSpec (equality family)
@@ -409,26 +405,24 @@ def corollary_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32,
     """
     if geom.n < 6:
         raise ValueError("the subcritical statements require n >= 6")
-    return _run_check(geom, specs_or_slots, critical=False, lmax=lmax,
-                      nodes=nodes, grid_size=grid_size)
+    return _run_check(geom, specs_or_slots, critical=False, lmax=lmax, grid_size=grid_size)
 
 
 def critical_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32,
-                   nodes: int = 256, grid_size: int = 64) -> InequalityReport:
+                   grid_size: int = 64) -> InequalityReport:
     """Critical (n = 5) exponential-class trace inequality."""
     if geom.n != 5:
         raise ValueError("the critical statements require n = 5")
-    return _run_check(geom, specs_or_slots, critical=True, lmax=lmax,
-                      nodes=nodes, grid_size=grid_size)
+    return _run_check(geom, specs_or_slots, critical=True, lmax=lmax, grid_size=grid_size)
 
 
-def _run_check(geom, specs_or_slots, critical, lmax, nodes, grid_size):
+def _run_check(geom, specs_or_slots, critical, lmax, grid_size):
     from .geometry import ball as ball_geom
 
     eval_geom = geom
     if geom.kind is GeometryKind.UPPER_HALF_SPACE:
         eval_geom = ball_geom(geom.n)
-    checker = TraceChecker(eval_geom, lmax=lmax, nodes=nodes, grid_size=grid_size)
+    checker = TraceChecker(eval_geom, lmax=lmax, grid_size=grid_size)
     first = specs_or_slots[0]
     if isinstance(first, ExtremalSpec):
         slots = checker.slots_from_specs(specs_or_slots, critical)

@@ -129,14 +129,14 @@ def test_criterion_6_sharp_sobolev_equality():
             centered = [ExtremalSpec.from_flat("power", 1.0, [0.0] * n, n) for _ in range(3)]
         else:
             centered = [ExtremalSpec("power", (0.0,) * (n + 1), 1.0) for _ in range(3)]
-        rep = corollary_check(geom, centered, lmax=32, nodes=256)
+        rep = corollary_check(geom, centered, lmax=32)
         ok = ok and abs(rep.relative_gap) <= 1e-6
         offc = [
             ExtremalSpec("power", tuple([0.3] + [0.0] * n), 1.0),
             ExtremalSpec("power", tuple([0.0, 0.25] + [0.0] * (n - 1)), 0.7),
             ExtremalSpec("power", tuple([0.1, -0.2] + [0.0] * (n - 1)), 1.3),
         ]
-        rep = corollary_check(geom, offc, lmax=32, nodes=256)
+        rep = corollary_check(geom, offc, lmax=32)
         ok = ok and abs(rep.relative_gap) <= 1e-6
         per_geom = time.perf_counter() - t1
         ok = ok and per_geom < 60.0
@@ -144,7 +144,7 @@ def test_criterion_6_sharp_sobolev_equality():
     rng = np.random.default_rng(42)
     for _ in range(20):
         coeffs = [rng.normal(size=6) * 0.5 ** np.arange(6) for _ in range(3)]
-        rep = corollary_check(ball(n), coeffs, lmax=32, nodes=256)
+        rep = corollary_check(ball(n), coeffs, lmax=32)
         ok = ok and rep.gap > 0
     announce(6, ok, "sharp trace equality on extremal families (|relative gap| <= 1e-6) and strict positivity on 20 random inputs [" + ", ".join(details) + "]")
 
@@ -158,7 +158,7 @@ def test_criterion_7_critical_lebedev_milin():
     ]
     ok = True
     for geom in (ball(n), hemisphere(n), halfspace(n)):
-        rep = critical_check(geom, specs, lmax=32, nodes=256)
+        rep = critical_check(geom, specs, lmax=32)
         ok = ok and abs(rep.gap) <= 1e-5
     sol = hemisphere_mode_solve(n, 1, BoundaryTriple(0.2, 0.5, 0.3))
     resid = hemisphere_factored_residual(sol.profile, np.linspace(0.3, 1.5, 7))

@@ -1,5 +1,8 @@
 """The six boundary operators: coefficients, model closed forms, stencils."""
 
+import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -8,15 +11,60 @@ from gjms6.boundary import (
     BoundaryOperatorId,
     LEADING_TERMS,
     apply_B,
+    apply_boundary_operator,
     coefficients,
-    geodesic_forms,
     leading_part,
+    model_curvature_inputs,
     normal_form_operators,
+    separated_stencil,
 )
 from gjms6.fractional import rising, sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import ExpPolyMode, Poly
-from gjms6.reps import RadialProfile, SeparatedMode
+from gjms6.reps import RadialProfile, SeparatedMode, SeparatedOps
+from gjms6.series import Series, TruncationError
+
+
+class GeodesicOperators:
+    """Hand-written boundary operators of a geodesic compactification over a
+    round conformal infinity, as normal-derivative stencils per boundary
+    harmonic: an independent reference for the geodesic model.
+
+    apply(j, derivs, ell) takes the one-sided derivatives
+    derivs[k] = (d/dr)^k u at r = 0 and returns the operator value; the
+    outward normal is -d/dr.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def _L2(self, s, lam):
+        # -lapbar + s*Jbar on the mode, with Jbar = n/2
+        return lam + Q(s) * Q(self.n, 2)
+
+    def _L4(self, s, lam):
+        # divbar((2 Pbar - Jbar gbar) dbar) + Jbar lapbar - s |Pbar|^2
+        return -lam - Q(s) * Q(self.n, 4)
+
+    def apply(self, j: int, derivs, ell: int):
+        n = self.n
+        lam = sphere_eigenvalue(n, ell)
+        u0, u1, u2, u3, u4, u5 = (list(derivs) + [0] * 6)[:6]
+        if j == 0:
+            return u0
+        if j == 1:
+            return -u1
+        if j == 2:
+            return u2 + Q(1, 3) * self._L2(Q(n - 5, 2), lam) * u0
+        if j == 3:
+            return -u3 - 3 * self._L2(Q(n - 3, 2), lam) * u1
+        if j == 4:
+            a = self._L2(Q(n - 1, 2), lam)
+            b = self._L2(Q(n - 5, 2), lam)
+            return -u4 + 6 * a * u2 + 3 * a * b * u0 + 3 * self._L4(Q(n - 5, 2), lam) * u0
+        a = self._L2(Q(n + 1, 2), lam)
+        b = self._L2(Q(n - 3, 2), lam)
+        return -u5 + Q(10, 3) * a * u3 - 5 * a * b * u1 - 15 * self._L4(Q(n - 3, 2), lam) * u1
 
 
 def test_bidegree():
@@ -112,8 +160,6 @@ def test_hemisphere_closed_forms_symbolically():
     for ell in (0, 1, 2, 4):
         lam = sphere_eigenvalue(n, ell)
         mode = SeparatedMode.from_derivs(n, lam, syms, 7)
-        from gjms6.reps import SeparatedOps
-
         ops = SeparatedOps(g, lam, order=7)
         u0 = ops.restrict(mode)
         eta_u = ops.eta(mode)
@@ -148,7 +194,7 @@ def test_geodesic_stencils_symbolically():
     D = 6
     syms = [Poly.var(D, k) for k in range(6)]
     g = hyperbolic_geodesic(n)
-    gf = geodesic_forms(n)
+    gf = GeodesicOperators(n)
     for ell in (0, 1, 2, 5):
         lam = sphere_eigenvalue(n, ell)
         mode = SeparatedMode.from_derivs(n, lam, syms, 7)
@@ -160,12 +206,72 @@ def test_geodesic_stencils_symbolically():
 
 
 def test_geodesic_forms_examples():
-    gf = geodesic_forms(7)
+    gf = GeodesicOperators(7)
     # constant mode: B2(1) = (1/3)(n-5)/2 * Jbar = 7/6 at n = 7
     assert gf.apply(2, [Q(1), 0, 0, 0, 0, 0], 0) == Q(7, 6)
     # operators of order 3 annihilate radially constant modes
     assert gf.apply(3, [Q(1), 0, 0, 0, 0, 0], 4) == 0
     assert gf.apply(0, [Q(5), 0, 0, 0, 0, 0], 2) == 5
+    g = hyperbolic_geodesic(7)
+    for j, derivs, ell in ((2, [Q(1)], 0), (3, [Q(1)], 4), (0, [Q(5)], 2)):
+        mode = SeparatedMode.from_derivs(7, sphere_eigenvalue(7, ell), derivs, 5)
+        assert apply_B(j, g, mode) == gf.apply(j, derivs, ell)
+
+
+@pytest.mark.parametrize("model", [halfspace, ball, hemisphere, hyperbolic_geodesic])
+def test_separated_stencil_matches_direct_assembly(model):
+    """apply_B on a separated mode (the stencil) equals the assembly of
+    apply_boundary_operator over SeparatedOps, exactly and in type."""
+    rng = random.Random(7)
+    for n in (5, 7):
+        g = model(n)
+        C = model_curvature_inputs(g)
+        for ell in (0, 3, 17, 32):
+            lam = sphere_eigenvalue(n, ell)
+            for order in (5, 8):
+                coeffs = [Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)]
+                mode = SeparatedMode(n, lam, Series(coeffs, order))
+                ops = SeparatedOps(g, lam, order=max(order, 6))
+                for j in range(6):
+                    got = apply_B(j, g, mode)
+                    want = apply_boundary_operator(j, n, C, ops, mode)
+                    assert got == want and type(got) is type(want), (g.kind, n, ell, order, j)
+
+
+def test_separated_stencil_shape():
+    """Each operator is a linear form in c0..cj whose coefficients are
+    polynomials of degree at most 2 in lam, with at most 12 terms."""
+    for model in (halfspace, ball, hemisphere, hyperbolic_geodesic):
+        stencil = separated_stencil(model(7))
+        assert len(stencil) == 6
+        for j, form in enumerate(stencil):
+            assert max(k for k, _ in form) == j
+            assert all(p <= 2 for _, poly in form for p, _ in poly)
+            assert sum(len(poly) for _, poly in form) <= 12
+
+
+def test_separated_mode_below_operator_order_raises():
+    n = 7
+    lam = sphere_eigenvalue(n, 2)
+    for model in (halfspace, ball, hemisphere, hyperbolic_geodesic):
+        for j in range(1, 6):
+            mode = SeparatedMode(n, lam, Series([Q(1)] * j, j - 1))
+            with pytest.raises(TruncationError):
+                apply_B(j, model(n), mode)
+            apply_B(j, model(n), SeparatedMode(n, lam, Series([Q(1)] * (j + 1), j)))
+
+
+def test_separated_stencil_is_derived_on_first_use():
+    code = (
+        "import gjms6\n"
+        "from gjms6.boundary import separated_stencil\n"
+        "assert separated_stencil.cache_info().currsize == 0\n"
+        "from gjms6.solver import ball_mode_solve, BoundaryTriple\n"
+        "ball_mode_solve(7, 2, BoundaryTriple(1, 0, 0))\n"
+        "assert separated_stencil.cache_info().currsize == 1\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
 
 
 def test_normal_form_operators():

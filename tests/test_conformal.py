@@ -93,6 +93,33 @@ def test_finite_random_order6(n):
             assert finite_covariance_residual(j, sigma, u, g, order=6).iszero()
 
 
+def test_finite_B4_second_order_in_sigma():
+    """sigma = x2*y and u = x0*x2 at n = 5: an error of B4 quadratic in the
+    conformal factor, which neither the infinitesimal check nor the ball
+    (constant H) can see, would leave a residual here."""
+    n = 5
+    d = n + 1
+    sigma = Poly.var(d, 2) * Poly.var(d, d - 1)
+    u = Poly.var(d, 0) * Poly.var(d, 2)
+    for order in (6, 7, 8):
+        assert finite_covariance_residual(4, sigma, u, halfspace(n), order=order).iszero()
+
+
+@pytest.mark.parametrize("n, seed", [(5, 18), (5, 20), (7, 6), (7, 34)])
+def test_finite_B4_on_cli_probes(n, seed):
+    """The finite probes of ``gjms6 covariance --n N --seed S``, drawn in the
+    CLI's order: two polynomials for each of the 12 infinitesimal probes,
+    then two for each of the 3 finite ones."""
+    rng = random.Random(seed)
+    d = n + 1
+    for _ in range(2 * 12):
+        random_poly(rng, d, 3, 2)
+    for _ in range(3):
+        sigma = random_poly(rng, d, 2, 2, 2)
+        u = random_poly(rng, d, 2, 2, 2)
+        assert finite_covariance_residual(4, sigma, u, halfspace(n), order=6).iszero()
+
+
 def test_finite_truncation_guard():
     n = 7
     d = n + 1
