@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boundary import apply_B
-from .fractional import round_multiplier
+from .fractional import DTN_IDENTITIES, round_multiplier
 from .geometry import GeometryKind, ModelGeometry
 from .polys import MomentScalar, Poly, ball_integral, grad_dot, laplacian, reduce_mod_sphere, sphere_integral
 from .reps import RadialProfile, radial_l2_integral
@@ -176,12 +176,9 @@ def trace_lower_bound_check(n: int, data_modes, num_perturbations: int = 100,
     e0 = total_energy(solves)
     mult = Q(0)
     for ell, data in data_modes:
-        f, phi, psi = (Q(x) for x in data)
-        mult += (
-            Q(8, 3) * round_multiplier(n, Q(5, 2), ell) * f * f
-            + 8 * round_multiplier(n, Q(3, 2), ell) * phi * phi
-            + 3 * round_multiplier(n, Q(1, 2), ell) * psi * psi
-        )
+        vals = [Q(x) for x in data]
+        for j, (front, slot, _) in DTN_IDENTITIES.items():
+            mult += front * round_multiplier(n, Q(j, 2), ell) * vals[slot] ** 2
     match_error = abs(float(e0 - mult))
 
     min_gap = None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .geometry import GeometryKind, ModelGeometry
 
@@ -160,6 +161,23 @@ def scattering_T2_T4(n: int, s, boundary: str, mode):
 # Dirichlet-to-Neumann verification
 # ---------------------------------------------------------------------------
 
+class DtNIdentity(NamedTuple):
+    """B_read u = front * P_(2 gamma) (data in ``slot``) for the extension u
+    of that slot's data; slots 0, 1, 2 hold f, phi, psi."""
+
+    front: Fraction
+    slot: int
+    read: int
+
+
+# the one table of DtN identities, keyed by the odd order j = 2 gamma
+DTN_IDENTITIES = {
+    1: DtNIdentity(Q(3), 2, 3),
+    3: DtNIdentity(Q(8), 1, 4),
+    5: DtNIdentity(Q(8, 3), 0, 5),
+}
+
+
 @dataclass(frozen=True)
 class DtNOperator:
     """Generalized Dirichlet-to-Neumann operator of odd order j: solve the
@@ -169,26 +187,19 @@ class DtNOperator:
     j: int  # 1, 3, or 5
     geom: ModelGeometry
 
-    def gamma(self) -> Fraction:
-        return Q(self.j, 2)
-
-    def front_constant(self) -> Fraction:
-        return {1: Q(3), 3: Q(8), 5: Q(8, 3)}[self.j]
-
     def multiplier_from_solve(self, ell: int):
         """Solve-then-apply route; exact on the ball and geodesic model."""
         from .boundary import apply_B
         from .solver import BoundaryTriple, mode_solve
 
-        slot = {5: 0, 3: 1, 1: 2}[self.j]
-        read = {5: 5, 3: 4, 1: 3}[self.j]
+        _, slot, read = DTN_IDENTITIES[self.j]
         data = [Q(0)] * 3
         data[slot] = Q(1)
         res = mode_solve(self.geom, ell, BoundaryTriple(*data))
         return apply_B(read, self.geom, res.mode)
 
     def multiplier_expected(self, ell: int) -> Fraction:
-        return self.front_constant() * round_multiplier(self.geom.n, self.gamma(), ell)
+        return DTN_IDENTITIES[self.j].front * round_multiplier(self.geom.n, Q(self.j, 2), ell)
 
 
 @dataclass(frozen=True)
@@ -210,7 +221,8 @@ def dtn_verify_halfspace_symbolic():
     polynomial identities in the data coefficients and the frequency.
 
     Returns the list of residual polynomials (each must be zero):
-    B3 - 3 t B2, B4 - 8 t^3 B1, B5 - (8/3) t^5 B0.
+    B3 - 3 t B2, B4 - 8 t^3 B1, B5 - (8/3) t^5 B0, in the order of
+    ``DTN_IDENTITIES``.
     """
     from .boundary import apply_B
     from .geometry import halfspace
@@ -222,11 +234,7 @@ def dtn_verify_halfspace_symbolic():
     g = halfspace(n)
     B = [apply_B(j, g, u) for j in range(6)]
     t = Poly.var(4, 3)
-    return [
-        B[3] - 3 * t * B[2],
-        B[4] - 8 * t**3 * B[1],
-        B[5] - Q(8, 3) * t**5 * B[0],
-    ]
+    return [B[read] - front * t**j * B[slot] for j, (front, slot, read) in DTN_IDENTITIES.items()]
 
 
 def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
@@ -242,7 +250,7 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
         res = dtn_verify_halfspace_symbolic()
         return [
             CheckRecord(f"dtn-halfspace-order-{j}", Q(0) if r.iszero() else Q(1), 0.0, True)
-            for j, r in zip((1, 3, 5), res)
+            for j, r in zip(DTN_IDENTITIES, res)
         ]
     from .boundary import apply_B
     from .solver import BoundaryTriple, mode_solve
@@ -251,16 +259,11 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
     if data is None:
         data = (Q(1), Q(1), Q(1))
     res = mode_solve(geom, ell, BoundaryTriple(*data))
-    f, phi, psi = res.achieved.aslist()
+    achieved = res.achieved.aslist()
     out = []
-    for j, front, slot_val in (
-        (1, Q(3), psi),
-        (3, Q(8), phi),
-        (5, Q(8, 3), f),
-    ):
-        read = {1: 3, 3: 4, 5: 5}[j]
+    for j, (front, slot, read) in DTN_IDENTITIES.items():
         lhs = apply_B(read, geom, res.mode)
-        rhs = front * round_multiplier(geom.n, Q(j, 2), ell) * slot_val
+        rhs = front * round_multiplier(geom.n, Q(j, 2), ell) * achieved[slot]
         resid = lhs - rhs
         scale = max(abs(float(rhs)), 1.0)
         out.append(

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .geometry import GeometryKind, ModelGeometry
 from .polys import ExpPolyMode, Poly, laplacian
-from .reps import SeparatedMode, separated_ops
+from .reps import SeparatedMode, collar_coefficients, separated_ops
+from .series import Series
 
 Q = Fraction
 
@@ -77,14 +78,35 @@ def _geodesic_L6(geom: ModelGeometry, u: SeparatedMode) -> SeparatedMode:
     r^(-6)-relative residual series; it vanishes iff L6[g] u does to the
     representable jet order.
     """
-    from .solver import hyperbolic_shifted_factor
-
     n = geom.n
     a = Q(n - 5, 2)
     out = u.profile
     for s_param in (Q(n + 5, 2), Q(n + 3, 2), Q(n + 1, 2)):
         out = hyperbolic_shifted_factor(n, u.lam, a, s_param, out)
     return SeparatedMode(n, u.lam, out)
+
+
+def hyperbolic_shifted_factor(n: int, lam, a, s_param, prof: Series) -> Series:
+    """Apply (-Delta_plus - s(n-s)) to r^a * prof * Y_l, returning the
+    r^a-relative coefficient series.
+
+    Delta_plus = r^2 Delta_g - (n-1) r d/dr for the compactified collar
+    metric dr^2 + (1 - r^2/4)^2 h, with A and B read from
+    ``reps.collar_coefficients``; every r-power produced by the warped
+    coefficients is reabsorbed, so no series order is lost.  As an operator
+    application it checks the recurrence of ``solver.poisson_branch_series``.
+    """
+    a = Q(a)
+    s_param = Q(s_param)
+
+    def rmul(x: Series) -> Series:
+        return Series([0] + list(x.coeffs), x.ord + 1)
+
+    A, B, _, _ = collar_coefficients(GeometryKind.HYPERBOLIC_GEODESIC, n, prof.ord + 2)
+    d1 = a * prof + rmul(prof.deriv())          # r^(a-1)-relative first derivative
+    d2 = (a - 1) * d1 + rmul(d1.deriv())        # r^(a-2)-relative second derivative
+    lap_plus = d2 + rmul(A * d1) + rmul(rmul((-lam) * (B * prof))) - Q(n - 1) * d1
+    return -lap_plus - (s_param * (Q(n) - s_param)) * prof
 
 
 # ---------------------------------------------------------------------------

@@ -210,10 +210,6 @@ def euler_op(p: Poly) -> Poly:
     return out
 
 
-def gradient(p: Poly) -> list[Poly]:
-    return [p.diff(i) for i in range(p.d)]
-
-
 def grad_dot(p: Poly, q: Poly) -> Poly:
     out = Poly.zero(p.d)
     for i in range(p.d):

@@ -12,8 +12,12 @@ per model:
     hyperbolic    tau = r       outward = -d/dtau   A = n rho'/rho   B = rho^-2,
                                                     rho = 1 - tau^2/4
 
-``collar_coefficients`` holds this table; ``boundary.separated_stencil`` and
-the hemisphere factor jets of ``solver`` read it.
+``collar_coefficients`` holds this table.  Its readers: ``SeparatedOps``,
+hence ``boundary.separated_stencil`` and ``gjms.apply_L6`` on separated
+modes; the hemisphere factor jets
+(``solver.HemisphereFactor.chi_series``); the geodesic Poisson branches
+(``solver.poisson_branch_series``); and geodesic L6
+(``gjms.hyperbolic_shifted_factor``).
 
 Profile coefficients may be Fractions (exact), floats (numeric solves), or
 Poly symbols (operator-identity checks); the code is generic over them.

@@ -8,6 +8,13 @@ scattering-series jets on the geodesic compactification of hyperbolic space.
 Boundary values are ``apply_B`` of boundary jets, read through the one
 ``boundary.separated_stencil`` of each model.
 
+The collar table ``reps.collar_coefficients`` is read by the stencil, the
+hemisphere factor jets (``HemisphereFactor.chi_series``), the geodesic Poisson
+branches (``poisson_branch_series``) and geodesic L6
+(``gjms.hyperbolic_shifted_factor``).  Data that depend on (n, l) alone are
+built once: the ball Dirichlet matrix and each hemisphere factor with its
+column of the mode matrix are memoized.
+
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
 """
@@ -22,13 +29,17 @@ import numpy as np
 
 from .boundary import apply_B
 from .fractional import d_gamma, round_multiplier, sphere_eigenvalue
-from .geometry import GeometryKind, ModelGeometry
+from .geometry import GeometryKind, ModelGeometry, ball, hemisphere, hyperbolic_geodesic
 from .gjms import factorization_shifts
 from .polys import ExpPolyMode, Poly
 from .reps import RadialProfile, SeparatedMode, collar_coefficients
 from .series import Series, series_inverse
 
 Q = Fraction
+
+# Order of the boundary jets the round-boundary solvers hand to apply_B
+# (B5 reads five normal derivatives).
+JET_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -62,7 +73,7 @@ class SolveResult:
     """A per-mode extension: ``profile`` in the solver's native form
     (RadialProfile, HemisphereProfile or SeparatedMode), ``mode`` the same
     extension as the boundary jet that ``apply_B`` reads (None on the half
-    space)."""
+    space).  ``residual_norms`` holds |achieved - data| per slot."""
 
     profile: object
     achieved: BoundaryTriple
@@ -73,6 +84,10 @@ class SolveResult:
 
 class DegenerateModeError(ValueError):
     pass
+
+
+def _residual_norms(achieved: BoundaryTriple, data: BoundaryTriple) -> tuple:
+    return tuple(abs(x - y) for x, y in zip(achieved.aslist(), data.aslist()))
 
 
 # ---------------------------------------------------------------------------
@@ -106,27 +121,21 @@ def halfspace_solve(t, data: BoundaryTriple) -> SolveResult:
     four_thirds = Q(4, 3) if exact else 4.0 / 3.0
     c = (psi - four_thirds * t**2 * a + 2 * t * b) * (Q(1, 2) if exact else 0.5)
     achieved = BoundaryTriple(a, t * a - b, four_thirds * t**2 * a - 2 * t * b + 2 * c)
-    res = tuple(x - y for x, y in zip(achieved.aslist(), data.aslist()))
-    return SolveResult((a, b, c), achieved, res, exact)
+    return SolveResult((a, b, c), achieved, _residual_norms(achieved, data), exact)
 
 
 # ---------------------------------------------------------------------------
 # euclidean ball
 # ---------------------------------------------------------------------------
 
-def ball_basis(n: int, ell: int):
-    """Regular triharmonic basis r^l, r^(l+2), r^(l+4) times a degree-l
-    harmonic."""
-    return [RadialProfile(n, ell, {m: Q(1)}) for m in range(3)]
-
-
-def ball_dirichlet_matrix(n: int, ell: int):
-    """Exact 3x3 matrix of the first three boundary operators on the basis."""
-    from .geometry import ball as ball_geom
-
-    g = ball_geom(n)
-    modes = [b.to_separated() for b in ball_basis(n, ell)]
-    return [[apply_B(j, g, m) for m in modes] for j in range(3)]
+@functools.lru_cache(maxsize=None)
+def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
+    """Exact 3x3 matrix of the first three boundary operators on the regular
+    triharmonic basis r^l, r^(l+2), r^(l+4) (times a degree-l harmonic), as
+    immutable rows.  Memoized on (n, ell)."""
+    g = ball(n)
+    modes = [RadialProfile(n, ell, {m: Q(1)}).to_separated() for m in range(3)]
+    return tuple(tuple(apply_B(j, g, m) for m in modes) for j in range(3))
 
 
 def _solve3(M, rhs):
@@ -152,8 +161,6 @@ def _solve3(M, rhs):
 
 def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     """Exact (rational data) or floating solve in the triharmonic basis."""
-    from .geometry import ball as ball_geom
-
     exact = all(isinstance(v, (int, Fraction)) for v in data.aslist())
     M = ball_dirichlet_matrix(n, ell)
     rhs = data.aslist()
@@ -162,11 +169,10 @@ def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
         rhs = [float(v) for v in rhs]
     coef = _solve3(M, rhs)
     prof = RadialProfile(n, ell, {m: coef[m] for m in range(3)})
-    g = ball_geom(n)
+    g = ball(n)
     sep = prof.to_separated()
     achieved = BoundaryTriple(*(apply_B(j, g, sep) for j in range(3)))
-    res = tuple(x - y for x, y in zip(achieved.aslist(), data.aslist()))
-    return SolveResult(prof, achieved, res, exact, sep)
+    return SolveResult(prof, achieved, _residual_norms(achieved, data), exact, sep)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +183,8 @@ def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
 class HemisphereFactor:
     """Regular solution of one second-order factor on the hemisphere, as
     power series in x = (1 - z)/2 (z = cos(colatitude)) of its value and of
-    its z-derivative, normalized to v0 = 1 at the equator."""
+    its z-derivative, normalized to v0 = 1 at the equator.  ``column`` is its
+    column of the 3x3 hemisphere mode matrix."""
 
     n: int
     ell: int
@@ -187,25 +194,33 @@ class HemisphereFactor:
     v0: float
     dv0: float
 
-    def chi_series(self, order: int = 8) -> Series:
+    def chi_series(self) -> Series:
         """Profile series in tau = colatitude - pi/2 at the equator: the jet
         of lap chi = shift chi, with lap = d^2 + A d - lam B the hemisphere
         collar Laplacian of ``reps.collar_coefficients``, solved order by
         order from chi(0) = v0 and chi'(0) = -dv0 (z = cos(theta) decreases
         with theta)."""
-        A, B, _, _ = collar_coefficients(GeometryKind.ROUND_HEMISPHERE, self.n, order)
+        A, B, _, _ = collar_coefficients(GeometryKind.ROUND_HEMISPHERE, self.n, JET_ORDER)
         A = [float(c) for c in A.coeffs]
         B = [float(c) for c in B.coeffs]
         lam = sphere_eigenvalue(self.n, self.ell)
         shift = float(self.shift)
-        a = [self.v0, -self.dv0] + [0.0] * (order - 1)
-        for k in range(order - 1):
+        a = [self.v0, -self.dv0] + [0.0] * (JET_ORDER - 1)
+        for k in range(JET_ORDER - 1):
             # coefficient k of chi'' = shift chi - A chi' + lam B chi
             acc = shift * a[k]
             for i in range(k + 1):
                 acc += lam * B[i] * a[k - i] - A[i] * (k - i + 1) * a[k - i + 1]
             a[k + 2] = acc / ((k + 2) * (k + 1))
-        return Series(a, order)
+        return Series(a, JET_ORDER)
+
+    @functools.cached_property
+    def column(self) -> tuple:
+        """B0, B1, B2 of the factor jet, as floats; computed once per factor,
+        and the factors are memoized by ``hemisphere_factor_solve``."""
+        g = hemisphere(self.n)
+        mode = SeparatedMode(self.n, sphere_eigenvalue(self.n, self.ell), self.chi_series())
+        return tuple(float(apply_B(j, g, mode)) for j in range(3))
 
     def v_and_dv(self, z):
         x = (1.0 - np.asarray(z)) / 2.0
@@ -270,11 +285,11 @@ class HemisphereProfile:
     factors: list
     alphas: np.ndarray
 
-    def separated(self, order: int = 8) -> SeparatedMode:
+    def separated(self) -> SeparatedMode:
         lam = sphere_eigenvalue(self.n, self.ell)
         total = None
         for fac, al in zip(self.factors, self.alphas):
-            s = fac.chi_series(order) * float(al)
+            s = fac.chi_series() * float(al)
             total = s if total is None else total + s
         return SeparatedMode(self.n, lam, total)
 
@@ -291,51 +306,44 @@ class HemisphereProfile:
         return chi, dchi, lap, dlap
 
 
-def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple, order: int = 8,
+def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple,
                           cond_guard: float = 1e12) -> SolveResult:
-    """Solve the hemisphere extension per mode via the three factor kernels;
-    DegenerateModeError when the 3x3 mode matrix condition exceeds cond_guard."""
-    from .geometry import hemisphere as hemi_geom
+    """Solve the hemisphere extension per mode via the three factor kernels.
 
-    shifts = factorization_shifts(n)
-    factors = [hemisphere_factor_solve(n, ell, c) for c in shifts]
-    g = hemi_geom(n)
-    lam = sphere_eigenvalue(n, ell)
-    cols = []
-    for fac in factors:
-        mode = SeparatedMode(n, lam, fac.chi_series(order))
-        cols.append([float(apply_B(j, g, mode)) for j in range(3)])
-    M = np.array(cols, dtype=float).T
+    The 3x3 mode matrix is assembled from the ``column`` of each memoized
+    factor; DegenerateModeError when its condition exceeds cond_guard."""
+    factors = [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)]
+    M = np.array([fac.column for fac in factors]).T
     rhs = np.array([float(v) for v in data.aslist()])
     cond = np.linalg.cond(M)
     if cond > cond_guard:
         raise DegenerateModeError(f"mode matrix condition {cond:.3g} exceeds the guard")
     alphas = np.linalg.solve(M, rhs)
     prof = HemisphereProfile(n, ell, factors, alphas)
-    sep = prof.separated(order)
+    sep = prof.separated()
+    g = hemisphere(n)
     achieved = BoundaryTriple(*(float(apply_B(j, g, sep)) for j in range(3)))
-    res = tuple(abs(a - float(b)) for a, b in zip(achieved.aslist(), data.aslist()))
-    return SolveResult(prof, achieved, res, False, sep)
+    return SolveResult(prof, achieved, _residual_norms(achieved, data), False, sep)
 
 
-def hemisphere_factored_residual(prof: HemisphereProfile, thetas, seed_order: int = 10) -> float:
+def hemisphere_factored_residual(prof: HemisphereProfile, thetas) -> float:
     """Max residual of the factorized sixth-order equation at sample points.
 
     At each point, local Taylor series of every factor kernel are regenerated
     from its own second-order equation (seeded by the kernel values),
     the three factors are composed in series arithmetic, and the value at the
-    point is read off.
+    point is read off.  The local series are cut at order 10.
     """
     n, ell = prof.n, prof.ell
     lam = sphere_eigenvalue(n, ell)
     shifts = [float(c) for c in factorization_shifts(n)]
+    K = 10
     worst = 0.0
     for th in thetas:
-        sth, cth = math.sin(th), math.cos(th)
-        K = seed_order
-        # local series of cot and csc^2 about th
-        sin_loc = Series([sth * _c(k) + cth * _s(k) for k in range(K + 1)], K)
-        cos_loc = Series([cth * _c(k) - sth * _s(k) for k in range(K + 1)], K)
+        # local series of cot and csc^2 about th, from the derivatives of sin
+        d = (math.sin(th), math.cos(th), -math.sin(th), -math.cos(th))
+        sin_loc = Series([d[k % 4] * (1.0 / math.factorial(k)) for k in range(K + 1)], K)
+        cos_loc = Series([d[(k + 1) % 4] * (1.0 / math.factorial(k)) for k in range(K + 1)], K)
         inv_sin = series_inverse(sin_loc)
         A = n * (cos_loc * inv_sin)
         Bc = inv_sin * inv_sin
@@ -367,48 +375,9 @@ def hemisphere_factored_residual(prof: HemisphereProfile, thetas, seed_order: in
     return worst
 
 
-def _c(k: int) -> float:
-    """Taylor coefficients of cos at 0."""
-    if k % 2:
-        return 0.0
-    return (-1.0) ** (k // 2) / math.factorial(k)
-
-
-def _s(k: int) -> float:
-    """Taylor coefficients of sin at 0."""
-    if k % 2 == 0:
-        return 0.0
-    return (-1.0) ** ((k - 1) // 2) / math.factorial(k)
-
-
 # ---------------------------------------------------------------------------
 # geodesic compactification of hyperbolic space
 # ---------------------------------------------------------------------------
-
-def hyperbolic_shifted_factor(n: int, lam, a, s_param, prof: Series) -> Series:
-    """Apply (-Delta_plus - s(n-s)) to r^a * prof * Y_l, returning the
-    r^a-relative coefficient series.
-
-    Delta_plus = r^2 Delta_g - (n-1) r d/dr for the compactified collar
-    metric dr^2 + (1 - r^2/4)^2 h; every r-power produced by the warped
-    coefficients is reabsorbed, so no series order is lost.
-    """
-    a = Q(a)
-    s_param = Q(s_param)
-    K = prof.ord
-
-    def rmul(x: Series) -> Series:
-        return Series([0] + list(x.coeffs), x.ord + 1)
-
-    rho = Series([Q(1), Q(0), Q(-1, 4)], K + 2)
-    inv = series_inverse(rho)
-    A = Q(n) * (Series([Q(0), Q(-1, 2)], K + 2) * inv)
-    B = inv * inv
-    d1 = a * prof + rmul(prof.deriv())          # r^(a-1)-relative first derivative
-    d2 = (a - 1) * d1 + rmul(d1.deriv())        # r^(a-2)-relative second derivative
-    lap_plus = d2 + rmul(A * d1) + rmul(rmul((-lam) * (B * prof))) - Q(n - 1) * d1
-    return -lap_plus - (s_param * (Q(n) - s_param)) * prof
-
 
 def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F") -> Series:
     """Normalized branch series of the mode Poisson equation on hyperbolic
@@ -416,30 +385,36 @@ def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F
 
     which = "F": the r^(n-s)-relative series with leading coefficient 1;
     which = "G": the r^s-relative series with leading coefficient 1.
-    Solved order by order from the indicial recurrence; at a resonant order
-    the obstruction is asserted to vanish and the coefficient set to zero.
+    With the collar A and B of ``reps.collar_coefficients``, coefficient k
+    of (-Delta_plus - s(n-s))(r^a sum c_i r^i) is chi(k) c_k plus
+        lam sum_i B_i c_(k-2-i) - sum_i A_i (a+k-1-i) c_(k-1-i),
+    chi(k) = -(a+k)(a+k-n) - s(n-s), so the c_k are solved in one pass; at a
+    resonant order (chi(k) = 0) the obstruction is asserted to vanish and the
+    coefficient set to zero.
     """
     s_param = Q(s_param)
     lam = sphere_eigenvalue(n, ell)
     a = (Q(n) - s_param) if which == "F" else s_param
-    coeffs = [Q(1)] + [Q(0)] * order
+    A, B, _, _ = collar_coefficients(GeometryKind.HYPERBOLIC_GEODESIC, n, order)
+    A, B = A.coeffs, B.coeffs
+    c = [Q(1)]
     for k in range(1, order + 1):
-        cur = Series(coeffs[: k + 1] + [Q(0)] * (order - k), order)
-        E = hyperbolic_shifted_factor(n, lam, a, s_param, cur)
-        # indicial factor chi(k): coefficient of the k-th unit perturbation
-        probe = Series([Q(0)] * k + [Q(1)] + [Q(0)] * (order - k), order)
-        chi = hyperbolic_shifted_factor(n, lam, a, s_param, probe).coeffs[k]
-        rest = E.coeffs[k]
+        rest = Q(0)
+        for i in range(k - 1):
+            rest += lam * B[i] * c[k - 2 - i]
+        for i in range(k):
+            rest -= A[i] * (a + k - 1 - i) * c[k - 1 - i]
+        chi = -(a + k) * (a + k - n) - s_param * (n - s_param)
         if chi == 0:
             if rest != 0:
                 raise ArithmeticError("resonant obstruction does not vanish")
-            coeffs[k] = Q(0)
+            c.append(Q(0))
         else:
-            coeffs[k] = coeffs[k] - rest / chi
-    return Series(coeffs, order)
+            c.append(-rest / chi)
+    return Series(c, order)
 
 
-def geodesic_mode_extension(n: int, ell: int, data: BoundaryTriple, order: int = 8,
+def geodesic_mode_extension(n: int, ell: int, data: BoundaryTriple, order: int = JET_ORDER,
                             scattering=None) -> SeparatedMode:
     """Operator-harmonic extension on the geodesic model as an exact jet.
 
@@ -477,15 +452,12 @@ def geodesic_mode_extension(n: int, ell: int, data: BoundaryTriple, order: int =
     return SeparatedMode(n, lam, Series(total, order))
 
 
-def geodesic_mode_solve(n: int, ell: int, data: BoundaryTriple, order: int = 8) -> SolveResult:
-    from .geometry import hyperbolic_geodesic
-
+def geodesic_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     g = hyperbolic_geodesic(n)
-    mode = geodesic_mode_extension(n, ell, data, order)
+    mode = geodesic_mode_extension(n, ell, data)
     achieved = BoundaryTriple(*(apply_B(j, g, mode) for j in range(3)))
     exact = all(isinstance(v, (int, Fraction)) for v in data.aslist())
-    res = tuple(x - y for x, y in zip(achieved.aslist(), data.aslist()))
-    return SolveResult(mode, achieved, res, exact, mode)
+    return SolveResult(mode, achieved, _residual_norms(achieved, data), exact, mode)
 
 
 # ---------------------------------------------------------------------------

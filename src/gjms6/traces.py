@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .conformal import round_bubble_center
-from .fractional import gamma_ratio, round_multiplier, sphere_eigenvalue
+from .fractional import DTN_IDENTITIES, gamma_ratio, round_multiplier, sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry
 from .polys import vol_sphere
 from .reps import radial_pair_integral
@@ -268,13 +268,9 @@ class TraceChecker:
             self.iw = w * (math.pi / 4) * np.sin(self.itheta) ** self.n
 
     # -- data preparation -------------------------------------------------
-    def slot_weights(self):
-        n = self.n
-        return (Q(n - 5, 2), Q(n - 3, 2), Q(n - 1, 2))
-
     def slots_from_specs(self, specs, critical: bool):
         out = []
-        for spec, w in zip(specs, self.slot_weights()):
+        for spec, w in zip(specs, BoundaryTriple.weights(self.n)):
             vals = spec.values(self.grid.t, w)
             coeffs = self.grid.expand(vals)
             out.append(SlotData(coeffs, spec.axis(), vals))
@@ -366,8 +362,8 @@ class TraceChecker:
         n = self.n
         grid = self.grid
         total = 0.0
-        fronts = (Q(8, 3), Q(8), Q(3))
-        for slot, (gamma, front) in enumerate(zip(SLOT_GAMMAS, fronts)):
+        for slot, gamma in enumerate(SLOT_GAMMAS):
+            front = DTN_IDENTITIES[int(2 * gamma)].front
             vals = slots[slot].values
             if critical and slot == 0:
                 mean = grid.integral(vals) / grid.vol

@@ -67,7 +67,8 @@ def test_config_errors(tmp_path, capsys):
     assert not csv.exists()
 
 
-@pytest.mark.parametrize("geometry,n", [("ball", "7"), ("hyperbolic", "8")])
+@pytest.mark.parametrize("geometry,n", [("ball", "7"), ("hyperbolic", "5"), ("hyperbolic", "7"),
+                                        ("hyperbolic", "8")])
 def test_dtn_reports_match_golden_files(tmp_path, geometry, n):
     """Byte-identical default reports; both suites are exact-only, so the
     files do not depend on BLAS or libm."""

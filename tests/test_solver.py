@@ -11,12 +11,14 @@ import pytest
 from gjms6.boundary import apply_B
 from gjms6.fractional import round_multiplier, sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
-from gjms6.gjms import factorization_shifts
+from gjms6.gjms import factorization_shifts, hyperbolic_shifted_factor
 from gjms6.polys import Poly
+from gjms6.series import Series
 from gjms6.solver import (
     BoundaryTriple,
     DegenerateModeError,
     ModeIndex,
+    ball_dirichlet_matrix,
     ball_mode_solve,
     geodesic_mode_extension,
     geodesic_mode_solve,
@@ -77,6 +79,41 @@ def test_ball_solve_linearity_and_uniqueness():
     assert s12.coeffs == summed.coeffs
     again = ball_mode_solve(n, 2, d1).profile
     assert again.coeffs == s1.coeffs
+
+
+def test_ball_dirichlet_matrix_is_built_once_per_degree():
+    from gjms6.traces import corollary_check
+
+    # nonzero in every degree l <= 8, with a tail far below the guard
+    coeffs = [[10.0 ** (-2 * k) for k in range(9)]] * 3
+    ball_dirichlet_matrix.cache_clear()
+    first = corollary_check(ball(7), coeffs, lmax=8)
+    second = corollary_check(ball(7), coeffs, lmax=8)
+    assert first == second
+    assert ball_dirichlet_matrix.cache_info().misses == 9
+    M = ball_dirichlet_matrix(7, 3)
+    with pytest.raises(TypeError):
+        M[0][0] = Q(0)
+    with pytest.raises(TypeError):
+        M[0] = (Q(0), Q(0), Q(0))
+
+
+def test_residual_norms_are_absolute_on_every_model():
+    floats = BoundaryTriple(0.2, 0.5, 0.3)
+    exact = BoundaryTriple(Q(2), Q(-1), Q(3))
+    results = [
+        halfspace_solve(0.7, floats),
+        ball_mode_solve(7, 3, floats),
+        ball_mode_solve(7, 3, exact),
+        hemisphere_mode_solve(7, 3, floats),
+        geodesic_mode_solve(7, 3, floats),
+        geodesic_mode_solve(7, 3, exact),
+    ]
+    for res, data in zip(results, [floats, floats, exact, floats, floats, exact]):
+        assert len(res.residual_norms) == 3
+        for got, a, d in zip(res.residual_norms, res.achieved.aslist(), data.aslist()):
+            assert got >= 0
+            assert got == abs(a - d)
 
 
 def test_kernel_checks():
@@ -152,6 +189,34 @@ def test_hemisphere_factor_against_hypergeometric():
         hemisphere_factor_solve(7, 0, Q(-1))
 
 
+def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
+    """The mode matrix comes from the columns of the memoized factors: a
+    warm solve evaluates only the three boundary values of its solution."""
+    import gjms6.solver as solver
+
+    calls = []
+
+    def counting_apply_B(j, geom, u):
+        calls.append(j)
+        return apply_B(j, geom, u)
+
+    monkeypatch.setattr(solver, "apply_B", counting_apply_B)
+    hemisphere_factor_solve.cache_clear()
+    per_solve = []
+    factors = []
+    for slot in range(3):
+        data = [0.0, 0.0, 0.0]
+        data[slot] = 1.0
+        before = len(calls)
+        sol = hemisphere_mode_solve(7, 5, BoundaryTriple(*data))
+        per_solve.append(len(calls) - before)
+        factors.append(sol.profile.factors)
+    # three factor columns of three values each, then the achieved triple
+    assert per_solve == [9 + 3, 3, 3]
+    assert all(a is b for a, b in zip(factors[0], factors[2]))
+    assert hemisphere_factor_solve.cache_info().misses == 3
+
+
 def test_hemisphere_mode_solve_applies_mode_guard_after_warm_solve():
     data = BoundaryTriple(Q(1), Q(0), Q(0))
     hemisphere_mode_solve(7, 3, data)
@@ -209,6 +274,32 @@ def test_geodesic_solve_numeric():
     assert all(x == 0 for x in res.residual_norms)
     b5 = apply_B(5, hyperbolic_geodesic(n), res.profile)
     assert b5 == Q(8, 3) * round_multiplier(n, Q(5, 2), 1) * 2
+
+
+def test_poisson_branches_are_annihilated_by_the_operator():
+    """The one-pass recurrence against an independent operator application:
+    (-Delta_plus - s(n-s)) kills r^a times each branch in every coefficient."""
+    for n in range(5, 10):
+        for ell in range(9):
+            lam = sphere_eigenvalue(n, ell)
+            for gamma in (Q(5, 2), Q(3, 2), Q(1, 2)):
+                s = Q(n, 2) + gamma
+                for which, a in (("F", n - s), ("G", s)):
+                    branch = poisson_branch_series(n, ell, s, 8, which)
+                    assert all(type(c) is Q for c in branch.coeffs), (n, ell, s, which)
+                    out = hyperbolic_shifted_factor(n, lam, a, s, branch)
+                    assert all(c == 0 for c in out.coeffs), (n, ell, s, which)
+
+
+def test_poisson_branch_series_applies_no_operator(monkeypatch):
+    poisson_branch_series(7, 3, Q(6), 8, "F")  # warm the collar table
+
+    def refuse(*args):
+        raise AssertionError("series arithmetic in the branch recurrence")
+
+    for name in ("__add__", "__mul__", "__rmul__", "deriv"):
+        monkeypatch.setattr(Series, name, refuse)
+    assert poisson_branch_series(7, 3, Q(6), 8, "F").coeffs[2] != 0
 
 
 def test_poisson_branch_matches_expansion_coefficients():
