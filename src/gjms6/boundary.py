@@ -431,10 +431,13 @@ def field_ops(geom: ModelGeometry, u) -> BoundaryOps:
     """The primitive kit for the field ``u`` on a model geometry.
 
     The only dispatch from a field representation to its kit: SeparatedMode
-    on any model, ExpPolyMode on the upper half space, and Poly on the flat
-    models (half space and ball).
+    on any model, ExpPolyMode on the upper half space, Poly on the flat
+    models (half space and ball), and the dual-number and jet rings of
+    ``confcalc`` on the half space, where ``apply_B`` is the flat side of
+    the covariance residuals.
     """
     from . import reps
+    from .confcalc import DualPoly, Jet
     from .polys import ExpPolyMode, Poly
 
     if isinstance(u, reps.SeparatedMode):
@@ -443,12 +446,12 @@ def field_ops(geom: ModelGeometry, u) -> BoundaryOps:
         if geom.kind is not GeometryKind.UPPER_HALF_SPACE:
             raise ValueError("exponential-polynomial modes live on the upper half space")
         return reps.HalfspaceModeOps(geom.n)
-    if isinstance(u, Poly):
+    if isinstance(u, (Poly, DualPoly, Jet)):
         if geom.kind is GeometryKind.UPPER_HALF_SPACE:
             return reps.HalfspacePolyOps(geom.n)
-        if geom.kind is GeometryKind.EUCLIDEAN_BALL:
+        if geom.kind is GeometryKind.EUCLIDEAN_BALL and isinstance(u, Poly):
             return reps.BallPolyOps(geom.n)
-        raise ValueError(f"polynomial fields are not supported on {geom.kind}")
+        raise ValueError(f"{type(u).__name__} fields are not supported on {geom.kind}")
     raise TypeError(f"unsupported field representation {type(u).__name__}")
 
 

@@ -10,6 +10,12 @@ conformal exponent s.  Two coefficient rings drive the same tensor code:
   give exact finite conformal factors, hence finite covariance residuals
   at a chosen truncation order.
 
+``ConformallyFlat`` holds the calculus of e^(2s) * euclidean, written once
+and instantiated for the ambient space and for the boundary.  The flat
+operators on the other side of a covariance residual are ``apply_B`` on the
+half space: its kit, ``reps.HalfspacePolyOps``, acts on both rings through
+``diff`` and ``drop_last``, the same two methods it uses on ``Poly``.
+
 Ambient coordinates are x0..x(n-1) on the boundary and y last.
 """
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .boundary import BoundaryOps, CurvatureInputs, apply_boundary_operator, coefficient_scalars
-from .polys import Poly
+from .polys import Poly, sum_all
 from .series import TruncationError
 
 Q = Fraction
@@ -72,7 +78,7 @@ class DualPoly:
     def diff(self, i: int) -> "DualPoly":
         return DualPoly(self.a.diff(i), self.b.diff(i))
 
-    def restrict(self) -> "DualPoly":
+    def drop_last(self) -> "DualPoly":
         return DualPoly(self.a.drop_last(), self.b.drop_last())
 
     def iszero(self) -> bool:
@@ -91,21 +97,12 @@ class DualKit:
     def sigma_elem(self):
         return DualPoly(Poly.zero(self.n + 1), self.sigma)
 
-    def zero_ambient(self):
-        return DualPoly(Poly.zero(self.n + 1), Poly.zero(self.n + 1))
-
     def exp_ambient(self, m):
         return DualPoly(Poly.const(self.n + 1, 1), Q(m) * self.sigma)
 
     def exp_boundary(self, m):
         s0 = self.sigma.drop_last()
         return DualPoly(Poly.const(self.n, 1), Q(m) * s0)
-
-    def one_ambient(self):
-        return DualPoly(Poly.const(self.n + 1, 1), Poly.zero(self.n + 1))
-
-    def one_boundary(self):
-        return DualPoly(Poly.const(self.n, 1), Poly.zero(self.n))
 
     def zero_boundary(self):
         return DualPoly(Poly.zero(self.n), Poly.zero(self.n))
@@ -243,7 +240,7 @@ class Jet:
             return Jet(self.ctx, [(k + 1) * self.coeffs[k + 1] for k in range(self.ord)], self.ord - 1)
         return Jet(self.ctx, [c.diff(i) for c in self.coeffs], self.ord)
 
-    def restrict(self) -> WxPoly:
+    def drop_last(self) -> WxPoly:
         if self.ord < 0:
             raise TruncationError("jet truncation too shallow for boundary restriction")
         return self.coeffs[0]
@@ -282,27 +279,18 @@ class JetCtx:
     def zero_boundary(self) -> WxPoly:
         return WxPoly(self, {})
 
-    def one_boundary(self) -> WxPoly:
-        return WxPoly(self, {Q(0): Poly.const(self.n, 1)})
-
-    def wexp(self, m) -> WxPoly:
+    def exp_boundary(self, m) -> WxPoly:
         return WxPoly(self, {Q(m): Poly.const(self.n, 1)})
 
     def embed(self, p: Poly) -> Jet:
         cs = self._normal_taylor(p, self.order)
-        return Jet(self, [WxPoly(self, {Q(0): c}) for c in cs], self.order)
+        return Jet(self, [self.embed_boundary(c) for c in cs], self.order)
 
     def embed_boundary(self, p: Poly) -> WxPoly:
         return WxPoly(self, {Q(0): p})
 
     def sigma_elem(self) -> Jet:
         return self.embed(self.sigma)
-
-    def zero_ambient(self) -> Jet:
-        return Jet(self, [], self.order)
-
-    def one_ambient(self) -> Jet:
-        return Jet(self, [self.one_boundary()], self.order)
 
     def exp_ambient(self, m) -> Jet:
         """e^(m*sigma) as a jet: weight m on e^(sigma0) times the exact
@@ -312,91 +300,47 @@ class JetCtx:
             return self._exp_cache[m]
         tail = Jet(self, [WxPoly(self, {Q(0): (m * c)}) for c in
                           ([Poly.zero(self.n)] + self.sigma_jet[1:])], self.order)
-        out = self.one_ambient()
-        term = self.one_ambient()
+        out = term = Jet(self, [self.exp_boundary(0)], self.order)
         fact = 1
         for k in range(1, self.order + 1):
             term = term * tail
             fact *= k
             out = out + Q(1, fact) * term
-        out = Jet(self, [self.wexp(m) * c for c in out.coeffs], self.order)
+        out = Jet(self, [self.exp_boundary(m) * c for c in out.coeffs], self.order)
         self._exp_cache[m] = out
         return out
 
-    def exp_boundary(self, m) -> WxPoly:
-        return self.wexp(m)
-
 
 # ---------------------------------------------------------------------------
-# the engine
+# the conformally-flat calculus
 # ---------------------------------------------------------------------------
 
-class HalfspaceConformalEngine(BoundaryOps):
-    """Boundary operators of e^(2s) * flat on the upper half space.
+class ConformallyFlat:
+    """Calculus of the metric e^(2s) * euclidean in ``dim`` variables.
 
-    The instance is both the primitive-operation kit and the holder of the
-    curvature record; create it once per conformal exponent and reuse across
-    fields and operator orders.  With ``conformal=False`` the engine computes
-    the flat operators over the same coefficient ring (used for the
-    right-hand side of covariance residuals).
+    ``s`` is a ring element (dual number or jet, ambient or restricted to the
+    boundary) and ``exp(m)`` gives the factor e^(m s) in the same ring.
+    Tensor components are coordinate components; scalars carry their metric
+    factors.  The engine builds one instance for the ambient space and one
+    for the boundary.
     """
 
-    def __init__(self, kit, conformal: bool = True):
-        self.kit = kit
-        self.n = kit.n
-        self.conformal = conformal
-        n = self.n
-        d = n + 1
-        self.d = d
-        s = kit.sigma_elem() if conformal else kit.zero_ambient()
-        self.s = s
-        si = [s.diff(i) for i in range(d)]
-        sij = [[si[i].diff(j) for j in range(d)] for i in range(d)]
+    def __init__(self, s, dim: int, exp):
+        self.dim = dim
+        self.exp = exp
+        si = [s.diff(i) for i in range(dim)]
+        sij = [[si[i].diff(j) for j in range(dim)] for i in range(dim)]
         self.si = si
-        grad2 = None
-        for i in range(d):
-            t = si[i] * si[i]
-            grad2 = t if grad2 is None else grad2 + t
-        self.grad2 = grad2
-        # ambient Schouten components (polynomial, no weight factors)
-        P = [[-sij[i][j] + si[i] * si[j] for j in range(d)] for i in range(d)]
-        for i in range(d):
+        grad2 = sum_all([si[i] * si[i] for i in range(dim)])
+        # Schouten components (no weight factors)
+        P = [[-sij[i][j] + si[i] * si[j] for j in range(dim)] for i in range(dim)]
+        for i in range(dim):
             P[i][i] = P[i][i] - Q(1, 2) * grad2
         self.P = P
-        self.sij = sij
-        # boundary restriction of s and its derivatives
-        sb = s.restrict()
-        self.sb = sb
-        self.sbi = [sb.diff(i) for i in range(n)]
-        self.sbij = [[self.sbi[i].diff(j) for j in range(n)] for i in range(n)]
-        bgrad2 = None
-        for i in range(n):
-            t = self.sbi[i] * self.sbi[i]
-            bgrad2 = t if bgrad2 is None else bgrad2 + t
-        self.bgrad2 = bgrad2
-        Pb = [[-self.sbij[i][j] + self.sbi[i] * self.sbi[j] for j in range(n)] for i in range(n)]
-        for i in range(n):
-            Pb[i][i] = Pb[i][i] - Q(1, 2) * bgrad2
-        self.Pb = Pb
-        self._curv = None
-        self._coeffs = None
-        self._bhessH = None
-        self._sigma4 = None
+        self.J = exp(-2) * (-sum_all([sij[i][i] for i in range(dim)]) - Q(dim - 2, 2) * grad2)
 
-    # -- exponential factors -------------------------------------------
-    def e(self, m):
-        if not self.conformal:
-            return self.kit.one_ambient()
-        return self.kit.exp_ambient(m)
-
-    def be(self, m):
-        if not self.conformal:
-            return self.kit.one_boundary()
-        return self.kit.exp_boundary(m)
-
-    # -- ambient tensor helpers -----------------------------------------
-    def _gamma(self, k, i, j):
-        """Christoffel symbols of e^(2s)*flat: polynomial in s-partials."""
+    def gamma(self, k, i, j):
+        """Christoffel symbol Gamma^k_ij, or None where it vanishes."""
         out = None
         if k == i:
             out = self.si[j]
@@ -408,151 +352,109 @@ class HalfspaceConformalEngine(BoundaryOps):
 
     def hess(self, F):
         """Covariant Hessian components (lower indices)."""
-        d = self.d
-        Fi = [F.diff(i) for i in range(d)]
-        out = [[None] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i, d):
+        dim = self.dim
+        Fi = [F.diff(i) for i in range(dim)]
+        out = [[None] * dim for _ in range(dim)]
+        for i in range(dim):
+            for j in range(i, dim):
                 h = Fi[i].diff(j)
-                for k in range(d):
-                    g = self._gamma(k, i, j)
+                for k in range(dim):
+                    g = self.gamma(k, i, j)
                     if g is not None:
                         h = h - g * Fi[k]
                 out[i][j] = h
                 out[j][i] = h
         return out
 
-    def lap_hat(self, F):
-        d = self.d
-        acc = None
-        for i in range(d):
-            t = F.diff(i).diff(i)
-            acc = t if acc is None else acc + t
-        dot = None
-        for i in range(d):
-            t = self.si[i] * F.diff(i)
-            dot = t if dot is None else dot + t
-        return self.e(-2) * (acc + Q(self.n - 1) * dot)
+    def div(self, alpha):
+        """Divergence of the one-form with components alpha."""
+        dim = self.dim
+        return self.exp(-2) * (
+            sum_all([alpha[i].diff(i) for i in range(dim)])
+            + Q(dim - 2) * sum_all([self.si[i] * alpha[i] for i in range(dim)])
+        )
 
-    def J_hat(self):
-        d = self.d
-        tr = None
-        for i in range(d):
-            tr = self.sij[i][i] if tr is None else tr + self.sij[i][i]
-        return self.e(-2) * (-tr - Q(self.n - 1, 2) * self.grad2)
+    def lap(self, F):
+        return self.div([F.diff(i) for i in range(self.dim)])
 
-    def P_norm_sq_hat(self):
-        d = self.d
-        acc = None
-        for i in range(d):
-            for j in range(d):
-                t = self.P[i][j] * self.P[i][j]
-                acc = t if acc is None else acc + t
-        return self.e(-4) * acc
+    def pair(self, a, w):
+        """<grad a, grad w>."""
+        return self.exp(-2) * sum_all([a.diff(i) * w.diff(i) for i in range(self.dim)])
+
+    def contract(self, A, B):
+        """Full contraction of two symmetric two-tensors."""
+        dim = self.dim
+        return self.exp(-4) * sum_all([A[i][j] * B[i][j] for i in range(dim) for j in range(dim)])
+
+    def P_grad(self, w):
+        """Components of the one-form P(grad w)."""
+        dim = self.dim
+        return [self.exp(-2) * sum_all([self.P[i][k] * w.diff(k) for k in range(dim)])
+                for i in range(dim)]
+
+
+# ---------------------------------------------------------------------------
+# the engine
+# ---------------------------------------------------------------------------
+
+class HalfspaceConformalEngine(BoundaryOps):
+    """Boundary operators of e^(2s) * flat on the upper half space.
+
+    The instance is both the primitive-operation kit and the holder of the
+    curvature record; create it once per conformal exponent and reuse across
+    fields and operator orders.  The flat operators on the right-hand side
+    of a covariance residual are ``apply_B`` on the half space, whose kit
+    acts on the same coefficient rings.
+    """
+
+    def __init__(self, kit):
+        self.kit = kit
+        self.n = n = kit.n
+        self.nu = n  # index of the normal variable y
+        s = kit.sigma_elem()
+        self.amb = ConformallyFlat(s, n + 1, kit.exp_ambient)
+        self.bdy = ConformallyFlat(s.drop_last(), n, kit.exp_boundary)
+        self._curv = None
+        self._coeffs = None
+        self._bhessH = None
+        self._sigma4 = None
+
+    def eta_scalar(self, F):
+        return -(self.bdy.exp(-1) * F.diff(self.nu).drop_last())
 
     def cov_P_nnn(self):
         """(nabla P)(eta-direction; eta, eta) flat component at index y."""
-        d = self.d
-        nu = d - 1
-        h = self.P[nu][nu].diff(nu)
-        for m in range(d):
-            g = self._gamma(m, nu, nu)
+        amb, nu = self.amb, self.nu
+        h = amb.P[nu][nu].diff(nu)
+        for m in range(amb.dim):
+            g = amb.gamma(m, nu, nu)
             if g is not None:
-                h = h - 2 * (g * self.P[m][nu])
+                h = h - 2 * (g * amb.P[m][nu])
         return h
-
-    def P_dot_hess(self, u):
-        d = self.d
-        H = self.hess(u)
-        acc = None
-        for i in range(d):
-            for j in range(d):
-                t = self.P[i][j] * H[i][j]
-                acc = t if acc is None else acc + t
-        return self.e(-4) * acc
-
-    # -- boundary intrinsic helpers ---------------------------------------
-    def _bgamma(self, k, i, j):
-        out = None
-        if k == i:
-            out = self.sbi[j]
-        if k == j:
-            out = self.sbi[i] if out is None else out + self.sbi[i]
-        if i == j:
-            out = -self.sbi[k] if out is None else out - self.sbi[k]
-        return out
-
-    def bhess(self, w):
-        n = self.n
-        wi = [w.diff(i) for i in range(n)]
-        out = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                h = wi[i].diff(j)
-                for k in range(n):
-                    g = self._bgamma(k, i, j)
-                    if g is not None:
-                        h = h - g * wi[k]
-                out[i][j] = h
-                out[j][i] = h
-        return out
-
-    def blap(self, w):
-        n = self.n
-        acc = None
-        for i in range(n):
-            t = w.diff(i).diff(i)
-            acc = t if acc is None else acc + t
-        dot = None
-        for i in range(n):
-            t = self.sbi[i] * w.diff(i)
-            dot = t if dot is None else dot + t
-        return self.be(-2) * (acc + Q(n - 2) * dot)
-
-    def bpair(self, a, w):
-        n = self.n
-        acc = None
-        for i in range(n):
-            t = a.diff(i) * w.diff(i)
-            acc = t if acc is None else acc + t
-        return self.be(-2) * acc
-
-    def eta_scalar(self, F):
-        return -(self.be(-1) * F.diff(self.d - 1).restrict())
 
     # -- curvature record -------------------------------------------------
     def curvature(self) -> CurvatureInputs:
         if self._curv is not None:
             return self._curv
-        n = self.n
-        nu = self.d - 1
-        H = Q(-n) * (self.be(-1) * self.si[nu].restrict())
-        Pnn = self.be(-2) * self.P[nu][nu].restrict()
-        Jb = self.be(-2) * (
-            -sum_all([self.sbij[i][i] for i in range(n)])
-            - Q(n - 2, 2) * self.bgrad2
-        )
-        Jhat = self.J_hat()
-        lapJhat = self.lap_hat(Jhat)
+        n, nu, amb, bdy = self.n, self.nu, self.amb, self.bdy
+        H = Q(-n) * (bdy.exp(-1) * amb.si[nu].drop_last())
+        Pnn = bdy.exp(-2) * amb.P[nu][nu].drop_last()
+        Jb = bdy.J
+        Jhat = amb.J
+        lapJhat = amb.lap(Jhat)
         etaJ = self.eta_scalar(Jhat)
-        lapJ = lapJhat.restrict()
-        hessJnn = self.be(-2) * self.hess(Jhat)[nu][nu].restrict()
-        etaPnn = -(self.be(-3) * self.cov_P_nnn().restrict())
-        etaPsq = self.eta_scalar(self.P_norm_sq_hat())
-        etaLapJ = self.eta_scalar(lapJhat)
-        lapbarH = self.blap(H)
-        Pbar2 = self.be(-4) * sum_all([self.Pb[i][j] * self.Pb[i][j] for i in range(n) for j in range(n)])
-        self._bhessH = self.bhess(H)
-        PbarHessH = self.be(-4) * sum_all(
-            [self.Pb[i][j] * self._bhessH[i][j] for i in range(n) for j in range(n)]
-        )
+        lapbarH = bdy.lap(H)
+        self._bhessH = bdy.hess(H)
         self._curv = CurvatureInputs(
-            H=H, Pnn=Pnn, Jb=Jb, Pbar2=Pbar2, etaJ=etaJ, lapJ=lapJ,
-            hessJnn=hessJnn, etaPnn=etaPnn, etaPsq=etaPsq, etaLapJ=etaLapJ,
-            lapbarH=lapbarH, lapbar2H=self.blap(lapbarH), lapbarJb=self.blap(Jb),
-            lapbarPnn=self.blap(Pnn), lapbar_etaJ=self.blap(etaJ),
-            gradH2=self.bpair(H, H), PbarHessH=PbarHessH,
-            pair_dH_dJb=self.bpair(H, Jb), pair_dH_dPnn=self.bpair(H, Pnn),
+            H=H, Pnn=Pnn, Jb=Jb, Pbar2=bdy.contract(bdy.P, bdy.P), etaJ=etaJ,
+            lapJ=lapJhat.drop_last(), hessJnn=self.hess_nn(Jhat),
+            etaPnn=-(bdy.exp(-3) * self.cov_P_nnn().drop_last()),
+            etaPsq=self.eta_scalar(amb.contract(amb.P, amb.P)),
+            etaLapJ=self.eta_scalar(lapJhat),
+            lapbarH=lapbarH, lapbar2H=bdy.lap(lapbarH), lapbarJb=bdy.lap(Jb),
+            lapbarPnn=bdy.lap(Pnn), lapbar_etaJ=bdy.lap(etaJ),
+            gradH2=bdy.pair(H, H), PbarHessH=bdy.contract(bdy.P, self._bhessH),
+            pair_dH_dJb=bdy.pair(H, Jb), pair_dH_dPnn=bdy.pair(H, Pnn),
         )
         return self._curv
 
@@ -570,12 +472,12 @@ class HalfspaceConformalEngine(BoundaryOps):
         H, Jb, Pnn = C.H, C.Jb, C.Pnn
         lapbarH = C.lapbarH
         H3 = H * H * H
+        PbH = self.bdy.P_grad(H)
         comps = []
         for i in range(n):
-            PbH = self.be(-2) * sum_all([self.Pb[i][k] * H.diff(k) for k in range(n)])
             c = (
                 Q(16 * (n - 6), 3 * n) * lapbarH.diff(i)
-                + Q(16 * n**2 - 96 * n - 64, 3 * n) * PbH
+                + Q(16 * n**2 - 96 * n - 64, 3 * n) * PbH[i]
                 - Q(7 * n - 47, 3) * C.etaJ.diff(i)
                 - Q(15 * n**2 - 70 * n + 119, 6 * n) * (H * Jb.diff(i))
                 - Q(2 * (5 * n**2 - 45 * n + 92), 3 * n) * (Jb * H.diff(i))
@@ -592,50 +494,38 @@ class HalfspaceConformalEngine(BoundaryOps):
         return self.kit.zero_boundary()
 
     def restrict(self, u):
-        return u.restrict()
+        return u.drop_last()
 
     def eta(self, u):
         return self.eta_scalar(u)
 
     def lap(self, u):
-        return self.lap_hat(u)
+        return self.amb.lap(u)
 
     def hess_nn(self, u):
-        nu = self.d - 1
-        return self.be(-2) * self.hess(u)[nu][nu].restrict()
+        nu = self.nu
+        return self.bdy.exp(-2) * self.amb.hess(u)[nu][nu].drop_last()
 
     def lapbar(self, w):
-        return self.blap(w)
+        return self.bdy.lap(w)
 
     def divPbar(self, w):
-        n = self.n
-        alpha = [
-            self.be(-2) * sum_all([self.Pb[i][k] * w.diff(k) for k in range(n)])
-            for i in range(n)
-        ]
-        div = sum_all([alpha[i].diff(i) for i in range(n)])
-        dot = sum_all([self.sbi[k] * alpha[k] for k in range(n)])
-        return self.be(-2) * (div + Q(n - 2) * dot)
+        return self.bdy.div(self.bdy.P_grad(w))
 
     def eta_P_hess(self, u):
-        return self.eta_scalar(self.P_dot_hess(u))
+        return self.eta_scalar(self.amb.contract(self.amb.P, self.amb.hess(u)))
 
     def pair(self, a, w):
-        return self.bpair(a, w)
+        return self.bdy.pair(a, w)
 
     def hesspair_H(self, w):
         if self._bhessH is None:
             self.curvature()
-        hw = self.bhess(w)
-        n = self.n
-        acc = sum_all([self._bhessH[i][j] * hw[i][j] for i in range(n) for j in range(n)])
-        return self.be(-4) * acc
+        return self.bdy.contract(self._bhessH, self.bdy.hess(w))
 
     def sigma4_pair(self, w):
         comps = self.sigma4_components()
-        n = self.n
-        acc = sum_all([comps[i] * w.diff(i) for i in range(n)])
-        return self.be(-2) * acc
+        return self.bdy.exp(-2) * sum_all([comps[i] * w.diff(i) for i in range(self.n)])
 
     # -- entry point ---------------------------------------------------------
     def boundary_operator(self, j: int, u):
@@ -643,10 +533,3 @@ class HalfspaceConformalEngine(BoundaryOps):
 
     def t_scalar(self, j: int):
         return self.coeffs()[f"T{j}"]
-
-
-def sum_all(items):
-    acc = None
-    for t in items:
-        acc = t if acc is None else acc + t
-    return acc

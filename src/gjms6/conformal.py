@@ -11,27 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import apply_B
+from .boundary import apply_B, coefficients
 from .confcalc import DualKit, HalfspaceConformalEngine, JetCtx
 from .geometry import GeometryKind, ModelGeometry
 from .polys import Poly
-from .reps import SeparatedMode
+from .reps import SeparatedMode, collar_coefficients
 
 Q = Fraction
+
+# normal jet truncation order of the critical shift law
+SHIFT_JET_ORDER = 6
 
 
 @dataclass(frozen=True)
 class VariationProbe:
-    """A conformal direction sigma with a density weight and jet order."""
+    """A conformal direction sigma with an optional density weight, which
+    must be (n-5)/2 when given."""
 
     sigma: Poly
-    order: int = 6
     w: Fraction | None = None
-
-    def weight(self, n: int) -> Fraction:
-        if self.w is not None:
-            return Q(self.w)
-        return Q(n - 5, 2)
 
 
 @dataclass
@@ -48,6 +46,16 @@ def _require_halfspace(geom: ModelGeometry):
         raise ValueError("covariance residuals are implemented on the upper half space")
 
 
+def _covariance_difference(j: int, kit, u: Poly, geom: ModelGeometry):
+    """B_j[e^(2s) g](u) - e^(-(n+2j-5)/2 s) B_j[g](e^((n-5)/2 s) u) over the
+    coefficient ring of ``kit``; the flat side is ``apply_B`` on ``geom``."""
+    n = geom.n
+    lhs = HalfspaceConformalEngine(kit).boundary_operator(j, kit.embed(u))
+    return lhs - kit.exp_boundary(-Q(n + 2 * j - 5, 2)) * apply_B(
+        j, geom, kit.exp_ambient(Q(n - 5, 2)) * kit.embed(u)
+    )
+
+
 def infinitesimal_covariance_residual(j: int, probe: VariationProbe, u: Poly, geom: ModelGeometry) -> Poly:
     """First conformal variation of the covariance relation; the result is a
     boundary polynomial that must vanish identically.
@@ -60,14 +68,7 @@ def infinitesimal_covariance_residual(j: int, probe: VariationProbe, u: Poly, ge
     n = geom.n
     if probe.w is not None and Q(probe.w) != Q(n - 5, 2):
         raise ValueError("the boundary operators act on weight (n-5)/2 densities")
-    kit = DualKit(n, probe.sigma)
-    hat = HalfspaceConformalEngine(kit, conformal=True)
-    flat = HalfspaceConformalEngine(kit, conformal=False)
-    lhs = hat.boundary_operator(j, kit.embed(u))
-    rhs = kit.exp_boundary(-Q(n + 2 * j - 5, 2)) * flat.boundary_operator(
-        j, kit.exp_ambient(Q(n - 5, 2)) * kit.embed(u)
-    )
-    res = lhs - rhs
+    res = _covariance_difference(j, DualKit(n, probe.sigma), u, geom)
     if not res.a.iszero():
         raise AssertionError("zeroth-order part of a covariance residual must vanish")
     return res.b
@@ -82,20 +83,12 @@ def finite_covariance_residual(j: int, sigma: Poly, u: Poly, geom: ModelGeometry
     through the jet bookkeeping.
     """
     _require_halfspace(geom)
-    n = geom.n
     if order < j + 1:
         raise ValueError("jet truncation order must exceed the operator's normal order")
-    ctx = JetCtx(n, sigma, order)
-    hat = HalfspaceConformalEngine(ctx, conformal=True)
-    flat = HalfspaceConformalEngine(ctx, conformal=False)
-    lhs = hat.boundary_operator(j, ctx.embed(u))
-    rhs = ctx.exp_boundary(-Q(n + 2 * j - 5, 2)) * flat.boundary_operator(
-        j, ctx.exp_ambient(Q(n - 5, 2)) * ctx.embed(u)
-    )
-    return lhs - rhs
+    return _covariance_difference(j, JetCtx(geom.n, sigma, order), u, geom)
 
 
-def critical_T_shift(j: int, sigma: Poly, geom: ModelGeometry, order: int = 6):
+def critical_T_shift(j: int, sigma: Poly, geom: ModelGeometry):
     """Critical-dimension shift law for the zeroth-order coefficient scalars:
     e^(j sigma) T_j[e^(2 sigma) g] - T_j[g] - B_j[g](sigma), which must vanish
     when n = 5.  Returns a weighted boundary polynomial."""
@@ -105,9 +98,8 @@ def critical_T_shift(j: int, sigma: Poly, geom: ModelGeometry, order: int = 6):
         raise ValueError("the coefficient shift law is a critical-dimension (n = 5) statement")
     if not 1 <= j <= 5:
         raise ValueError("the shift law concerns j in 1..5")
-    ctx = JetCtx(n, sigma, order)
-    hat = HalfspaceConformalEngine(ctx, conformal=True)
-    lhs = ctx.exp_boundary(j) * hat.t_scalar(j)
+    ctx = JetCtx(n, sigma, SHIFT_JET_ORDER)
+    lhs = ctx.exp_boundary(j) * HalfspaceConformalEngine(ctx).t_scalar(j)
     bj_sigma = apply_B(j, geom, sigma)  # flat T_j vanishes on the half space
     return lhs - ctx.embed_boundary(bj_sigma)
 
@@ -126,13 +118,9 @@ def normalize_jet(geom: ModelGeometry, order: int = 5) -> BoundaryJet:
     are the eta-direction derivatives at the zero-frequency boundary mode.
     """
     n = geom.n
-    from .boundary import coefficients
-
     co = coefficients(geom)
     t_vals = {1: co.T1, 2: co.T2, 3: co.T3, 4: co.T4c, 5: co.T5}
     # eta = eta_sign * d/dtau in the collar parametrization
-    from .reps import collar_coefficients
-
     _, _, eta_sign, _ = collar_coefficients(geom.kind, n, 2)
     known = [Q(1) if n > 5 else Q(0)]  # eta^0 u
     for j in range(1, order + 1):

@@ -194,6 +194,14 @@ def random_poly(rng, d: int, deg: int, nterms: int, maxc: int = 3) -> Poly:
     return p
 
 
+def sum_all(items):
+    """Sum of a nonempty sequence of ring elements, starting from the first."""
+    acc = None
+    for t in items:
+        acc = t if acc is None else acc + t
+    return acc
+
+
 def laplacian(p: Poly) -> Poly:
     """Flat Laplacian sum of second partials in all variables of ``p``."""
     out = Poly.zero(p.d)

@@ -21,6 +21,10 @@ modes; the hemisphere factor jets
 
 Profile coefficients may be Fractions (exact), floats (numeric solves), or
 Poly symbols (operator-identity checks); the code is generic over them.
+
+``HalfspacePolyOps`` is the one flat half-space kit for polynomial fields
+and for the dual-number and jet rings of ``confcalc``, so the flat side of
+every covariance residual is ``apply_B``.
 """
 from __future__ import annotations
 
@@ -30,7 +34,7 @@ from fractions import Fraction
 from .boundary import BoundaryOps
 from .fractional import sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry
-from .polys import ExpPolyMode, Poly, euler_op, laplacian, reduce_mod_sphere
+from .polys import ExpPolyMode, Poly, euler_op, laplacian, reduce_mod_sphere, sum_all
 from .series import Series, sec2_series, series_inverse, tan_series
 
 Q = Fraction
@@ -173,28 +177,34 @@ def separated_ops(geom: ModelGeometry, u: SeparatedMode) -> SeparatedOps:
 # ---------------------------------------------------------------------------
 
 class HalfspacePolyOps(BoundaryOps):
-    """Polynomials on the flat upper half space; last variable is y."""
+    """Fields on the flat upper half space in the variables x0..x(n-1), y.
+
+    The one flat half-space kit: it uses only ``diff(i)`` and ``drop_last()``
+    of a field, so it acts alike on ``Poly`` and on the dual-number and jet
+    rings of ``confcalc``; the flat side of every covariance residual is
+    ``apply_B`` through this kit.
+    """
 
     def __init__(self, n: int):
         self.n = n
 
     def bzero(self):
-        return Poly.zero(self.n)
+        return 0
 
-    def restrict(self, u: Poly) -> Poly:
+    def restrict(self, u):
         return u.drop_last()
 
-    def eta(self, u: Poly) -> Poly:
-        return (-u.diff(u.d - 1)).drop_last()
+    def eta(self, u):
+        return -(u.diff(self.n).drop_last())
 
-    def lap(self, u: Poly) -> Poly:
-        return laplacian(u)
+    def lap(self, u):
+        return sum_all([u.diff(i).diff(i) for i in range(self.n + 1)])
 
-    def hess_nn(self, u: Poly) -> Poly:
-        return u.diff(u.d - 1).diff(u.d - 1).drop_last()
+    def hess_nn(self, u):
+        return u.diff(self.n).diff(self.n).drop_last()
 
-    def lapbar(self, w: Poly) -> Poly:
-        return laplacian(w)
+    def lapbar(self, w):
+        return sum_all([w.diff(i).diff(i) for i in range(self.n)])
 
     def divPbar(self, w):
         return 0

@@ -11,6 +11,7 @@ invariant.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -60,14 +61,18 @@ def sharp_constant(n: int, gamma) -> SharpConstant:
 # zonal analysis on the boundary sphere
 # ---------------------------------------------------------------------------
 
+ZONAL_NODES = 256
+
+
 class ZonalGrid:
     """Quadrature and Gegenbauer tables for zonal functions on S^n.
 
     Integrals use the colatitude substitution, where the weight sin^(n-1) is
-    analytic, so Gauss-Legendre converges spectrally.
+    analytic, so Gauss-Legendre converges spectrally.  The tables are
+    read-only, so ``zonal_grid`` can share one grid among its callers.
     """
 
-    def __init__(self, n: int, lmax: int = 32, nodes: int = 256):
+    def __init__(self, n: int, lmax: int = 32, nodes: int = ZONAL_NODES):
         self.n = n
         self.lmax = lmax
         self.nodes = nodes
@@ -89,6 +94,8 @@ class ZonalGrid:
         self.C1 = np.array([self._c_at_one(ell, alpha) for ell in range(lmax + 1)])
         self.norms = np.array([self.vol_minor * float(np.sum(self.wq * C[ell] ** 2))
                                for ell in range(lmax + 1)])
+        for a in (self.theta, self.wq, self.t, self.C, self.C1, self.norms):
+            a.setflags(write=False)
 
     @staticmethod
     def _c_at_one(ell: int, alpha: float) -> float:
@@ -136,6 +143,12 @@ class ZonalGrid:
         if total == 0.0:
             return 0.0
         return float(np.sum(weights[-3:])) / total
+
+
+@functools.lru_cache(maxsize=None)
+def zonal_grid(n: int, lmax: int, nodes: int) -> ZonalGrid:
+    """The ZonalGrid of (n, lmax, nodes), built once per key."""
+    return ZonalGrid(n, lmax, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +273,7 @@ class TraceChecker:
         self.geom = geom
         self.n = geom.n
         self.lmax = lmax
-        self.grid = ZonalGrid(geom.n, lmax)
+        self.grid = zonal_grid(geom.n, lmax, ZONAL_NODES)
         self.tail_guard = tail_guard
         if geom.kind is GeometryKind.ROUND_HEMISPHERE:
             x, w = np.polynomial.legendre.leggauss(grid_size)
@@ -429,12 +442,12 @@ def _run_check(geom, specs_or_slots, critical, lmax, grid_size):
     return checker.check(slots, critical)
 
 
-def sphere_sobolev_check(n: int, gamma, w_of_t, lmax: int = 32, nodes: int = 256) -> InequalityReport:
+def sphere_sobolev_check(n: int, gamma, w_of_t, lmax: int = 32, nodes: int = ZONAL_NODES) -> InequalityReport:
     """Single-slot sharp Sobolev inequality on the round sphere for zonal w:
     pairing against the order-2*gamma multiplier versus the sharp constant
     times the critical Lebesgue norm."""
     gamma = Q(gamma)
-    grid = ZonalGrid(n, lmax, nodes)
+    grid = zonal_grid(n, lmax, nodes)
     vals = w_of_t(grid.t) if callable(w_of_t) else np.asarray(w_of_t, dtype=float)
     coeffs = grid.expand(vals)
     tail = grid.tail_fraction(coeffs)

@@ -67,14 +67,22 @@ def test_config_errors(tmp_path, capsys):
     assert not csv.exists()
 
 
-@pytest.mark.parametrize("geometry,n", [("ball", "7"), ("hyperbolic", "5"), ("hyperbolic", "7"),
-                                        ("hyperbolic", "8")])
-def test_dtn_reports_match_golden_files(tmp_path, geometry, n):
-    """Byte-identical default reports; both suites are exact-only, so the
-    files do not depend on BLAS or libm."""
+@pytest.mark.parametrize("suite,geometry,n", [
+    pytest.param("dtn", "ball", "7", id="ball-7"),
+    pytest.param("dtn", "hyperbolic", "5", id="hyperbolic-5"),
+    pytest.param("dtn", "hyperbolic", "7", id="hyperbolic-7"),
+    pytest.param("dtn", "hyperbolic", "8", id="hyperbolic-8"),
+    pytest.param("covariance", None, "5", id="covariance-5"),
+])
+def test_dtn_reports_match_golden_files(tmp_path, suite, geometry, n):
+    """Byte-identical default reports; these runs are exact-only, so the
+    files do not depend on BLAS or libm.  A run without a geometry uses the
+    default one, and its file name leaves the geometry out."""
     out = tmp_path / "report.json"
-    assert main(["dtn", "--geometry", geometry, "--n", n, "--out", str(out)]) == 0
-    golden = pathlib.Path(__file__).parent / "data" / f"dtn-{geometry}-n{n}.json"
+    where = ["--geometry", geometry] if geometry else []
+    assert main([suite, *where, "--n", n, "--out", str(out)]) == 0
+    name = "-".join(filter(None, (suite, geometry, f"n{n}")))
+    golden = pathlib.Path(__file__).parent / "data" / f"{name}.json"
     assert out.read_bytes() == golden.read_bytes()
 
 

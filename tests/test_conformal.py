@@ -6,6 +6,9 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
+from gjms6 import confcalc
+from gjms6.boundary import apply_B
+from gjms6.confcalc import DualPoly, JetCtx
 from gjms6.conformal import (
     VariationProbe,
     cayley_transport_function,
@@ -126,6 +129,51 @@ def test_finite_truncation_guard():
     y = Poly.var(d, d - 1)
     with pytest.raises((ValueError, TruncationError)):
         finite_covariance_residual(5, y, Poly.const(d, 1), halfspace(n), order=3)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_flat_side_acts_componentwise(n):
+    """The flat half-space operators have constant coefficients: over dual
+    numbers they act on each component, and on an embedded jet they act on
+    the polynomial it embeds."""
+    rng = random.Random(60 + n)
+    d = n + 1
+    g = halfspace(n)
+    # the sextic keeps every B_j nonzero
+    sextic = (Poly.var(d, 0) + Poly.var(d, d - 1) + 1) ** 6
+    a, b, p = (random_poly(rng, d, 6, 4) + k * sextic for k in (1, 2, 3))
+    ctx = JetCtx(n, random_poly(rng, d, 2, 2), 6)
+    for j in range(6):
+        dual = apply_B(j, g, DualPoly(a, b))
+        assert (dual.a, dual.b) == (apply_B(j, g, a), apply_B(j, g, b))
+        flat = apply_B(j, g, p)
+        assert apply_B(j, g, ctx.embed(p)).wmap == ctx.embed_boundary(flat).wmap
+        assert not (dual.a.iszero() or dual.b.iszero() or flat.iszero())
+
+
+def test_each_residual_builds_one_engine(monkeypatch):
+    """The flat side of a residual is apply_B, so each residual builds only
+    the engine of the conformal metric."""
+    builds = []
+    init = confcalc.HalfspaceConformalEngine.__init__
+
+    def counting(self, *args, **kw):
+        builds.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(confcalc.HalfspaceConformalEngine, "__init__", counting)
+    n, d = 5, 6
+    g = halfspace(n)
+    x0, y = Poly.var(d, 0), Poly.var(d, d - 1)
+    calls = (
+        lambda: infinitesimal_covariance_residual(3, VariationProbe(x0 * y), x0 * x0 * y, g),
+        lambda: finite_covariance_residual(4, x0 * y, x0 * y * y, g),
+        lambda: critical_T_shift(2, y * y, g),
+    )
+    for call in calls:
+        builds.clear()
+        assert call().iszero()
+        assert len(builds) == 1
 
 
 def test_critical_shift_examples():

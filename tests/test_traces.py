@@ -17,6 +17,7 @@ from gjms6.traces import (
     flat_bubble_lp_norm,
     sharp_constant,
     sphere_sobolev_check,
+    zonal_grid,
 )
 
 
@@ -114,6 +115,28 @@ def test_flat_lp_norm_matches_round():
     amp = (1 + eps + float(np.dot(x0, x0))) ** float(w)
     flat_norm = flat_bubble_lp_norm(n, eps, w, p, amplitude=amp)
     assert abs(round_norm - flat_norm) <= 1e-9 * flat_norm
+
+
+def test_zonal_grid_is_built_once_per_key(monkeypatch):
+    builds = []
+    init = ZonalGrid.__init__
+
+    def counting(self, *args, **kw):
+        builds.append(args)
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(ZonalGrid, "__init__", counting)
+    zonal_grid.cache_clear()
+    coeffs = [[1.0, 0.3, 0.1], [0.5, 0.2], [0.4, 0.1, 0.05]]
+    first = corollary_check(ball(7), coeffs, lmax=8)
+    second = corollary_check(ball(7), coeffs, lmax=8)
+    assert first == second
+    assert len(builds) == 1
+    grid = zonal_grid(7, 8, 256)
+    with pytest.raises(ValueError):
+        grid.C[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        grid.norms[0] = 0.0
 
 
 def test_random_data_strictly_positive():
