@@ -16,12 +16,10 @@ from .geometry import (
     hyperbolic_geodesic,
 )
 from .polys import (
-    ExpPolyMode,
     MomentScalar,
     Poly,
     ball_integral,
     laplacian,
-    mode_apply,
     reduce_mod_sphere,
     sphere_integral,
 )

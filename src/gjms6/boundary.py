@@ -3,13 +3,14 @@ GJMS operator, with all curvature coefficients.
 
 The scalar coefficients and the operator assembly are written once, in
 ``apply_boundary_operator``, generic over an arithmetic kit: exact rational
-curvature data with polynomial or exponential-polynomial fields on the flat
-models, and the conformally-flat calculus ring used for the covariance
-checks.  On separated modes of a model geometry the same assembly, run once
-on a symbolic jet, gives ``separated_stencil``: each operator as a linear
-form in the profile jet with coefficients polynomial in the boundary
-eigenvalue, which ``apply_B`` evaluates.  Zeroth-order blocks carry the
-factor (n-5)/2 and vanish identically in the critical dimension n = 5.
+curvature data with polynomial fields on the flat models, and the
+conformally-flat calculus ring used for the covariance checks.  On separated
+modes of a model geometry (the half-space modes among them) the same
+assembly, run once on a symbolic jet, gives ``separated_stencil``: each
+operator as a linear form in the profile jet with coefficients polynomial in
+the boundary eigenvalue, which ``apply_B`` evaluates.  Zeroth-order blocks
+carry the factor (n-5)/2 and vanish identically in the critical dimension
+n = 5.
 
 ``field_ops`` is the only place that picks the primitive kit for a field
 representation on a model geometry, and ``leading_part`` holds the only table
@@ -241,9 +242,16 @@ class CurvatureCoefficients:
     sigma4_zero: bool = True
 
 
-def coefficients(geom: ModelGeometry) -> CurvatureCoefficients:
+@functools.lru_cache(maxsize=None)
+def model_coefficients(geom: ModelGeometry) -> tuple:
+    """(CurvatureInputs, coefficient_scalars dict) of a model geometry,
+    built once per geometry; callers share them and must not mutate them."""
     C = model_curvature_inputs(geom)
-    s = coefficient_scalars(geom.n, C)
+    return C, coefficient_scalars(geom.n, C)
+
+
+def coefficients(geom: ModelGeometry) -> CurvatureCoefficients:
+    _, s = model_coefficients(geom)
     return CurvatureCoefficients(
         T1=s["T1"], T2=s["T2"], T3=s["T3"], T4c=s["T4"], T5=s["T5"],
         S2=s["S2"], S3=s["S3"], S4=s["S4"], R13=s["R13"], R23=s["R23"],
@@ -302,8 +310,9 @@ class BoundaryOps:
         return self.bzero()
 
 
-def apply_boundary_operator(j: int, n: int, C: CurvatureInputs, ops: BoundaryOps, u, coeffs: dict | None = None):
-    """Apply the normal-order-j boundary operator to the field ``u``.
+def apply_boundary_operator(j: int, n: int, C: CurvatureInputs, ops: BoundaryOps, u, coeffs: dict):
+    """Apply the normal-order-j boundary operator to the field ``u``, with
+    ``coeffs`` the ``coefficient_scalars`` of ``C``.
 
     Single source of truth for the six displayed formulas; everything else
     in the package (model closed forms, covariance engine) routes through
@@ -314,8 +323,6 @@ def apply_boundary_operator(j: int, n: int, C: CurvatureInputs, ops: BoundaryOps
     uM = ops.restrict(u)
     if j == 0:
         return uM
-    if coeffs is None:
-        coeffs = coefficient_scalars(n, C)
     half = Q(n - 5, 2)
     eta_u = ops.eta(u)
     if j == 1:
@@ -430,22 +437,21 @@ def apply_boundary_operator(j: int, n: int, C: CurvatureInputs, ops: BoundaryOps
 def field_ops(geom: ModelGeometry, u) -> BoundaryOps:
     """The primitive kit for the field ``u`` on a model geometry.
 
-    The only dispatch from a field representation to its kit: SeparatedMode
-    on any model, ExpPolyMode on the upper half space, Poly on the flat
-    models (half space and ball), and the dual-number and jet rings of
-    ``confcalc`` on the half space, where ``apply_B`` is the flat side of
-    the covariance residuals.
+    The only dispatch from a field representation to its kit.  It picks
+    three of the four kits of ``apply_boundary_operator``: ``SeparatedOps``
+    for a SeparatedMode on any model (a half-space mode e^(-t y) q(y) is a
+    separated mode with boundary eigenvalue lam = t^2), ``BallPolyOps`` for
+    Poly on the ball, and ``HalfspacePolyOps`` for Poly and for the
+    dual-number and jet rings of ``confcalc`` on the half space, where
+    ``apply_B`` is the flat side of the covariance residuals.  The fourth,
+    ``confcalc.HalfspaceConformalEngine``, is its own kit.
     """
     from . import reps
     from .confcalc import DualPoly, Jet
-    from .polys import ExpPolyMode, Poly
+    from .polys import Poly
 
     if isinstance(u, reps.SeparatedMode):
         return reps.separated_ops(geom, u)
-    if isinstance(u, ExpPolyMode):
-        if geom.kind is not GeometryKind.UPPER_HALF_SPACE:
-            raise ValueError("exponential-polynomial modes live on the upper half space")
-        return reps.HalfspaceModeOps(geom.n)
     if isinstance(u, (Poly, DualPoly, Jet)):
         if geom.kind is GeometryKind.UPPER_HALF_SPACE:
             return reps.HalfspacePolyOps(geom.n)
@@ -473,8 +479,7 @@ def separated_stencil(geom: ModelGeometry) -> tuple:
     lam = syms[6]
     mode = SeparatedMode(n, lam, Series(syms[:6], 5))
     ops = SeparatedOps(geom, lam, order=6)
-    C = model_curvature_inputs(geom)
-    coeffs = coefficient_scalars(n, C)
+    C, coeffs = model_coefficients(geom)
     out = []
     for j in range(6):
         form: dict = {}
@@ -505,8 +510,8 @@ def apply_B(j, geom: ModelGeometry, u):
         for k, poly in separated_stencil(geom)[j]:
             out = out + sum(c * u.lam**p for p, c in poly) * chi.coeffs[k]
         return out
-    C = model_curvature_inputs(geom)
-    return apply_boundary_operator(j, geom.n, C, field_ops(geom, u), u)
+    C, coeffs = model_coefficients(geom)
+    return apply_boundary_operator(j, geom.n, C, field_ops(geom, u), u, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,11 +25,10 @@ SHIFT_JET_ORDER = 6
 
 @dataclass(frozen=True)
 class VariationProbe:
-    """A conformal direction sigma with an optional density weight, which
-    must be (n-5)/2 when given."""
+    """A conformal direction sigma; the boundary operators act on densities
+    of weight (n-5)/2."""
 
     sigma: Poly
-    w: Fraction | None = None
 
 
 @dataclass
@@ -65,10 +64,7 @@ def infinitesimal_covariance_residual(j: int, probe: VariationProbe, u: Poly, ge
     with exact dual-number arithmetic.
     """
     _require_halfspace(geom)
-    n = geom.n
-    if probe.w is not None and Q(probe.w) != Q(n - 5, 2):
-        raise ValueError("the boundary operators act on weight (n-5)/2 densities")
-    res = _covariance_difference(j, DualKit(n, probe.sigma), u, geom)
+    res = _covariance_difference(j, DualKit(geom.n, probe.sigma), u, geom)
     if not res.a.iszero():
         raise AssertionError("zeroth-order part of a covariance residual must vanish")
     return res.b

@@ -230,8 +230,7 @@ def dtn_verify_halfspace_symbolic():
     from .solver import halfspace_symbolic_mode
 
     u = halfspace_symbolic_mode()
-    n = 7  # the identities are dimension-independent on the flat model
-    g = halfspace(n)
+    g = halfspace(u.n)  # the identities are dimension-independent on the flat model
     B = [apply_B(j, g, u) for j in range(6)]
     t = Poly.var(4, 3)
     return [B[read] - front * t**j * B[slot] for j, (front, slot, read) in DTN_IDENTITIES.items()]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .geometry import GeometryKind, ModelGeometry
-from .polys import ExpPolyMode, Poly, laplacian
+from .polys import Poly, laplacian
 from .reps import SeparatedMode, collar_coefficients, separated_ops
 from .series import Series
 
@@ -33,17 +33,16 @@ def apply_L6(geom: ModelGeometry, u):
     """Apply the sixth-order operator in the model realization.
 
     Flat models: minus the third Laplacian power, exact on polynomials and
-    exponential-polynomial modes.  Hemisphere: the factorized product on
-    constants and separated modes.  Geodesic compactification: the
-    conformally transported hyperbolic factorization on separated modes.
+    on separated modes (the half-space modes e^(-t y) q(y) among them).
+    Hemisphere: the factorized product on constants and separated modes.
+    Geodesic compactification: the conformally transported hyperbolic
+    factorization on separated modes.
     """
     kind = geom.kind
     n = geom.n
     if kind in (GeometryKind.UPPER_HALF_SPACE, GeometryKind.EUCLIDEAN_BALL):
         if isinstance(u, Poly):
             return -laplacian(laplacian(laplacian(u)))
-        if isinstance(u, ExpPolyMode):
-            return -u.lap().lap().lap()
         if isinstance(u, SeparatedMode):
             ops = separated_ops(geom, u)
             return -ops.lap(ops.lap(ops.lap(u)))

@@ -1,9 +1,10 @@
 """Exact rational polynomial calculus.
 
-Sparse multivariate polynomials over ``fractions.Fraction``, exact moment
-integration over unit spheres and balls, and single-frequency
-exponential-polynomial modes on the flat half space.  Everything in this
-module is pure and hashable-free value arithmetic; results are exact.
+Sparse multivariate polynomials over ``fractions.Fraction`` and exact moment
+integration over unit spheres and balls.  Everything in this module is pure
+value arithmetic; results are exact.  Single-frequency modes on the flat half
+space are separated modes (``reps.SeparatedMode``) with Poly jet
+coefficients, not a field type of their own.
 """
 from __future__ import annotations
 
@@ -137,10 +138,6 @@ class Poly:
                 e2[i] -= 1
                 t[tuple(e2)] = c * e[i]
         return Poly(self.d, t)
-
-    def set_var_zero(self, i: int) -> "Poly":
-        """Substitute variable ``i`` = 0, keeping the dimension."""
-        return Poly(self.d, {e: c for e, c in self.terms.items() if e[i] == 0})
 
     def drop_last(self) -> "Poly":
         """Restrict to the hyperplane where the last variable is 0."""
@@ -355,86 +352,3 @@ def ball_integral(p: Poly) -> MomentScalar:
     for e, c in p.terms.items():
         q += c * sphere_monomial_moment(e, d) / (sum(e) + d)
     return MomentScalar(q, "vol_sn", d - 1)
-
-
-# ---------------------------------------------------------------------------
-# exponential-polynomial half-space modes
-# ---------------------------------------------------------------------------
-
-class ExpPolyMode:
-    """A mode e^(-t y) * profile on the half space {y >= 0}.
-
-    The profile is a Poly whose last two variables are, by convention, the
-    frequency symbol t and the normal coordinate y; remaining leading
-    variables are free symbols (e.g. the boundary-data coefficients a, b, c).
-    The class is closed under d/dy, the full flat Laplacian, and the
-    tangential Laplacian, which acts as multiplication by -t^2.
-    """
-
-    __slots__ = ("profile",)
-
-    def __init__(self, profile: Poly):
-        if profile.d < 2:
-            raise ValueError("profile needs at least the variables (t, y)")
-        self.profile = profile
-
-    @property
-    def d(self):
-        return self.profile.d
-
-    @property
-    def _it(self):
-        return self.profile.d - 2
-
-    @property
-    def _iy(self):
-        return self.profile.d - 1
-
-    def _t(self) -> Poly:
-        return Poly.var(self.profile.d, self._it)
-
-    def d_dy(self) -> "ExpPolyMode":
-        """d/dy, with the product rule against e^(-t y)."""
-        return ExpPolyMode(self.profile.diff(self._iy) - self._t() * self.profile)
-
-    def lap(self) -> "ExpPolyMode":
-        """Full Laplacian: profile -> p'' - 2 t p' (tangential part cancels)."""
-        p = self.profile
-        iy = self._iy
-        return ExpPolyMode(p.diff(iy).diff(iy) - 2 * self._t() * p.diff(iy))
-
-    def lapbar(self) -> "ExpPolyMode":
-        """Tangential Laplacian, multiplication by -t^2."""
-        return ExpPolyMode(-(self._t() ** 2) * self.profile)
-
-    def boundary(self) -> Poly:
-        """Boundary value at y = 0 as a polynomial in the remaining symbols."""
-        return self.profile.set_var_zero(self._iy).drop_last()
-
-    def __add__(self, other):
-        return ExpPolyMode(self.profile + other.profile)
-
-    def __sub__(self, other):
-        return ExpPolyMode(self.profile - other.profile)
-
-    def __neg__(self):
-        return ExpPolyMode(-self.profile)
-
-    def __mul__(self, c):
-        return ExpPolyMode(self.profile * c)
-
-    __rmul__ = __mul__
-
-    def iszero(self):
-        return self.profile.iszero()
-
-
-def mode_apply(op: str, m: ExpPolyMode) -> ExpPolyMode:
-    """Apply one of the closed operations {"d/dy", "lap", "lapbar"}."""
-    if op == "d/dy":
-        return m.d_dy()
-    if op == "lap":
-        return m.lap()
-    if op == "lapbar":
-        return m.lapbar()
-    raise ValueError(f"unsupported mode operation {op!r}")

@@ -19,12 +19,20 @@ modes; the hemisphere factor jets
 (``solver.poisson_branch_series``); and geodesic L6
 (``gjms.hyperbolic_shifted_factor``).
 
-Profile coefficients may be Fractions (exact), floats (numeric solves), or
-Poly symbols (operator-identity checks); the code is generic over them.
+On the half space a separated mode at frequency t is e^(-t y) times
+e^(i t.x), so its boundary eigenvalue is lam = t^2; the decaying triharmonic
+modes e^(-t y)(a + b y + c y^2) are jets of this kind
+(``solver.halfspace_symbolic_mode``).  Profile coefficients may be Fractions
+(exact), floats (numeric solves), or Poly symbols (operator-identity checks);
+the code is generic over them.
 
-``HalfspacePolyOps`` is the one flat half-space kit for polynomial fields
-and for the dual-number and jet rings of ``confcalc``, so the flat side of
-every covariance residual is ``apply_B``.
+This module holds three of the four primitive kits of
+``boundary.apply_boundary_operator``: ``SeparatedOps`` on every model,
+``BallPolyOps`` for polynomials on the ball, and ``HalfspacePolyOps``, the
+one flat half-space kit for polynomial fields and for the dual-number and
+jet rings of ``confcalc``, so the flat side of every covariance residual is
+``apply_B``.  The fourth is the conformal engine,
+``confcalc.HalfspaceConformalEngine``.
 """
 from __future__ import annotations
 
@@ -34,7 +42,7 @@ from fractions import Fraction
 from .boundary import BoundaryOps
 from .fractional import sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry
-from .polys import ExpPolyMode, Poly, euler_op, laplacian, reduce_mod_sphere, sum_all
+from .polys import Poly, euler_op, laplacian, reduce_mod_sphere, sum_all
 from .series import Series, sec2_series, series_inverse, tan_series
 
 Q = Fraction
@@ -205,38 +213,6 @@ class HalfspacePolyOps(BoundaryOps):
 
     def lapbar(self, w):
         return sum_all([w.diff(i).diff(i) for i in range(self.n)])
-
-    def divPbar(self, w):
-        return 0
-
-    def eta_P_hess(self, u):
-        return 0
-
-
-class HalfspaceModeOps(BoundaryOps):
-    """Exponential-polynomial modes on the upper half space."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def bzero(self):
-        return 0
-
-    def restrict(self, u: ExpPolyMode) -> Poly:
-        return u.boundary()
-
-    def eta(self, u: ExpPolyMode) -> Poly:
-        return (-u.d_dy()).boundary()
-
-    def lap(self, u: ExpPolyMode) -> ExpPolyMode:
-        return u.lap()
-
-    def hess_nn(self, u: ExpPolyMode) -> Poly:
-        return u.d_dy().d_dy().boundary()
-
-    def lapbar(self, w: Poly) -> Poly:
-        # boundary polynomials keep the frequency t as their last variable
-        return -(Poly.var(w.d, w.d - 1, 2)) * w
 
     def divPbar(self, w):
         return 0

@@ -1,12 +1,17 @@
 """Per-boundary-harmonic solvers for the sixth-order extension problem.
 
 Given boundary data for the first three boundary operators, construct the
-operator-harmonic extension on each model geometry: exact triangular solves
-on the half space, exact 3x3 solves in the triharmonic basis on the ball,
-hypergeometric factor kernels summed as power series on the hemisphere, and
-scattering-series jets on the geodesic compactification of hyperbolic space.
-Boundary values are ``apply_B`` of boundary jets, read through the one
-``boundary.separated_stencil`` of each model.
+operator-harmonic extension on each model geometry.  Every model is
+separated: a mode is a boundary jet, a ``SeparatedMode``, that ``apply_B``
+reads through the one ``boundary.separated_stencil`` of its model.  The flat
+half space is the separated model with boundary eigenvalue lam = t^2 at
+frequency t, its basis the jets of y^m e^(-t y); the ball uses the
+triharmonic basis r^(l+2m); the hemisphere the hypergeometric factor kernels
+summed as power series; the geodesic compactification of hyperbolic space
+the scattering-series jets.  On the half space, ball and hemisphere the
+three basis jets give a 3x3 Dirichlet matrix, and ``_solve_modes`` is the one
+solve of that system; the geodesic slot solutions reproduce their data by
+construction, so that model superposes them directly.
 
 The collar table ``reps.collar_coefficients`` is read by the stencil, the
 hemisphere factor jets (``HemisphereFactor.chi_series``), the geodesic Poisson
@@ -29,17 +34,26 @@ import numpy as np
 
 from .boundary import apply_B
 from .fractional import d_gamma, round_multiplier, sphere_eigenvalue
-from .geometry import GeometryKind, ModelGeometry, ball, hemisphere, hyperbolic_geodesic
+from .geometry import GeometryKind, ModelGeometry, ball, halfspace, hemisphere, hyperbolic_geodesic
 from .gjms import factorization_shifts
-from .polys import ExpPolyMode, Poly
+from .polys import Poly, sum_all
 from .reps import RadialProfile, SeparatedMode, collar_coefficients
 from .series import Series, series_inverse
 
 Q = Fraction
 
-# Order of the boundary jets the round-boundary solvers hand to apply_B
+# Order of the boundary jets the solvers hand to apply_B
 # (B5 reads five normal derivatives).
 JET_ORDER = 8
+
+# Largest condition number a float Dirichlet system may have.  Real traffic
+# stays far below it: about 1e7 on the ball (n = 5..9, l <= 64) and 2e9 on
+# the hemisphere (n = 5, 7, l <= 32).
+COND_GUARD = 1e12
+
+# The half space carries no curvature, so its boundary operators are the same
+# in every dimension; its modes are tagged with, and read on, this one.
+HALFSPACE_N = 7
 
 
 @dataclass(frozen=True)
@@ -63,6 +77,11 @@ class BoundaryTriple:
     def aslist(self):
         return [self.f, self.phi, self.psi]
 
+    @property
+    def exact(self) -> bool:
+        """True iff every slot is an exact rational."""
+        return all(isinstance(v, (int, Fraction)) for v in self.aslist())
+
     @staticmethod
     def weights(n: int):
         return (Q(n - 5, 2), Q(n - 3, 2), Q(n - 1, 2))
@@ -70,16 +89,16 @@ class BoundaryTriple:
 
 @dataclass
 class SolveResult:
-    """A per-mode extension: ``profile`` in the solver's native form
-    (RadialProfile, HemisphereProfile or SeparatedMode), ``mode`` the same
-    extension as the boundary jet that ``apply_B`` reads (None on the half
-    space).  ``residual_norms`` holds |achieved - data| per slot."""
+    """A per-mode extension: ``profile`` in the solver's native form (the
+    basis coefficients on the half space, RadialProfile, HemisphereProfile or
+    SeparatedMode), ``mode`` the same extension as the boundary jet that
+    ``apply_B`` reads.  ``residual_norms`` holds |achieved - data| per slot."""
 
     profile: object
+    mode: SeparatedMode
     achieved: BoundaryTriple
     residual_norms: tuple
     exact: bool
-    mode: SeparatedMode | None = None
 
 
 class DegenerateModeError(ValueError):
@@ -88,54 +107,6 @@ class DegenerateModeError(ValueError):
 
 def _residual_norms(achieved: BoundaryTriple, data: BoundaryTriple) -> tuple:
     return tuple(abs(x - y) for x, y in zip(achieved.aslist(), data.aslist()))
-
-
-# ---------------------------------------------------------------------------
-# upper half space
-# ---------------------------------------------------------------------------
-
-def halfspace_symbolic_mode() -> ExpPolyMode:
-    """The general decaying triharmonic mode e^(-t y)(a + b y + c y^2) with
-    the coefficients and frequency kept as polynomial symbols (a, b, c, t)."""
-    d = 5
-    a, b, c, _, y = (Poly.var(d, i) for i in range(5))
-    return ExpPolyMode(a + b * y + c * y**2)
-
-
-def halfspace_solve(t, data: BoundaryTriple) -> SolveResult:
-    """Solve the extension problem on the flat half space at frequency t.
-
-    The boundary triple of e^(-t y)(a + b y + c y^2) is
-    (a, t a - b, (4/3) t^2 a - 2 t b + 2 c), a triangular system.
-    """
-    if isinstance(t, (int, Fraction)):
-        t = Q(t)
-        exact = all(isinstance(v, (int, Fraction)) for v in data.aslist())
-    else:
-        exact = False
-    if t <= 0:
-        raise DegenerateModeError("frequency must be positive; the zero mode is degenerate")
-    f, phi, psi = data.aslist()
-    a = f
-    b = t * a - phi
-    four_thirds = Q(4, 3) if exact else 4.0 / 3.0
-    c = (psi - four_thirds * t**2 * a + 2 * t * b) * (Q(1, 2) if exact else 0.5)
-    achieved = BoundaryTriple(a, t * a - b, four_thirds * t**2 * a - 2 * t * b + 2 * c)
-    return SolveResult((a, b, c), achieved, _residual_norms(achieved, data), exact)
-
-
-# ---------------------------------------------------------------------------
-# euclidean ball
-# ---------------------------------------------------------------------------
-
-@functools.lru_cache(maxsize=None)
-def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
-    """Exact 3x3 matrix of the first three boundary operators on the regular
-    triharmonic basis r^l, r^(l+2), r^(l+4) (times a degree-l harmonic), as
-    immutable rows.  Memoized on (n, ell)."""
-    g = ball(n)
-    modes = [RadialProfile(n, ell, {m: Q(1)}).to_separated() for m in range(3)]
-    return tuple(tuple(apply_B(j, g, m) for m in modes) for j in range(3))
 
 
 def _solve3(M, rhs):
@@ -159,20 +130,84 @@ def _solve3(M, rhs):
     return [A[r][3] for r in range(3)]
 
 
-def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
-    """Exact (rational data) or floating solve in the triharmonic basis."""
-    exact = all(isinstance(v, (int, Fraction)) for v in data.aslist())
-    M = ball_dirichlet_matrix(n, ell)
+def _solve_modes(geom: ModelGeometry, M, basis, data: BoundaryTriple) -> tuple:
+    """Solve M alpha = data, where column m of M is B0..B2 of the basis jet m,
+    and superpose the basis.
+
+    Exact when M and the data are rational; otherwise both are taken to
+    floats and the system must be within ``COND_GUARD``.  Returns the
+    coefficients, the superposed jet, the achieved triple, the residual norms
+    and the exactness flag."""
+    exact = data.exact and all(isinstance(x, (int, Fraction)) for row in M for x in row)
     rhs = data.aslist()
     if not exact:
         M = [[float(x) for x in row] for row in M]
         rhs = [float(v) for v in rhs]
+        cond = np.linalg.cond(M)
+        if cond > COND_GUARD:
+            raise DegenerateModeError(f"mode matrix condition {cond:.3g} exceeds the guard")
     coef = _solve3(M, rhs)
-    prof = RadialProfile(n, ell, {m: coef[m] for m in range(3)})
+    mode = sum_all([b * c for b, c in zip(basis, coef)])
+    achieved = BoundaryTriple(*(apply_B(j, geom, mode) for j in range(3)))
+    return coef, mode, achieved, _residual_norms(achieved, data), exact
+
+
+# ---------------------------------------------------------------------------
+# upper half space
+# ---------------------------------------------------------------------------
+
+def _halfspace_basis(t) -> list:
+    """The jets of y^m e^(-t y), m = 0, 1, 2, on the half space at frequency
+    t: coefficient k of jet m is (-t)^(k-m)/(k-m)!.  Exact for rational t."""
+    e = [(-t) ** k * Q(1, math.factorial(k)) for k in range(JET_ORDER + 1)]
+    lam = t**2
+    return [SeparatedMode(HALFSPACE_N, lam, Series([0] * m + e, JET_ORDER)) for m in range(3)]
+
+
+def halfspace_symbolic_mode() -> SeparatedMode:
+    """The general decaying triharmonic mode e^(-t y)(a + b y + c y^2) as a
+    jet whose coefficients are polynomials in the symbols (a, b, c, t)."""
+    a, b, c, t = (Poly.var(4, i) for i in range(4))
+    return sum_all([m * s for m, s in zip(_halfspace_basis(t), (a, b, c))])
+
+
+def halfspace_solve(t, data: BoundaryTriple) -> SolveResult:
+    """Solve the extension problem on the flat half space at frequency t in
+    the basis e^(-t y) y^m, m = 0, 1, 2."""
+    if t <= 0:
+        raise DegenerateModeError("frequency must be positive; the zero mode is degenerate")
+    g = halfspace(HALFSPACE_N)
+    basis = _halfspace_basis(t)
+    M = [[apply_B(j, g, m) for m in basis] for j in range(3)]
+    coef, *rest = _solve_modes(g, M, basis, data)
+    return SolveResult(tuple(coef), *rest)
+
+
+# ---------------------------------------------------------------------------
+# euclidean ball
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _ball_basis(n: int, ell: int) -> tuple:
+    """Jets of the regular triharmonic basis r^l, r^(l+2), r^(l+4) (times a
+    degree-l harmonic) at the unit sphere.  Memoized on (n, ell), so callers
+    share the jets and must not mutate them."""
+    return tuple(RadialProfile(n, ell, {m: Q(1)}).to_separated(JET_ORDER) for m in range(3))
+
+
+@functools.lru_cache(maxsize=None)
+def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
+    """Exact 3x3 matrix of the first three boundary operators on the regular
+    triharmonic basis, as immutable rows.  Memoized on (n, ell)."""
     g = ball(n)
-    sep = prof.to_separated()
-    achieved = BoundaryTriple(*(apply_B(j, g, sep) for j in range(3)))
-    return SolveResult(prof, achieved, _residual_norms(achieved, data), exact, sep)
+    modes = _ball_basis(n, ell)
+    return tuple(tuple(apply_B(j, g, m) for m in modes) for j in range(3))
+
+
+def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
+    """Exact (rational data) or floating solve in the triharmonic basis."""
+    coef, *rest = _solve_modes(ball(n), ball_dirichlet_matrix(n, ell), _ball_basis(n, ell), data)
+    return SolveResult(RadialProfile(n, ell, dict(enumerate(coef))), *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -306,24 +341,17 @@ class HemisphereProfile:
         return chi, dchi, lap, dlap
 
 
-def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple,
-                          cond_guard: float = 1e12) -> SolveResult:
+def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     """Solve the hemisphere extension per mode via the three factor kernels.
 
     The 3x3 mode matrix is assembled from the ``column`` of each memoized
-    factor; DegenerateModeError when its condition exceeds cond_guard."""
+    factor."""
     factors = [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)]
-    M = np.array([fac.column for fac in factors]).T
-    rhs = np.array([float(v) for v in data.aslist()])
-    cond = np.linalg.cond(M)
-    if cond > cond_guard:
-        raise DegenerateModeError(f"mode matrix condition {cond:.3g} exceeds the guard")
-    alphas = np.linalg.solve(M, rhs)
-    prof = HemisphereProfile(n, ell, factors, alphas)
-    sep = prof.separated()
-    g = hemisphere(n)
-    achieved = BoundaryTriple(*(float(apply_B(j, g, sep)) for j in range(3)))
-    return SolveResult(prof, achieved, _residual_norms(achieved, data), False, sep)
+    lam = sphere_eigenvalue(n, ell)
+    basis = [SeparatedMode(n, lam, fac.chi_series()) for fac in factors]
+    M = list(zip(*(fac.column for fac in factors)))
+    coef, *rest = _solve_modes(hemisphere(n), M, basis, data)
+    return SolveResult(HemisphereProfile(n, ell, factors, np.array(coef)), *rest)
 
 
 def hemisphere_factored_residual(prof: HemisphereProfile, thetas) -> float:
@@ -456,8 +484,7 @@ def geodesic_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     g = hyperbolic_geodesic(n)
     mode = geodesic_mode_extension(n, ell, data)
     achieved = BoundaryTriple(*(apply_B(j, g, mode) for j in range(3)))
-    exact = all(isinstance(v, (int, Fraction)) for v in data.aslist())
-    return SolveResult(mode, achieved, _residual_norms(achieved, data), exact, mode)
+    return SolveResult(mode, mode, achieved, _residual_norms(achieved, data), data.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +509,7 @@ def mode_solve(geom: ModelGeometry, ell: int, data: BoundaryTriple) -> SolveResu
 
 def kernel_check(geom: ModelGeometry, mode: ModeIndex) -> bool:
     """True iff the per-mode Dirichlet system is nonsingular: unit data
-    solve without a degenerate system or a tripped condition guard."""
+    solve without a degenerate system or a tripped ``COND_GUARD``."""
     unit = BoundaryTriple(Q(1), Q(0), Q(0))
     try:
         if geom.kind is GeometryKind.UPPER_HALF_SPACE:

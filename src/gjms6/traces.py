@@ -260,21 +260,23 @@ def hemisphere_interior_coeffs(n: int, critical: bool):
 
 SLOT_GAMMAS = (Q(5, 2), Q(3, 2), Q(1, 2))
 
+# Largest ``ZonalGrid.tail_fraction`` (the weight of the last three zonal
+# coefficients) of boundary data that still counts as resolved at lmax.
+TAIL_GUARD = 1e-7
+
 
 class TraceChecker:
     """Evaluator for the trace-inequality statements on one geometry;
     ``grid_size`` Gauss-Legendre nodes carry the hemisphere interior
     quadrature."""
 
-    def __init__(self, geom: ModelGeometry, lmax: int = 32, grid_size: int = 64,
-                 tail_guard: float = 1e-7):
+    def __init__(self, geom: ModelGeometry, lmax: int = 32, grid_size: int = 64):
         if geom.kind not in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE):
             raise ValueError("per-mode extensions live on the ball or hemisphere")
         self.geom = geom
         self.n = geom.n
         self.lmax = lmax
         self.grid = zonal_grid(geom.n, lmax, ZONAL_NODES)
-        self.tail_guard = tail_guard
         if geom.kind is GeometryKind.ROUND_HEMISPHERE:
             x, w = np.polynomial.legendre.leggauss(grid_size)
             self.itheta = (x + 1.0) * (math.pi / 4)
@@ -391,7 +393,7 @@ class TraceChecker:
     def check(self, slots, critical: bool = False) -> InequalityReport:
         for s in slots:
             tail = self.grid.tail_fraction(s.coeffs)
-            if tail > self.tail_guard:
+            if tail > TAIL_GUARD:
                 raise ValueError(
                     f"boundary data under-resolved at lmax={self.lmax} (tail {tail:.2e})"
                 )
@@ -451,7 +453,7 @@ def sphere_sobolev_check(n: int, gamma, w_of_t, lmax: int = 32, nodes: int = ZON
     vals = w_of_t(grid.t) if callable(w_of_t) else np.asarray(w_of_t, dtype=float)
     coeffs = grid.expand(vals)
     tail = grid.tail_fraction(coeffs)
-    if tail > 1e-7:
+    if tail > TAIL_GUARD:
         raise ValueError(f"zonal data under-resolved (tail {tail:.2e})")
     lhs = 0.0
     for ell in range(lmax + 1):

@@ -12,17 +12,19 @@ from gjms6.boundary import (
     LEADING_TERMS,
     apply_B,
     apply_boundary_operator,
+    coefficient_scalars,
     coefficients,
     leading_part,
-    model_curvature_inputs,
+    model_coefficients,
     normal_form_operators,
     separated_stencil,
 )
 from gjms6.fractional import rising, sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
-from gjms6.polys import ExpPolyMode, Poly
+from gjms6.polys import Poly
 from gjms6.reps import RadialProfile, SeparatedMode, SeparatedOps
 from gjms6.series import Series, TruncationError
+from gjms6.solver import halfspace_symbolic_mode
 
 
 class GeodesicOperators:
@@ -97,13 +99,12 @@ def test_coefficients_ball_closed_forms(n):
 
 
 def test_halfspace_symbolic_operator_table():
-    # general decaying triharmonic mode e^{-ty}(a + by + cy^2)
-    d = 5
-    a, b, c, t, y = (Poly.var(d, i) for i in range(5))
-    u = ExpPolyMode(a + b * y + c * y**2)
+    # general decaying triharmonic mode e^{-ty}(a + by + cy^2), a separated
+    # mode with lam = t^2 read through the half-space stencil
+    u = halfspace_symbolic_mode()
     g = halfspace(7)
     B = [apply_B(j, g, u) for j in range(6)]
-    # boundary values live in the remaining symbols (a, b, c, t)
+    # boundary values are polynomials in the symbols (a, b, c, t)
     a, b, c, t = (Poly.var(4, i) for i in range(4))
     assert B[0] == a
     assert B[1] == t * a - b
@@ -111,6 +112,28 @@ def test_halfspace_symbolic_operator_table():
     assert B[3] == 4 * t**3 * a - 6 * t**2 * b + 6 * t * c
     assert B[4] == 8 * t**4 * a - 8 * t**3 * b
     assert B[5] == Q(8, 3) * t**5 * a
+
+
+def test_curvature_record_is_built_once_per_geometry(monkeypatch):
+    """Repeated apply_B on Poly fields reads the curvature inputs and the
+    coefficient scalars of each geometry from one memo."""
+    import gjms6.boundary as boundary
+
+    calls = []
+
+    def counting(n, C):
+        calls.append(n)
+        return coefficient_scalars(n, C)
+
+    monkeypatch.setattr(boundary, "coefficient_scalars", counting)
+    model_coefficients.cache_clear()
+    for geom in (ball(7), ball(9), halfspace(7)):
+        d = geom.n + 1
+        x0, x1, y = Poly.var(d, 0), Poly.var(d, 1), Poly.var(d, d - 1)
+        for u in (x0, x0 * x1, y**3, x0, x0 * x1, y**3):
+            for j in range(6):
+                apply_B(j, geom, u)
+    assert sorted(calls) == [7, 7, 9]
 
 
 def test_halfspace_poly_example():
@@ -225,7 +248,7 @@ def test_separated_stencil_matches_direct_assembly(model):
     rng = random.Random(7)
     for n in (5, 7):
         g = model(n)
-        C = model_curvature_inputs(g)
+        C, scalars = model_coefficients(g)
         for ell in (0, 3, 17, 32):
             lam = sphere_eigenvalue(n, ell)
             for order in (5, 8):
@@ -234,7 +257,7 @@ def test_separated_stencil_matches_direct_assembly(model):
                 ops = SeparatedOps(g, lam, order=max(order, 6))
                 for j in range(6):
                     got = apply_B(j, g, mode)
-                    want = apply_boundary_operator(j, n, C, ops, mode)
+                    want = apply_boundary_operator(j, n, C, ops, mode, scalars)
                     assert got == want and type(got) is type(want), (g.kind, n, ell, order, j)
 
 

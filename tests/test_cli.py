@@ -69,6 +69,7 @@ def test_config_errors(tmp_path, capsys):
 
 @pytest.mark.parametrize("suite,geometry,n", [
     pytest.param("dtn", "ball", "7", id="ball-7"),
+    pytest.param("dtn", "halfspace", "7", id="halfspace-7"),
     pytest.param("dtn", "hyperbolic", "5", id="hyperbolic-5"),
     pytest.param("dtn", "hyperbolic", "7", id="hyperbolic-7"),
     pytest.param("dtn", "hyperbolic", "8", id="hyperbolic-8"),

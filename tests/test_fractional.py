@@ -84,10 +84,10 @@ def test_dtn_verify_all_models():
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_dtn_verify_hemisphere_across_degrees(n):
-    """The residuals stay within the default tolerance up to l = 16 and
+    """The residuals stay within the default tolerance up to l = 22 and
     within the CLI tolerance up to l = 32."""
     for ell in range(33):
-        tol = 1e-8 if ell <= 16 else 1e-6
+        tol = 1e-8 if ell <= 22 else 1e-6
         recs = dtn_verify(hemisphere(n), n, ell, tol=tol)
         assert all(r.passed for r in recs), (n, ell, [r.residual for r in recs])
 

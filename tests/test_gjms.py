@@ -28,6 +28,20 @@ def test_flat_triharmonic_examples():
     assert apply_L6(g, radial_sq(6) ** 3) == Poly.const(6, -23040)
 
 
+def test_halfspace_modes_are_triharmonic():
+    """L6 kills e^(-t y)(a + b y + c y^2) in every dimension.  L6 of such a
+    mode is e^(-t y) q(y) with deg q <= 2, so a zero jet to order 2 means q
+    is zero: the check on the order-8 jet (order 2 after six derivatives) is
+    exact, not truncated."""
+    from gjms6.solver import halfspace_symbolic_mode
+
+    u = halfspace_symbolic_mode()
+    for n in (5, 7, 9):
+        out = apply_L6(halfspace(n), u)
+        assert isinstance(out, SeparatedMode) and out.profile.ord == 2
+        assert all(c == 0 for c in out.profile.coeffs), n
+
+
 def test_hemisphere_constant():
     assert apply_L6(hemisphere(7), Q(1)) == 720
     shifts = factorization_shifts(7)

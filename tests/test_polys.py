@@ -1,4 +1,4 @@
-"""Exact polynomial calculus: derivatives, moments, half-space modes."""
+"""Exact polynomial calculus: derivatives, moments, sphere reduction."""
 
 import random
 from fractions import Fraction as Q
@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gjms6.polys import (
-    ExpPolyMode,
     MomentScalar,
     Poly,
     ball_integral,
     laplacian,
-    mode_apply,
     random_poly,
     reduce_mod_sphere,
     sphere_integral,
@@ -89,26 +87,6 @@ def test_moment_unit_discipline():
     b = ball_integral(Poly.const(6, 1))
     with pytest.raises(ValueError):
         _ = a + b  # different sphere dimensions
-
-
-def test_mode_apply_examples():
-    d = 2  # (t, y)
-    t, y = Poly.var(d, 0), Poly.var(d, 1)
-    one = Poly.const(d, 1)
-    assert mode_apply("lap", ExpPolyMode(one)).iszero()
-    dy = mode_apply("d/dy", ExpPolyMode(y))
-    assert dy.profile == one - t * y
-    lap_y2 = mode_apply("lap", ExpPolyMode(y**2))
-    assert lap_y2.profile == Poly.const(d, 2) - 4 * t * y
-
-
-def test_triple_laplacian_annihilates_quadratic_profiles():
-    d = 2
-    t, y = Poly.var(d, 0), Poly.var(d, 1)
-    for profile in (Poly.const(d, 1), y, y**2, 3 * y**2 - 2 * y + 5):
-        m = ExpPolyMode(profile)
-        out = m.lap().lap().lap()
-        assert out.iszero()
 
 
 def test_reduce_mod_sphere():

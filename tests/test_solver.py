@@ -217,11 +217,28 @@ def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
     assert hemisphere_factor_solve.cache_info().misses == 3
 
 
-def test_hemisphere_mode_solve_applies_mode_guard_after_warm_solve():
+def test_hemisphere_mode_solve_applies_mode_guard_after_warm_solve(monkeypatch):
+    import gjms6.solver as solver
+
     data = BoundaryTriple(Q(1), Q(0), Q(0))
     hemisphere_mode_solve(7, 3, data)
+    monkeypatch.setattr(solver, "COND_GUARD", 1.0)
     with pytest.raises(DegenerateModeError, match="mode matrix condition"):
-        hemisphere_mode_solve(7, 3, data, cond_guard=1.0)
+        hemisphere_mode_solve(7, 3, data)
+
+
+def test_every_float_system_is_guarded(monkeypatch):
+    """The one solve checks every float Dirichlet system against
+    COND_GUARD; exact systems are solved exactly and carry no guard."""
+    import gjms6.solver as solver
+
+    floats = BoundaryTriple(0.2, 0.5, 0.3)
+    exact = BoundaryTriple(Q(2), Q(-1), Q(3))
+    monkeypatch.setattr(solver, "COND_GUARD", 1.0)
+    for solve in (lambda d: halfspace_solve(Q(3, 2), d), lambda d: ball_mode_solve(7, 3, d)):
+        with pytest.raises(DegenerateModeError, match="mode matrix condition"):
+            solve(floats)
+        assert solve(exact).exact
 
 
 def test_hemisphere_paths_load_neither_scipy_nor_mpmath():
