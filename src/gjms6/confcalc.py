@@ -43,7 +43,7 @@ class DualPoly:
         self.b = b
 
     def _co(self, other):
-        if isinstance(other, DualPoly):
+        if type(other) is DualPoly:
             return other
         if isinstance(other, (int, Fraction)):
             d = self.a.d
@@ -67,9 +67,9 @@ class DualPoly:
         return DualPoly(-self.a, -self.b)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return DualPoly(self.a * other, self.b * other)
-        if not isinstance(other, DualPoly):
+        if type(other) is not DualPoly:
+            if isinstance(other, (int, Fraction)):
+                return DualPoly(self.a * other, self.b * other)
             return NotImplemented
         return DualPoly(self.a * other.a, self.a * other.b + self.b * other.a)
 
@@ -93,6 +93,7 @@ class DualKit:
             raise ValueError("sigma must be an ambient polynomial in n+1 variables")
         self.n = n
         self.sigma = sigma
+        self.sigma0 = sigma.drop_last()
 
     def sigma_elem(self):
         return DualPoly(Poly.zero(self.n + 1), self.sigma)
@@ -101,8 +102,7 @@ class DualKit:
         return DualPoly(Poly.const(self.n + 1, 1), Q(m) * self.sigma)
 
     def exp_boundary(self, m):
-        s0 = self.sigma.drop_last()
-        return DualPoly(Poly.const(self.n, 1), Q(m) * s0)
+        return DualPoly(Poly.const(self.n, 1), Q(m) * self.sigma0)
 
     def zero_boundary(self):
         return DualPoly(Poly.zero(self.n), Poly.zero(self.n))
@@ -350,6 +350,16 @@ class ConformallyFlat:
             out = -self.si[k] if out is None else out - self.si[k]
         return out
 
+    def hess_entry(self, Fi, i, j):
+        """Covariant Hessian component (i, j) from the gradient components
+        ``Fi`` of the function."""
+        h = Fi[i].diff(j)
+        for k in range(self.dim):
+            g = self.gamma(k, i, j)
+            if g is not None:
+                h = h - g * Fi[k]
+        return h
+
     def hess(self, F):
         """Covariant Hessian components (lower indices)."""
         dim = self.dim
@@ -357,13 +367,7 @@ class ConformallyFlat:
         out = [[None] * dim for _ in range(dim)]
         for i in range(dim):
             for j in range(i, dim):
-                h = Fi[i].diff(j)
-                for k in range(dim):
-                    g = self.gamma(k, i, j)
-                    if g is not None:
-                        h = h - g * Fi[k]
-                out[i][j] = h
-                out[j][i] = h
+                out[i][j] = out[j][i] = self.hess_entry(Fi, i, j)
         return out
 
     def div(self, alpha):
@@ -401,10 +405,12 @@ class HalfspaceConformalEngine(BoundaryOps):
     """Boundary operators of e^(2s) * flat on the upper half space.
 
     The instance is both the primitive-operation kit and the holder of the
-    curvature record; create it once per conformal exponent and reuse across
-    fields and operator orders.  The flat operators on the right-hand side
-    of a covariance residual are ``apply_B`` on the half space, whose kit
-    acts on the same coefficient rings.
+    curvature record, so one instance serves every field and operator order
+    of its conformal exponent: ``conformal._engine`` memoizes it on
+    (n, sigma, jet order), with order None for the dual-number ring.  The
+    flat operators on the right-hand side of a covariance residual are
+    ``apply_B`` on the half space, whose kit acts on the same coefficient
+    rings.
     """
 
     def __init__(self, kit):
@@ -503,8 +509,9 @@ class HalfspaceConformalEngine(BoundaryOps):
         return self.amb.lap(u)
 
     def hess_nn(self, u):
-        nu = self.nu
-        return self.bdy.exp(-2) * self.amb.hess(u)[nu][nu].drop_last()
+        nu, amb = self.nu, self.amb
+        Fi = [u.diff(i) for i in range(amb.dim)]
+        return self.bdy.exp(-2) * amb.hess_entry(Fi, nu, nu).drop_last()
 
     def lapbar(self, w):
         return self.bdy.lap(w)

@@ -8,6 +8,7 @@ model geometries.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -45,14 +46,24 @@ def _require_halfspace(geom: ModelGeometry):
         raise ValueError("covariance residuals are implemented on the upper half space")
 
 
-def _covariance_difference(j: int, kit, u: Poly, geom: ModelGeometry):
+@functools.lru_cache(maxsize=None)
+def _engine(n: int, sigma: Poly, order: int | None) -> HalfspaceConformalEngine:
+    """The engine of e^(2 sigma) * flat on the half space, over dual numbers
+    (``order`` None) or over normal jets of the given order.  It depends on
+    neither the operator order j nor the field u, so it is built once per
+    (n, sigma, ring) and shared, curvature record included, by every
+    residual of that probe."""
+    kit = DualKit(n, sigma) if order is None else JetCtx(n, sigma, order)
+    return HalfspaceConformalEngine(kit)
+
+
+def _covariance_difference(j: int, engine: HalfspaceConformalEngine, u: Poly, geom: ModelGeometry):
     """B_j[e^(2s) g](u) - e^(-(n+2j-5)/2 s) B_j[g](e^((n-5)/2 s) u) over the
-    coefficient ring of ``kit``; the flat side is ``apply_B`` on ``geom``."""
-    n = geom.n
-    lhs = HalfspaceConformalEngine(kit).boundary_operator(j, kit.embed(u))
-    return lhs - kit.exp_boundary(-Q(n + 2 * j - 5, 2)) * apply_B(
-        j, geom, kit.exp_ambient(Q(n - 5, 2)) * kit.embed(u)
-    )
+    coefficient ring of ``engine``; the flat side is ``apply_B`` on ``geom``."""
+    n, kit = geom.n, engine.kit
+    v = kit.embed(u)
+    lhs = engine.boundary_operator(j, v)
+    return lhs - kit.exp_boundary(-Q(n + 2 * j - 5, 2)) * apply_B(j, geom, kit.exp_ambient(Q(n - 5, 2)) * v)
 
 
 def infinitesimal_covariance_residual(j: int, probe: VariationProbe, u: Poly, geom: ModelGeometry) -> Poly:
@@ -64,7 +75,7 @@ def infinitesimal_covariance_residual(j: int, probe: VariationProbe, u: Poly, ge
     with exact dual-number arithmetic.
     """
     _require_halfspace(geom)
-    res = _covariance_difference(j, DualKit(geom.n, probe.sigma), u, geom)
+    res = _covariance_difference(j, _engine(geom.n, probe.sigma, None), u, geom)
     if not res.a.iszero():
         raise AssertionError("zeroth-order part of a covariance residual must vanish")
     return res.b
@@ -81,7 +92,7 @@ def finite_covariance_residual(j: int, sigma: Poly, u: Poly, geom: ModelGeometry
     _require_halfspace(geom)
     if order < j + 1:
         raise ValueError("jet truncation order must exceed the operator's normal order")
-    return _covariance_difference(j, JetCtx(geom.n, sigma, order), u, geom)
+    return _covariance_difference(j, _engine(geom.n, sigma, order), u, geom)
 
 
 def critical_T_shift(j: int, sigma: Poly, geom: ModelGeometry):
@@ -94,8 +105,9 @@ def critical_T_shift(j: int, sigma: Poly, geom: ModelGeometry):
         raise ValueError("the coefficient shift law is a critical-dimension (n = 5) statement")
     if not 1 <= j <= 5:
         raise ValueError("the shift law concerns j in 1..5")
-    ctx = JetCtx(n, sigma, SHIFT_JET_ORDER)
-    lhs = ctx.exp_boundary(j) * HalfspaceConformalEngine(ctx).t_scalar(j)
+    engine = _engine(n, sigma, SHIFT_JET_ORDER)
+    ctx = engine.kit
+    lhs = ctx.exp_boundary(j) * engine.t_scalar(j)
     bj_sigma = apply_B(j, geom, sigma)  # flat T_j vanishes on the half space
     return lhs - ctx.embed_boundary(bj_sigma)
 

@@ -2,15 +2,18 @@
 
 Sparse multivariate polynomials over ``fractions.Fraction`` and exact moment
 integration over unit spheres and balls.  Everything in this module is pure
-value arithmetic; results are exact.  Single-frequency modes on the flat half
-space are separated modes (``reps.SeparatedMode``) with Poly jet
-coefficients, not a field type of their own.
+value arithmetic; results are exact.  A ``Poly`` result may share a zero
+operand: ``p + 0`` is ``p`` and ``p * 0`` is that zero, so no code may
+mutate a polynomial.  Single-frequency modes on the flat half space are
+separated modes (``reps.SeparatedMode``) with Poly jet coefficients, not a
+field type of their own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add as _add
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -28,7 +31,8 @@ class Poly:
     """Sparse polynomial in ``d`` variables with Fraction coefficients.
 
     ``terms`` maps exponent tuples of length ``d`` to nonzero coefficients.
-    Instances are immutable by convention; all operations return new objects.
+    Instances are immutable: a result may be one of its operands, so
+    nothing may write to ``terms``.
     """
 
     __slots__ = ("d", "terms")
@@ -64,47 +68,78 @@ class Poly:
 
     # -- ring operations ----------------------------------------------
     def __add__(self, other):
-        other = self._as_poly(other)
+        if type(other) is not Poly:
+            other = self._as_poly(other)
+            if other is NotImplemented:
+                return NotImplemented
+        elif other.d != self.d:
+            raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         t = dict(self.terms)
+        get = t.get
         for e, c in other.terms.items():
-            s = t.get(e, Q(0)) + c
-            if s:
-                t[e] = s
+            s = get(e)
+            if s is None:
+                t[e] = c
             else:
-                t.pop(e, None)
-        return Poly(self.d, t)
+                s += c
+                if s:
+                    t[e] = s
+                else:
+                    del t[e]
+        return _unchecked(self.d, t)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._as_poly(other))
+        other = self._as_poly(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return self._as_poly(other) + (-self)
 
     def __neg__(self):
-        return Poly(self.d, {e: -c for e, c in self.terms.items()})
+        if not self.terms:
+            return self
+        return _unchecked(self.d, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Poly:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            if not self.terms:
+                return self
             c = _coeff(other)
             if not c:
-                return Poly(self.d)
-            return Poly(self.d, {e: c * v for e, v in self.terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
+                return _unchecked(self.d, {})
+            return _unchecked(self.d, {e: c * v for e, v in self.terms.items()})
         if other.d != self.d:
             raise ValueError(f"dimension mismatch: {self.d} vs {other.d}")
+        if not self.terms:
+            return self
+        if not other.terms:
+            return other
         t: dict = {}
+        get = t.get
+        b = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = t.get(e, Q(0)) + c1 * c2
-                if s:
-                    t[e] = s
+            for e2, c2 in b:
+                e = tuple(map(_add, e1, e2))
+                s = get(e)
+                if s is None:
+                    t[e] = c1 * c2
                 else:
-                    t.pop(e, None)
-        return Poly(self.d, t)
+                    s += c1 * c2
+                    if s:
+                        t[e] = s
+                    else:
+                        del t[e]
+        return _unchecked(self.d, t)
 
     __rmul__ = __mul__
 
@@ -131,23 +166,24 @@ class Poly:
 
     # -- calculus ------------------------------------------------------
     def diff(self, i: int) -> "Poly":
+        if not self.terms:
+            return self
         t = {}
         for e, c in self.terms.items():
-            if e[i]:
-                e2 = list(e)
-                e2[i] -= 1
-                t[tuple(e2)] = c * e[i]
-        return Poly(self.d, t)
+            k = e[i]
+            if k:
+                t[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return _unchecked(self.d, t)
 
     def drop_last(self) -> "Poly":
         """Restrict to the hyperplane where the last variable is 0."""
         t = {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0}
-        return Poly(self.d - 1, t)
+        return _unchecked(self.d - 1, t)
 
     def lift(self, d: int) -> "Poly":
         """Embed into ``d`` variables by appending zero exponents."""
         pad = (0,) * (d - self.d)
-        return Poly(d, {e + pad: c for e, c in self.terms.items()})
+        return _unchecked(d, {e + pad: c for e, c in self.terms.items()})
 
     # -- queries --------------------------------------------------------
     def iszero(self) -> bool:
@@ -172,6 +208,15 @@ class Poly:
             mono = "*".join(f"x{i}^{p}" if p > 1 else f"x{i}" for i, p in enumerate(e) if p)
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
+
+
+def _unchecked(d: int, terms: dict) -> Poly:
+    """A Poly wrapping ``terms`` as they are: for results whose coefficients
+    are known to be nonzero; the dict is handed over, not copied."""
+    p = object.__new__(Poly)
+    p.d = d
+    p.terms = terms
+    return p
 
 
 def random_poly(rng, d: int, deg: int, nterms: int, maxc: int = 3) -> Poly:

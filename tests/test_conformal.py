@@ -6,9 +6,10 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from gjms6 import confcalc
+from gjms6 import confcalc, conformal
 from gjms6.boundary import apply_B
-from gjms6.confcalc import DualPoly, JetCtx
+from gjms6.cli import main
+from gjms6.confcalc import DualKit, DualPoly, JetCtx
 from gjms6.conformal import (
     VariationProbe,
     cayley_transport_function,
@@ -147,9 +148,10 @@ def test_flat_side_acts_componentwise(n):
         assert not (dual.a.iszero() or dual.b.iszero() or flat.iszero())
 
 
-def test_each_residual_builds_one_engine(monkeypatch):
-    """The flat side of a residual is apply_B, so each residual builds only
-    the engine of the conformal metric."""
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Arguments of every HalfspaceConformalEngine build from here on,
+    starting from a cold engine memo."""
     builds = []
     init = confcalc.HalfspaceConformalEngine.__init__
 
@@ -158,6 +160,20 @@ def test_each_residual_builds_one_engine(monkeypatch):
         init(self, *args, **kw)
 
     monkeypatch.setattr(confcalc.HalfspaceConformalEngine, "__init__", counting)
+    conformal._engine.cache_clear()
+    return builds
+
+
+def _value(x):
+    """Comparable content of a boundary element over dual numbers or jets."""
+    if isinstance(x, DualPoly):
+        return x.a, x.b
+    return x.wmap
+
+
+def test_each_residual_builds_one_engine(engine_builds):
+    """The flat side of a residual is apply_B, so each residual builds only
+    the engine of the conformal metric."""
     n, d = 5, 6
     g = halfspace(n)
     x0, y = Poly.var(d, 0), Poly.var(d, d - 1)
@@ -167,9 +183,88 @@ def test_each_residual_builds_one_engine(monkeypatch):
         lambda: critical_T_shift(2, y * y, g),
     )
     for call in calls:
-        builds.clear()
+        engine_builds.clear()
         assert call().iszero()
-        assert len(builds) == 1
+        assert len(engine_builds) == 1
+
+
+def test_engine_memo_is_keyed_on_the_ring(engine_builds):
+    """One engine per (n, sigma, ring): the dual ring and jets of orders 6
+    and 7 each get their own, and a shared engine answers every operator
+    order and field exactly as a freshly built one does."""
+    n, d = 5, 6
+    g = halfspace(n)
+    x0, x1, y = Poly.var(d, 0), Poly.var(d, 1), Poly.var(d, d - 1)
+    sigma = x0 * y + x1 * y * y
+    fields = (x1 * x1 * y + x0, x0 * x1 * y * y)
+    rings = (None, 6, 7)
+
+    def operators(order, u):
+        eng = conformal._engine(n, sigma, order)
+        return [_value(eng.boundary_operator(j, eng.kit.embed(u))) for j in range(6)]
+
+    warm = {(order, k): operators(order, u) for k, u in enumerate(fields) for order in rings}
+    assert len(engine_builds) == len(rings)
+    assert isinstance(conformal._engine(n, sigma, None).kit, DualKit)
+    assert [conformal._engine(n, sigma, o).kit.order for o in (6, 7)] == [6, 7]
+    for (order, k), want in warm.items():
+        conformal._engine.cache_clear()
+        assert operators(order, fields[k]) == want
+    for u in fields:
+        for j in range(6):
+            assert infinitesimal_covariance_residual(j, VariationProbe(sigma), u, g).iszero()
+            for order in (6, 7):
+                assert finite_covariance_residual(j, sigma, u, g, order=order).iszero()
+
+
+def test_critical_shift_shares_the_finite_engine(engine_builds):
+    d = 6
+    g = halfspace(5)
+    x0, y = Poly.var(d, 0), Poly.var(d, d - 1)
+    sigma, u = x0 * y + y * y, x0 * x0 * y
+    for j in range(6):
+        assert finite_covariance_residual(j, sigma, u, g, order=6).iszero()
+    for j in range(1, 6):
+        assert critical_T_shift(j, sigma, g).iszero()
+    assert len(engine_builds) == 1
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_cli_covariance_builds_one_engine_per_probe(engine_builds, tmp_path, seed):
+    """``gjms6 covariance --n 5`` builds one engine per distinct (sigma,
+    ring): its probes, replayed in the CLI's draw order, are 12
+    infinitesimal (dual ring), 3 finite and 3 critical-shift probes (both
+    order-6 jets)."""
+    rng = random.Random(seed)
+    d = 6
+    keys = set()
+    for ring, count, draw in ((None, 12, (3, 2)), (6, 3, (2, 2, 2))):
+        for _ in range(count):
+            keys.add((random_poly(rng, d, *draw), ring))
+            random_poly(rng, d, *draw)  # the field u
+    for _ in range(3):
+        keys.add((random_poly(rng, d, 2, 2, 2), 6))
+    assert main(["covariance", "--n", "5", "--seed", str(seed), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(engine_builds) == len(keys)
+    assert conformal._engine.cache_info().currsize == len(keys)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_hess_nn_is_the_normal_entry_of_the_hessian(n):
+    """``hess_nn`` builds one Hessian entry; it equals the (nu, nu) entry of
+    the full covariant Hessian over both coefficient rings."""
+    rng = random.Random(40 + n)
+    d = n + 1
+    x0, x1, y = Poly.var(d, 0), Poly.var(d, 1), Poly.var(d, d - 1)
+    sigma = random_poly(rng, d, 2, 3, 2) + x0 * y
+    u = random_poly(rng, d, 3, 3) + x1 * y * y + x0 * x0 * y
+    for kit in (DualKit(n, sigma), JetCtx(n, sigma, 6)):
+        eng = confcalc.HalfspaceConformalEngine(kit)
+        v = kit.embed(u)
+        nu = eng.nu
+        got = eng.hess_nn(v)
+        assert _value(got) == _value(eng.bdy.exp(-2) * eng.amb.hess(v)[nu][nu].drop_last())
+        assert not got.iszero()
 
 
 def test_critical_shift_examples():

@@ -115,3 +115,55 @@ def test_random_reduce_consistency():
             e = tuple(rng.randint(0, 3) for _ in range(d))
             p = p + Poly.monomial(d, e, rng.randint(-3, 3))
         assert (sphere_integral(p) - sphere_integral(reduce_mod_sphere(p))).iszero()
+
+
+def _ref_add(a: dict, b: dict, sign=1) -> dict:
+    t = dict(a)
+    for e, c in b.items():
+        t[e] = t.get(e, 0) + sign * c
+    return {e: c for e, c in t.items() if c}
+
+
+def _ref_mul(a: dict, b: dict) -> dict:
+    t: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            t[e] = t.get(e, 0) + c1 * c2
+    return {e: c for e, c in t.items() if c}
+
+
+def _ref_diff(a: dict, i: int) -> dict:
+    return {e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in a.items() if e[i]}
+
+
+zero_or_sparse = st.one_of(st.just(Poly.zero(4)), sparse_polys(d=4, deg=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_or_sparse, zero_or_sparse,
+       st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5).filter(lambda q: abs(q) < 4)),
+       st.integers(0, 3))
+def test_zero_sharing_arithmetic_matches_dict_arithmetic(p, q, c, i):
+    """The zero-aware kernel gives the plain dict results, holds no zero
+    coefficient, may return a zero operand itself, and changes no operand."""
+    before = [dict(p.terms), dict(q.terms)]
+    cases = [
+        (p + q, _ref_add(p.terms, q.terms)),
+        (p - q, _ref_add(p.terms, q.terms, -1)),
+        (p * q, _ref_mul(p.terms, q.terms)),
+        (c * p, {e: c * v for e, v in p.terms.items() if c}),
+        (p * c, {e: c * v for e, v in p.terms.items() if c}),
+        (-p, {e: -v for e, v in p.terms.items()}),
+        (p.diff(i), _ref_diff(p.terms, i)),
+    ]
+    for got, want in cases:
+        assert isinstance(got, Poly) and got.d == p.d
+        assert got.terms == want
+        assert all(got.terms.values())
+    if q.iszero():
+        assert p + q is p and p - q is p
+    zeros = [z for z in (p, q) if z.iszero()]
+    if zeros:
+        assert any(p * q is z for z in zeros) and any(q * p is z for z in zeros)
+    assert [p.terms, q.terms] == before
