@@ -149,13 +149,13 @@ class WxPoly:
         return self._co(other) + (-self)
 
     def __neg__(self):
-        return WxPoly(self.ctx, {w: -p for w, p in self.wmap.items()})
+        return _wx(self.ctx, {w: -p for w, p in self.wmap.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return WxPoly(self.ctx, {w: p * other for w, p in self.wmap.items()})
-        if isinstance(other, Poly):
-            return WxPoly(self.ctx, {w: p * other for w, p in self.wmap.items()})
+        if isinstance(other, (int, Fraction, Poly)):
+            if other == 0:
+                return self.ctx.zero_boundary()
+            return _wx(self.ctx, {w: p * other for w, p in self.wmap.items()})
         if not isinstance(other, WxPoly):
             return NotImplemented
         out: dict = {}
@@ -175,11 +175,20 @@ class WxPoly:
         for w, p in self.wmap.items():
             q = p.diff(i) + (w * s0i) * p
             if not q.iszero():
-                out[w] = out.get(w, Poly.zero(self.ctx.n)) + q
-        return WxPoly(self.ctx, out)
+                out[w] = q
+        return _wx(self.ctx, out)
 
     def iszero(self) -> bool:
         return all(p.iszero() for p in self.wmap.values())
+
+
+def _wx(ctx: "JetCtx", wmap: dict) -> WxPoly:
+    """A WxPoly wrapping ``wmap`` as it is: for results known to hold no zero
+    weight polynomial; the dict is handed over, not copied."""
+    x = object.__new__(WxPoly)
+    x.ctx = ctx
+    x.wmap = wmap
+    return x
 
 
 class Jet:

@@ -4,12 +4,16 @@ Sparse multivariate polynomials over ``fractions.Fraction`` and exact moment
 integration over unit spheres and balls.  Everything in this module is pure
 value arithmetic; results are exact.  A ``Poly`` result may share a zero
 operand: ``p + 0`` is ``p`` and ``p * 0`` is that zero, so no code may
-mutate a polynomial.  Single-frequency modes on the flat half space are
-separated modes (``reps.SeparatedMode``) with Poly jet coefficients, not a
-field type of their own.
+mutate a polynomial.  The Euler operator, the Laplacian and the reduction
+modulo the unit sphere are one pass over the terms each, in closed form; the
+powers (1 - |x'|^2)^k that the reduction substitutes for x_last^(2k) are
+memoized per (d, k) and shared by every caller.  Single-frequency modes on
+the flat half space are separated modes (``reps.SeparatedMode``) with Poly
+jet coefficients, not a field type of their own.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -245,19 +249,35 @@ def sum_all(items):
 
 
 def laplacian(p: Poly) -> Poly:
-    """Flat Laplacian sum of second partials in all variables of ``p``."""
-    out = Poly.zero(p.d)
-    for i in range(p.d):
-        out = out + p.diff(i).diff(i)
-    return out
+    """Flat Laplacian sum of second partials in all variables of ``p``:
+    x^e contributes e_i (e_i - 1) x^(e - 2 e_i) for each variable i."""
+    t: dict = {}
+    get = t.get
+    for e, c in p.terms.items():
+        for i, k in enumerate(e):
+            if k > 1:
+                f = e[:i] + (k - 2,) + e[i + 1:]
+                v = c * (k * (k - 1))
+                s = get(f)
+                t[f] = v if s is None else s + v
+    return _unchecked(p.d, {f: c for f, c in t.items() if c})
+
+
+def degree_weighted(p: Poly, weight) -> Poly:
+    """sum_k weight(k) p_k over the homogeneous pieces p_k of ``p``, for an
+    integer or rational ``weight``; pieces of weight 0 drop out."""
+    t = {}
+    for e, c in p.terms.items():
+        w = weight(sum(e))
+        if w:
+            t[e] = c * w
+    return _unchecked(p.d, t)
 
 
 def euler_op(p: Poly) -> Poly:
-    """Euler operator sum x_i d/dx_i, i.e. r d/dr on homogeneous pieces."""
-    out = Poly.zero(p.d)
-    for i in range(p.d):
-        out = out + Poly.var(p.d, i) * p.diff(i)
-    return out
+    """Euler operator sum x_i d/dx_i, i.e. r d/dr on homogeneous pieces:
+    x^e is an eigenfunction with eigenvalue |e|."""
+    return _unchecked(p.d, {e: c * k for e, c in p.terms.items() if (k := sum(e))})
 
 
 def grad_dot(p: Poly, q: Poly) -> Poly:
@@ -265,6 +285,17 @@ def grad_dot(p: Poly, q: Poly) -> Poly:
     for i in range(p.d):
         out = out + p.diff(i) * q.diff(i)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_relation_power(d: int, k: int) -> Poly:
+    """(1 - x_0^2 - ... - x_(d-2)^2)^k, the power of x_last^2 on the unit
+    sphere in R^d.  Memoized on (d, k), so callers share it and must not
+    mutate it."""
+    if k == 0:
+        return Poly.const(d, 1)
+    base = Poly.const(d, 1) - sum((Poly.var(d, i, 2) for i in range(d - 1)), Poly.zero(d))
+    return sphere_relation_power(d, k - 1) * base
 
 
 def reduce_mod_sphere(p: Poly) -> Poly:
@@ -275,27 +306,22 @@ def reduce_mod_sphere(p: Poly) -> Poly:
     polynomial of degree <= 1 in the last variable.
     """
     d = p.d
-    s = Poly.zero(d)
-    for i in range(d - 1):
-        s = s + Poly.var(d, i, 2)
-    one_minus_s = Poly.const(d, 1) - s
-    out = Poly.zero(d)
-    cache: dict[int, Poly] = {0: Poly.const(d, 1)}
-
-    def oms_pow(k: int) -> Poly:
-        if k not in cache:
-            cache[k] = oms_pow(k - 1) * one_minus_s
-        return cache[k]
-
+    t: dict = {}
+    get = t.get
     for e, c in p.terms.items():
         k, r = divmod(e[-1], 2)
         if k == 0:
-            out = out + Poly(d, {e: c})
-        else:
-            base = list(e)
-            base[-1] = r
-            out = out + Poly(d, {tuple(base): c}) * oms_pow(k)
-    return out
+            s = get(e)
+            t[e] = c if s is None else s + c
+            continue
+        head = e[:-1]
+        for f, a in sphere_relation_power(d, k).terms.items():
+            # map stops after head's d - 1 entries; f's last exponent is 0
+            g = (*map(_add, head, f), r)
+            v = c * a
+            s = get(g)
+            t[g] = v if s is None else s + v
+    return _unchecked(d, {e: c for e, c in t.items() if c})
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from fractions import Fraction
 from .boundary import BoundaryOps
 from .fractional import sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry
-from .polys import Poly, euler_op, laplacian, reduce_mod_sphere, sum_all
+from .polys import Poly, degree_weighted, euler_op, laplacian, reduce_mod_sphere, sum_all
 from .series import Series, sec2_series, series_inverse, tan_series
 
 Q = Fraction
@@ -223,7 +223,13 @@ class HalfspacePolyOps(BoundaryOps):
 
 class BallPolyOps(BoundaryOps):
     """Polynomials on the flat unit ball; boundary functions are ambient
-    polynomials reduced modulo the unit-sphere relation."""
+    polynomials reduced modulo the unit-sphere relation.
+
+    A homogeneous piece u_k of degree k is an eigenfunction of the Euler
+    operator r d/dr with eigenvalue k, so the normal derivatives at r = 1 are
+    degree weights: hess_nn u = sum_k k(k-1) u_k, and the boundary Laplacian
+    is lap w - sum_k k(k+n-1) w_k, each one pass before the reduction.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -241,12 +247,11 @@ class BallPolyOps(BoundaryOps):
         return laplacian(u)
 
     def hess_nn(self, u: Poly) -> Poly:
-        e = euler_op(u)
-        return reduce_mod_sphere(euler_op(e) - e)
+        return reduce_mod_sphere(degree_weighted(u, lambda k: k * (k - 1)))
 
     def lapbar(self, w: Poly) -> Poly:
-        e = euler_op(w)
-        return reduce_mod_sphere(laplacian(w) - euler_op(e) - (self.n - 1) * e)
+        n = self.n
+        return reduce_mod_sphere(laplacian(w) + degree_weighted(w, lambda k: -k * (k + n - 1)))
 
     def divPbar(self, w: Poly) -> Poly:
         return Q(1, 2) * self.lapbar(w)

@@ -17,8 +17,8 @@ The collar table ``reps.collar_coefficients`` is read by the stencil, the
 hemisphere factor jets (``HemisphereFactor.chi_series``), the geodesic Poisson
 branches (``poisson_branch_series``) and geodesic L6
 (``gjms.hyperbolic_shifted_factor``).  Data that depend on (n, l) alone are
-built once: the ball Dirichlet matrix and each hemisphere factor with its
-column of the mode matrix are memoized.
+built once: the ball Dirichlet matrix, each hemisphere factor with its
+column of the mode matrix and each geodesic Poisson branch are memoized.
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
@@ -407,6 +407,7 @@ def hemisphere_factored_residual(prof: HemisphereProfile, thetas) -> float:
 # geodesic compactification of hyperbolic space
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F") -> Series:
     """Normalized branch series of the mode Poisson equation on hyperbolic
     space with round infinity.
@@ -418,7 +419,8 @@ def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F
         lam sum_i B_i c_(k-2-i) - sum_i A_i (a+k-1-i) c_(k-1-i),
     chi(k) = -(a+k)(a+k-n) - s(n-s), so the c_k are solved in one pass; at a
     resonant order (chi(k) = 0) the obstruction is asserted to vanish and the
-    coefficient set to zero.
+    coefficient set to zero.  Memoized on its arguments, so callers share the
+    series and must not mutate it.
     """
     s_param = Q(s_param)
     lam = sphere_eigenvalue(n, ell)

@@ -173,6 +173,22 @@ def test_ball_mode_matches_poly_route():
         assert (poly_val - mode_val * h2_b).iszero()
 
 
+@pytest.mark.parametrize("n", [5, 7])
+def test_ball_poly_ops_degree_weights_match_euler_operator(n):
+    """hess_nn and lapbar by degree weights equal their Euler-operator forms:
+    d^2/dr^2 = E(E - 1) and lapbar = lap - E^2 - (n-1) E at r = 1."""
+    from gjms6.polys import euler_op, laplacian, random_poly, reduce_mod_sphere
+    from gjms6.reps import BallPolyOps
+
+    ops = BallPolyOps(n)
+    rng = random.Random(n)
+    for _ in range(8):
+        u = random_poly(rng, n + 1, 6, 8)
+        e = euler_op(u)
+        assert ops.hess_nn(u) == reduce_mod_sphere(euler_op(e) - e)
+        assert ops.lapbar(u) == reduce_mod_sphere(laplacian(u) - euler_op(e) - (n - 1) * e)
+
+
 def test_hemisphere_closed_forms_symbolically():
     """The generic assembly with hemisphere curvature equals the explicit
     round-hemisphere operator list, as an identity in the normal jet."""

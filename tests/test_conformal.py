@@ -148,6 +148,24 @@ def test_flat_side_acts_componentwise(n):
         assert not (dual.a.iszero() or dual.b.iszero() or flat.iszero())
 
 
+def test_weighted_polys_hold_no_zero_weight():
+    """The unchecked results of WxPoly (negation, nonzero scalar and Poly
+    multiples, diff) and the checked ones (sums, products) hold no zero
+    weight polynomial."""
+    n = 5
+    d = n + 1
+    rng = random.Random(3)
+    ctx = JetCtx(n, random_poly(rng, d, 2, 3) + Poly.var(d, 0), 4)
+    x = ctx.exp_boundary(2) * random_poly(rng, n, 3, 4) + ctx.embed_boundary(random_poly(rng, n, 3, 4))
+    y = ctx.exp_boundary(-1) * random_poly(rng, n, 2, 3)
+    values = [-x, x * Q(-2, 3), x * 0, x * Poly.zero(n), x * random_poly(rng, n, 2, 3),
+              x.diff(0), x.diff(n - 1), x + (-x), x - x + y, x * y, (x + y) * (x - y)]
+    for v in values:
+        assert all(not p.iszero() for p in v.wmap.values())
+    assert (x * 0).iszero() and (x + (-x)).iszero()
+    assert (x * Q(-2, 3)).wmap == {w: Q(-2, 3) * p for w, p in x.wmap.items()}
+
+
 @pytest.fixture
 def engine_builds(monkeypatch):
     """Arguments of every HalfspaceConformalEngine build from here on,

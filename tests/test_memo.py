@@ -1,0 +1,64 @@
+"""Memo purity: every ``functools.lru_cache`` in gjms6 is a pure function of
+its key, so a report is the same whether the memos are warm or cleared."""
+
+import functools
+import importlib
+import pkgutil
+
+import pytest
+
+import gjms6
+from gjms6.cli import main
+
+# the memos of the package when this test was written; new ones are found
+# by the walk below without editing this list
+KNOWN = {
+    "gjms6.boundary.model_coefficients",
+    "gjms6.boundary.separated_stencil",
+    "gjms6.conformal._engine",
+    "gjms6.polys.sphere_relation_power",
+    "gjms6.reps.collar_coefficients",
+    "gjms6.solver._ball_basis",
+    "gjms6.solver.ball_dirichlet_matrix",
+    "gjms6.solver.hemisphere_factor_solve",
+    "gjms6.solver.poisson_branch_series",
+    "gjms6.traces.zonal_grid",
+}
+
+
+def package_memos() -> dict:
+    """Every lru_cache wrapper bound in a gjms6 module namespace or in the
+    attributes of a class defined there, by qualified name of its function."""
+    modules = [importlib.import_module(f"gjms6.{info.name}") for info in pkgutil.iter_modules(gjms6.__path__)]
+    found = {}
+    for mod in [gjms6, *modules]:
+        owners = [vars(mod)] + [vars(v) for v in vars(mod).values()
+                                if isinstance(v, type) and v.__module__.startswith("gjms6")]
+        for ns in owners:
+            for v in ns.values():
+                fn = getattr(v, "__func__", v)  # staticmethod and classmethod
+                if isinstance(fn, functools._lru_cache_wrapper):
+                    found[f"{fn.__module__}.{fn.__qualname__}"] = fn
+    return found
+
+
+def test_walk_finds_every_known_memo():
+    found = set(package_memos())
+    assert KNOWN <= found and len(found) >= 10
+
+
+def clear_all():
+    for fn in package_memos().values():
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [
+    ["symmetry", "--n", "5"],
+    ["dtn", "--geometry", "hyperbolic", "--n", "5", "--lmax", "6"],
+])
+def test_reports_are_the_same_cold_and_warm(argv, tmp_path):
+    clear_all()
+    assert main(argv + ["--out", str(tmp_path / "cold.json")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "warm.json")]) == 0
+    assert any(fn.cache_info().currsize for fn in package_memos().values())
+    assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()

@@ -11,10 +11,12 @@ from gjms6.polys import (
     MomentScalar,
     Poly,
     ball_integral,
+    euler_op,
     laplacian,
     random_poly,
     reduce_mod_sphere,
     sphere_integral,
+    sphere_relation_power,
 )
 
 
@@ -67,8 +69,6 @@ def test_laplacian_commutes_with_boundary_permutations(p, perm):
 @given(sparse_polys(d=4, deg=3), sparse_polys(d=4, deg=3))
 def test_green_identity_on_ball(p, q):
     # int_B (lap p) q - p (lap q) = boundary integral of (dp/dr q - p dq/dr)
-    from gjms6.polys import euler_op
-
     lhs = ball_integral(laplacian(p) * q) - ball_integral(p * laplacian(q))
     rhs = sphere_integral(euler_op(p) * q - p * euler_op(q))
     assert (lhs - rhs).iszero()
@@ -167,3 +167,78 @@ def test_zero_sharing_arithmetic_matches_dict_arithmetic(p, q, c, i):
     if zeros:
         assert any(p * q is z for z in zeros) and any(q * p is z for z in zeros)
     assert [p.terms, q.terms] == before
+
+
+# -- closed-form calculus against its definitions ---------------------------
+
+def _ref_euler(p: Poly) -> Poly:
+    return sum((Poly.var(p.d, i) * p.diff(i) for i in range(p.d)), Poly.zero(p.d))
+
+
+def _ref_laplacian(p: Poly) -> Poly:
+    return sum((p.diff(i).diff(i) for i in range(p.d)), Poly.zero(p.d))
+
+
+def _ref_reduce(p: Poly) -> Poly:
+    """x_last^2 = 1 - |x'|^2 substituted term by term, the power built afresh."""
+    d = p.d
+    rel = Poly.const(d, 1) - sum((Poly.var(d, i, 2) for i in range(d - 1)), Poly.zero(d))
+    out = Poly.zero(d)
+    for e, c in p.terms.items():
+        k, r = divmod(e[-1], 2)
+        out = out + Poly.monomial(d, e[:-1] + (r,), c) * rel**k
+    return out
+
+
+@st.composite
+def cancelling_polys(draw, d):
+    """Zero, a sparse polynomial of degree <= 6, or one plus a multiple of
+    the sphere relation (whose reduction cancels) or a harmonic
+    x_k^a (x_i^2 - x_j^2) (whose Laplacian terms cancel in pairs)."""
+    kind = draw(st.sampled_from(["zero", "sparse", "sphere", "harmonic"]))
+    if kind == "zero":
+        return Poly.zero(d)
+    p = draw(sparse_polys(d=d, deg=6))
+    c = draw(st.integers(1, 3))
+    if kind == "sphere":
+        m = Poly.monomial(d, [draw(st.integers(0, 2)) for _ in range(d)], c)
+        r2 = sum((Poly.var(d, i, 2) for i in range(d)), Poly.zero(d))
+        p = p + m * (r2 - 1)
+    elif kind == "harmonic":
+        i, j, k = draw(st.permutations(list(range(d))))[:3]
+        m = c * Poly.var(d, k, draw(st.integers(0, 3)))
+        p = p + m * (Poly.var(d, i, 2) - Poly.var(d, j, 2))
+    return p
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_closed_form_calculus_matches_definitions(d):
+    @settings(max_examples=40, deadline=None)
+    @given(cancelling_polys(d))
+    def check(p):
+        before = dict(p.terms)
+        for op, ref in ((euler_op, _ref_euler), (laplacian, _ref_laplacian),
+                        (reduce_mod_sphere, _ref_reduce)):
+            got = op(p)
+            assert got.d == d and got == ref(p), op.__name__
+            assert all(got.terms.values()), op.__name__
+            assert p.terms == before
+        first = reduce_mod_sphere(p)
+        # a caller using a memoized power, with results that may alias it
+        for k in range(1, 4):
+            power = sphere_relation_power(d, k)
+            kept = dict(power.terms)
+            assert power + Poly.zero(d) is power
+            assert (power + Poly.var(d, 0)) - power == Poly.var(d, 0)
+            assert -(power * Poly.var(d, 0)) != 0
+            assert power.terms == kept
+        assert reduce_mod_sphere(p) == first
+
+    check()
+
+
+@pytest.mark.parametrize("d", [3, 6, 8])
+def test_sphere_relation_power_is_the_power(d):
+    rel = Poly.const(d, 1) - sum((Poly.var(d, i, 2) for i in range(d - 1)), Poly.zero(d))
+    for k in range(4):
+        assert sphere_relation_power(d, k) == rel**k

@@ -310,6 +310,7 @@ def test_poisson_branches_are_annihilated_by_the_operator():
 
 def test_poisson_branch_series_applies_no_operator(monkeypatch):
     poisson_branch_series(7, 3, Q(6), 8, "F")  # warm the collar table
+    poisson_branch_series.cache_clear()
 
     def refuse(*args):
         raise AssertionError("series arithmetic in the branch recurrence")
@@ -331,3 +332,26 @@ def test_poisson_branch_matches_expansion_coefficients():
             assert F.coeffs[2] == scattering_T2(n, s, "round", ell)
             if 2 * s - n - 4 != 0:
                 assert F.coeffs[4] == scattering_T4(n, s, "round", ell)
+
+
+def test_poisson_branch_memo_keys_every_argument():
+    n, ell = 7, 3
+    poisson_branch_series.cache_clear()
+    keys = [(s, order, which) for s in (Q(6), Q(5)) for order in (6, 8) for which in ("F", "G")]
+    branches = [poisson_branch_series(n, ell, s, order, which) for s, order, which in keys]
+    assert poisson_branch_series.cache_info().currsize == len(keys)
+    for (s, order, which), b in zip(keys, branches):
+        assert b.ord == order
+        assert poisson_branch_series(n, ell, s, order, which) is b
+    assert len({tuple(b.coeffs) for b in branches}) == len(keys)
+
+
+def test_geodesic_solve_is_the_same_cold_and_warm():
+    data = BoundaryTriple(Q(2), Q(-1, 3), Q(5, 7))
+    for ell in range(7):
+        poisson_branch_series.cache_clear()
+        cold = geodesic_mode_solve(7, ell, data)
+        warm = geodesic_mode_solve(7, ell, data)
+        assert cold.exact and warm.exact
+        assert cold.profile.profile.coeffs == warm.profile.profile.coeffs
+        assert all(type(c) is Q for c in warm.profile.profile.coeffs)
