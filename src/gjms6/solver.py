@@ -19,6 +19,10 @@ branches (``poisson_branch_series``) and geodesic L6
 (``gjms.hyperbolic_shifted_factor``).  Data that depend on (n, l) alone are
 built once: the ball Dirichlet matrix, each hemisphere factor with its
 column of the mode matrix and each geodesic Poisson branch are memoized.
+The interior pairings of ``traces`` evaluate the three hemisphere factor
+kernels on their quadrature nodes once per (n, l, nodes) and superpose the
+unit profiles of that degree from those values
+(``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
@@ -328,12 +332,14 @@ class HemisphereProfile:
             total = s if total is None else total + s
         return SeparatedMode(self.n, lam, total)
 
-    def chi_dchi_lapchi_dlapchi(self, theta):
-        """chi, chi', Delta-profile, (Delta-profile)' on a grid; the factor
-        relation Delta chi_i = shift_i chi_i avoids high derivatives."""
+    def chi_dchi_lapchi_dlapchi(self, factor_values):
+        """chi, chi', Delta-profile, (Delta-profile)' on a grid, superposed
+        from ``factor_values``, the ``chi_and_dchi`` of each factor on that
+        grid in the order of ``factors``; profiles of one degree share the
+        factors, so their values are evaluated once for all of them.  The
+        factor relation Delta chi_i = shift_i chi_i avoids high derivatives."""
         chi = dchi = lap = dlap = 0.0
-        for fac, al in zip(self.factors, self.alphas):
-            c, dc = fac.chi_and_dchi(theta)
+        for fac, al, (c, dc) in zip(self.factors, self.alphas, factor_values):
             chi = chi + al * c
             dchi = dchi + al * dc
             lap = lap + al * float(fac.shift) * c

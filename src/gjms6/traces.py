@@ -4,10 +4,14 @@ Evaluates both sides of the six trace-inequality statements (three
 subcritical, three critical Lebedev-Milin type) for zonal boundary data,
 including every displayed boundary cross term.  Boundary functions are
 expanded in Gegenbauer zonal series; interior energies reduce per harmonic
-degree to exact radial integrals (ball) or Gauss-Legendre quadrature
-(hemisphere); flat half-space data are transported to the ball through
-stereographic projection, under which both sides of the statements are
-invariant.
+degree to a quadratic form in the three Dirichlet slots, whose 3x3 Gram
+matrix of unit-extension pairings comes from exact radial integrals (ball) or
+Gauss-Legendre quadrature (hemisphere).  The Gram matrices are memoized:
+``ball_interior_gram`` on (n, l) and ``hemisphere_interior_gram`` on
+(n, l, critical, grid_size), so every check after the first at a degree
+reads nine floats instead of solving three unit modes.  Flat half-space data
+are transported to the ball through stereographic projection, under which
+both sides of the statements are invariant, and share the ball entries.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ import numpy as np
 
 from .conformal import round_bubble_center
 from .fractional import DTN_IDENTITIES, gamma_ratio, round_multiplier, sphere_eigenvalue
-from .geometry import GeometryKind, ModelGeometry
+from .geometry import GeometryKind, ModelGeometry, ball, hemisphere
 from .polys import vol_sphere
 from .reps import radial_pair_integral
 from .solver import BoundaryTriple, mode_solve
@@ -122,18 +126,19 @@ class ZonalGrid:
     def lp_norm(self, fvals: np.ndarray, p: float) -> float:
         return self.integral(np.abs(fvals) ** p) ** (1.0 / p)
 
-    def angle_factor(self, ell: int, cosang: float) -> float:
+    def angle_factors(self, cosang: float) -> list:
         """Pairing of unit-coefficient degree-l zonal harmonics about two
-        axes, relative to the aligned case: C_l(cos angle)/C_l(1)."""
-        if ell == 0:
-            return 1.0
+        axes, relative to the aligned case: C_l(cos angle)/C_l(1) for
+        l = 0..lmax, in one pass of the Gegenbauer recurrence."""
         alpha = (self.n - 1) / 2.0
+        out = [1.0]
         c0, c1 = 1.0, 2.0 * alpha * cosang
-        if ell == 1:
-            return c1 / self.C1[1]
-        for k in range(2, ell + 1):
+        if self.lmax >= 1:
+            out.append(c1 / self.C1[1])
+        for k in range(2, self.lmax + 1):
             c0, c1 = c1, (2.0 * (k + alpha - 1) * cosang * c1 - (k + 2 * alpha - 2) * c0) / k
-        return c1 / self.C1[ell]
+            out.append(c1 / self.C1[k])
+        return out
 
     def tail_fraction(self, coeffs: np.ndarray) -> float:
         """Relative weight of the last expansion coefficients; a guard for
@@ -265,10 +270,81 @@ SLOT_GAMMAS = (Q(5, 2), Q(3, 2), Q(1, 2))
 TAIL_GUARD = 1e-7
 
 
+# ---------------------------------------------------------------------------
+# interior Gram matrices of the unit extensions
+# ---------------------------------------------------------------------------
+
+def _unit_extensions(geom: ModelGeometry, ell: int) -> list:
+    """Native profiles of the degree-l extensions of float unit data in each
+    slot; ``mode_solve`` raises ``DegenerateModeError`` past ``COND_GUARD``."""
+    out = []
+    for slot in range(3):
+        data = [0.0, 0.0, 0.0]
+        data[slot] = 1.0
+        out.append(mode_solve(geom, ell, BoundaryTriple(*data)).profile)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def ball_interior_gram(n: int, ell: int) -> tuple:
+    """G[a][b], the interior pairing of the Laplacians of the degree-l unit
+    extensions of slots a and b on the ball (``radial_pair_integral``), as
+    floats.  Memoized on (n, l); an entry is stored only once its three unit
+    solves passed ``COND_GUARD``, since a solve that trips it raises."""
+    laps = [p.lap() for p in _unit_extensions(ball(n), ell)]
+    return tuple(tuple(float(radial_pair_integral(la, lb)) for lb in laps) for la in laps)
+
+
+@functools.lru_cache(maxsize=None)
+def hemisphere_interior_nodes(n: int, grid_size: int) -> tuple:
+    """Gauss-Legendre colatitudes on (0, pi/2) and their weights times
+    sin^n, read-only; memoized on (n, grid_size)."""
+    x, w = np.polynomial.legendre.leggauss(grid_size)
+    theta = (x + 1.0) * (math.pi / 4)
+    weights = w * (math.pi / 4) * np.sin(theta) ** n
+    for a in (theta, weights):
+        a.setflags(write=False)
+    return theta, weights
+
+
+@functools.lru_cache(maxsize=None)
+def hemisphere_interior_gram(n: int, ell: int, critical: bool, grid_size: int) -> tuple:
+    """G[a][b], the interior seminorm pairing (``hemisphere_interior_coeffs``)
+    of the degree-l unit extensions of slots a and b on the hemisphere, by
+    ``grid_size``-node quadrature, as floats.  The three factor kernels are
+    evaluated on the nodes once and shared by the three unit profiles.  All
+    nine entries are computed: the quadrature is symmetric only up to the
+    last bit.  Memoized on (n, l, critical, grid_size); an entry is stored
+    only once its three unit solves passed ``COND_GUARD``, since a solve that
+    trips it raises."""
+    theta, w = hemisphere_interior_nodes(n, grid_size)
+    profs = _unit_extensions(hemisphere(n), ell)
+    values = [fac.chi_and_dchi(theta) for fac in profs[0].factors]
+    evals = [p.chi_dchi_lapchi_dlapchi(values) for p in profs]
+    lam = sphere_eigenvalue(n, ell)
+    s2 = np.sin(theta) ** 2
+    c1, c2, c3, c4 = hemisphere_interior_coeffs(n, critical)
+
+    def pair(evala, evalb) -> float:
+        ca, dca, la, dla = evala
+        cb, dcb, lb, dlb = evalb
+        integ = (
+            c1 * (dla * dlb + lam * la * lb / s2)
+            + c2 * (la * lb)
+            + c3 * (dca * dcb + lam * ca * cb / s2)
+            + c4 * (ca * cb)
+        )
+        return float(np.sum(w * integ))
+
+    return tuple(tuple(pair(ea, eb) for eb in evals) for ea in evals)
+
+
 class TraceChecker:
     """Evaluator for the trace-inequality statements on one geometry;
     ``grid_size`` Gauss-Legendre nodes carry the hemisphere interior
-    quadrature."""
+    quadrature.  The interior seminorm reads the memoized per-degree Gram
+    matrices: ``ball_interior_gram`` keyed on (n, l), or
+    ``hemisphere_interior_gram`` keyed on (n, l, critical, grid_size)."""
 
     def __init__(self, geom: ModelGeometry, lmax: int = 32, grid_size: int = 64):
         if geom.kind not in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE):
@@ -276,11 +352,8 @@ class TraceChecker:
         self.geom = geom
         self.n = geom.n
         self.lmax = lmax
+        self.grid_size = grid_size
         self.grid = zonal_grid(geom.n, lmax, ZONAL_NODES)
-        if geom.kind is GeometryKind.ROUND_HEMISPHERE:
-            x, w = np.polynomial.legendre.leggauss(grid_size)
-            self.itheta = (x + 1.0) * (math.pi / 4)
-            self.iw = w * (math.pi / 4) * np.sin(self.itheta) ** self.n
 
     # -- data preparation -------------------------------------------------
     def slots_from_specs(self, specs, critical: bool):
@@ -307,59 +380,32 @@ class TraceChecker:
             out.append(SlotData(coeffs, axis, self.grid.reconstruct(coeffs)))
         return out
 
-    # -- per-mode extensions ------------------------------------------------
-    def _unit_solution(self, ell: int, slot: int):
-        data = [0.0, 0.0, 0.0]
-        data[slot] = 1.0
-        return mode_solve(self.geom, ell, BoundaryTriple(*data)).profile
-
-    def _interior_pair_ball(self, ell, profa, profb) -> float:
-        return float(radial_pair_integral(profa.lap(), profb.lap()))
-
-    def _interior_pair_hemisphere(self, ell, evala, evalb, critical: bool) -> float:
-        """Interior pairing of two profiles given as their
-        ``chi_dchi_lapchi_dlapchi`` values on the quadrature nodes."""
-        lam = sphere_eigenvalue(self.n, ell)
-        th, w = self.itheta, self.iw
-        s2 = np.sin(th) ** 2
-        ca, dca, la, dla = evala
-        cb, dcb, lb, dlb = evalb
-        c1, c2, c3, c4 = hemisphere_interior_coeffs(self.n, critical)
-        integ = (
-            c1 * (dla * dlb + lam * la * lb / s2)
-            + c2 * (la * lb)
-            + c3 * (dca * dcb + lam * ca * cb / s2)
-            + c4 * (ca * cb)
-        )
-        return float(np.sum(w * integ))
-
     # -- the two sides -------------------------------------------------------
     def lhs_energy(self, slots, critical: bool) -> tuple:
         """Interior seminorm of the extension plus the displayed boundary
         terms; returns (value, interior, boundary)."""
         n = self.n
         grid = self.grid
-        interior = 0.0
+        if self.geom.kind is GeometryKind.EUCLIDEAN_BALL:
+            def gram(ell):
+                return ball_interior_gram(n, ell)
+        else:
+            def gram(ell):
+                return hemisphere_interior_gram(n, ell, critical, self.grid_size)
         cosangs = [[float(np.dot(slots[a].axis, slots[b].axis)) for b in range(3)] for a in range(3)]
+        angles = [[grid.angle_factors(c) for c in row] for row in cosangs]
+        interior = 0.0
         for ell in range(self.lmax + 1):
             lamfree = [slots[s].coeffs[ell] for s in range(3)]
             if all(abs(c) < 1e-300 for c in lamfree):
                 continue
-            profs = [self._unit_solution(ell, s) for s in range(3)]
-            if self.geom.kind is GeometryKind.ROUND_HEMISPHERE:
-                profs = [p.chi_dchi_lapchi_dlapchi(self.itheta) for p in profs]
+            G = gram(ell)
             for a in range(3):
                 for b in range(3):
                     ca, cb = lamfree[a], lamfree[b]
                     if ca == 0.0 or cb == 0.0:
                         continue
-                    if self.geom.kind is GeometryKind.EUCLIDEAN_BALL:
-                        base = self._interior_pair_ball(ell, profs[a], profs[b])
-                    else:
-                        base = self._interior_pair_hemisphere(ell, profs[a], profs[b], critical)
-                    interior += (
-                        ca * cb * base * grid.norms[ell] * grid.angle_factor(ell, cosangs[a][b])
-                    )
+                    interior += ca * cb * G[a][b] * grid.norms[ell] * angles[a][b][ell]
         boundary = 0.0
         for a, b, co, p in display_terms(self.geom.kind, n, critical):
             acc = 0.0
@@ -367,8 +413,7 @@ class TraceChecker:
                 lam = sphere_eigenvalue(n, ell)
                 acc += (
                     slots[a].coeffs[ell] * slots[b].coeffs[ell]
-                    * lam**p * grid.norms[ell]
-                    * grid.angle_factor(ell, float(np.dot(slots[a].axis, slots[b].axis)))
+                    * lam**p * grid.norms[ell] * angles[a][b][ell]
                 )
             boundary += float(co) * acc
         return interior + boundary, interior, boundary
@@ -428,11 +473,9 @@ def critical_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32,
 
 
 def _run_check(geom, specs_or_slots, critical, lmax, grid_size):
-    from .geometry import ball as ball_geom
-
     eval_geom = geom
     if geom.kind is GeometryKind.UPPER_HALF_SPACE:
-        eval_geom = ball_geom(geom.n)
+        eval_geom = ball(geom.n)
     checker = TraceChecker(eval_geom, lmax=lmax, grid_size=grid_size)
     first = specs_or_slots[0]
     if isinstance(first, ExtremalSpec):

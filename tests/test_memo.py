@@ -22,6 +22,9 @@ KNOWN = {
     "gjms6.solver.ball_dirichlet_matrix",
     "gjms6.solver.hemisphere_factor_solve",
     "gjms6.solver.poisson_branch_series",
+    "gjms6.traces.ball_interior_gram",
+    "gjms6.traces.hemisphere_interior_gram",
+    "gjms6.traces.hemisphere_interior_nodes",
     "gjms6.traces.zonal_grid",
 }
 
@@ -55,6 +58,8 @@ def clear_all():
 @pytest.mark.parametrize("argv", [
     ["symmetry", "--n", "5"],
     ["dtn", "--geometry", "hyperbolic", "--n", "5", "--lmax", "6"],
+    ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "16"],
+    ["critical", "--n", "5", "--geometry", "ball", "--lmax", "16"],
 ])
 def test_reports_are_the_same_cold_and_warm(argv, tmp_path):
     clear_all()

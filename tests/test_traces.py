@@ -1,20 +1,28 @@
 """Sharp trace inequalities: constants, equality families, positivity."""
 
+import math
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
+from gjms6.fractional import sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import vol_sphere
+from gjms6.reps import radial_pair_integral
+from gjms6.solver import BoundaryTriple, DegenerateModeError, mode_solve
 from gjms6.traces import (
     CriticalExponentError,
     ExtremalSpec,
     TraceChecker,
     ZonalGrid,
+    ball_interior_gram,
     corollary_check,
     critical_check,
     flat_bubble_lp_norm,
+    hemisphere_interior_coeffs,
+    hemisphere_interior_gram,
+    hemisphere_interior_nodes,
     sharp_constant,
     sphere_sobolev_check,
     zonal_grid,
@@ -228,3 +236,144 @@ def test_critical_rejects_power_top_slot():
     specs = centered_specs(n)
     with pytest.raises(ValueError):
         critical_check(ball(n), specs)
+
+
+# ---------------------------------------------------------------------------
+# the per-degree interior Gram memos
+# ---------------------------------------------------------------------------
+
+GRAM_COEFFS = [[1.0, 0.3, 0.1], [0.5, 0.2], [0.4, 0.1, 0.05]]
+
+
+def clear_grams():
+    ball_interior_gram.cache_clear()
+    hemisphere_interior_gram.cache_clear()
+
+
+def unit_profile(geom, ell, slot):
+    data = [0.0, 0.0, 0.0]
+    data[slot] = 1.0
+    return mode_solve(geom, ell, BoundaryTriple(*data)).profile
+
+
+def old_angle_factor(grid, ell, cosang):
+    """C_l(cos angle)/C_l(1) by its own recurrence for each degree, as the
+    trace checks computed it per (term, degree) before the one-pass table."""
+    if ell == 0:
+        return 1.0
+    alpha = (grid.n - 1) / 2.0
+    c0, c1 = 1.0, 2.0 * alpha * cosang
+    for k in range(2, ell + 1):
+        c0, c1 = c1, (2.0 * (k + alpha - 1) * cosang * c1 - (k + 2 * alpha - 2) * c0) / k
+    return c1 / grid.C1[ell]
+
+
+def test_angle_factors_are_normalized_gegenbauer_values():
+    from scipy.special import eval_gegenbauer
+
+    n, lmax = 7, 12
+    grid = zonal_grid(n, lmax, 256)
+    for c in (-0.7, 0.0, 0.35, 1.0):
+        got = grid.angle_factors(c)
+        assert got == [old_angle_factor(grid, ell, c) for ell in range(lmax + 1)]
+        want = [eval_gegenbauer(ell, (n - 1) / 2, c) / eval_gegenbauer(ell, (n - 1) / 2, 1.0)
+                for ell in range(lmax + 1)]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
+    assert zonal_grid(n, 0, 256).angle_factors(0.35) == [1.0]
+
+
+def test_interior_gram_is_fully_keyed(monkeypatch):
+    import gjms6.traces as traces
+
+    clear_grams()
+    # at n = 5 the critical and subcritical interior coefficients coincide,
+    # so only the key tells the two entries apart
+    for critical, grid_size in ((True, 64), (False, 64), (True, 48), (True, 64)):
+        hemisphere_interior_gram(5, 2, critical, grid_size)
+    info = hemisphere_interior_gram.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
+    theta, w = hemisphere_interior_nodes(5, 48)
+    with pytest.raises(ValueError):
+        theta[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+    calls = []
+    solve = traces.mode_solve
+    monkeypatch.setattr(traces, "mode_solve", lambda *args: calls.append(args) or solve(*args))
+    for geom in (ball(7), hemisphere(7)):
+        first = corollary_check(geom, GRAM_COEFFS, lmax=8)
+        assert len(calls) == 9  # three unit solves at each of the degrees 0, 1, 2
+        assert corollary_check(geom, GRAM_COEFFS, lmax=8) == first
+        assert len(calls) == 9
+        calls.clear()
+
+    # half-space data are evaluated on the ball and read its entries
+    misses = ball_interior_gram.cache_info().misses
+    flat = corollary_check(halfspace(7), GRAM_COEFFS, lmax=8)
+    assert flat == corollary_check(ball(7), GRAM_COEFFS, lmax=8)
+    assert ball_interior_gram.cache_info().misses == misses
+    assert calls == []
+
+
+def old_hemisphere_pair(n, ell, critical, grid_size, a, b):
+    """The interior pairing as a checker computed it before the memo: its own
+    nodes, a fresh superposition of each unit profile, one quadrature."""
+    x, w = np.polynomial.legendre.leggauss(grid_size)
+    th = (x + 1.0) * (math.pi / 4)
+    w = w * (math.pi / 4) * np.sin(th) ** n
+
+    def evaluate(prof):
+        chi = dchi = lap = dlap = 0.0
+        for fac, al in zip(prof.factors, prof.alphas):
+            c, dc = fac.chi_and_dchi(th)
+            chi = chi + al * c
+            dchi = dchi + al * dc
+            lap = lap + al * float(fac.shift) * c
+            dlap = dlap + al * float(fac.shift) * dc
+        return chi, dchi, lap, dlap
+
+    lam = sphere_eigenvalue(n, ell)
+    s2 = np.sin(th) ** 2
+    ca, dca, la, dla = evaluate(unit_profile(hemisphere(n), ell, a))
+    cb, dcb, lb, dlb = evaluate(unit_profile(hemisphere(n), ell, b))
+    c1, c2, c3, c4 = hemisphere_interior_coeffs(n, critical)
+    integ = (
+        c1 * (dla * dlb + lam * la * lb / s2)
+        + c2 * (la * lb)
+        + c3 * (dca * dcb + lam * ca * cb / s2)
+        + c4 * (ca * cb)
+    )
+    return float(np.sum(w * integ))
+
+
+def test_interior_gram_matches_the_per_pair_route_bit_for_bit():
+    clear_grams()
+    for ell in range(7):
+        G = ball_interior_gram(7, ell)
+        for a in range(3):
+            for b in range(3):
+                pa, pb = unit_profile(ball(7), ell, a), unit_profile(ball(7), ell, b)
+                assert G[a][b] == float(radial_pair_integral(pa.lap(), pb.lap()))
+        for n, critical in ((7, False), (5, True)):
+            G = hemisphere_interior_gram(n, ell, critical, 64)
+            for a in range(3):
+                for b in range(3):
+                    assert G[a][b] == old_hemisphere_pair(n, ell, critical, 64, a, b)
+
+
+def test_guards_fire_around_the_gram_memo(monkeypatch):
+    import gjms6.solver as solver
+
+    clear_grams()
+    with monkeypatch.context() as m:
+        m.setattr(solver, "COND_GUARD", 1.0)
+        with pytest.raises(DegenerateModeError, match="mode matrix condition"):
+            corollary_check(hemisphere(7), GRAM_COEFFS, lmax=8)
+    # lru_cache stores no call that raised, so no unguarded system is kept
+    assert hemisphere_interior_gram.cache_info().currsize == 0
+    corollary_check(hemisphere(7), GRAM_COEFFS, lmax=8)
+    assert hemisphere_interior_gram.cache_info().currsize == 3
+    # a warm memo does not bypass the resolution guard
+    with pytest.raises(ValueError, match="under-resolved"):
+        corollary_check(hemisphere(7), [np.ones(9), np.ones(9), np.ones(9)], lmax=8)
