@@ -18,6 +18,7 @@ from . import geometry
 from .geometry import GeometryKind, ModelGeometry
 from .polys import random_poly
 from .report import CheckReport, Stopwatch, emit_csv
+from .traces import UnderResolvedError
 
 Q = Fraction
 
@@ -223,12 +224,16 @@ def run_suite(args) -> CheckReport:
         run_symmetry(report, args.n if args.n >= 6 else 7, args.seed)
     if args.suite in ("dtn", "all"):
         run_dtn(report, geom, args.lmax, args.tol)
-    if args.suite in ("trace", "all") and args.n >= 6:
-        run_trace(report, geom if geom.kind is not GeometryKind.HYPERBOLIC_GEODESIC
-                  else geometry.ball(args.n), args.n, args.lmax, args.grid, args.tol, args.seed)
-    if args.suite in ("critical", "all") and args.n == 5:
-        run_critical(report, geom if geom.kind in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE)
-                     else geometry.ball(5), args.lmax, args.grid, max(args.tol, 1e-5), args.seed)
+    try:
+        if args.suite in ("trace", "all") and args.n >= 6:
+            run_trace(report, geom if geom.kind is not GeometryKind.HYPERBOLIC_GEODESIC
+                      else geometry.ball(args.n), args.n, args.lmax, args.grid, args.tol, args.seed)
+        if args.suite in ("critical", "all") and args.n == 5:
+            run_critical(report, geom if geom.kind in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE)
+                         else geometry.ball(5), args.lmax, args.grid, max(args.tol, 1e-5), args.seed)
+    except UnderResolvedError as exc:
+        # the fixed extremal data of trace and critical need a larger lmax
+        raise ConfigError(f"{exc}; raise --lmax") from exc
     run_multiplier_table(report, args.n, args.lmax)
     return report
 

@@ -16,6 +16,14 @@ operators on the other side of a covariance residual are ``apply_B`` on the
 half space: its kit, ``reps.HalfspacePolyOps``, acts on both rings through
 ``diff`` and ``drop_last``, the same two methods it uses on ``Poly``.
 
+The rings are zero-aware, as ``Poly`` is: a ring result may share a zero
+operand, so ``x + 0`` is ``x``, ``x * 0`` is that zero and ``0.diff(i)`` is
+that zero, for ``DualPoly`` and ``WxPoly`` alike; a ``Jet`` shares its
+coefficients with its operands, and a ``JetCtx`` hands out one empty
+``WxPoly``.  The zero test is structural (``not p.terms``), so every result
+stays exact, and no code may mutate a ring element (``terms``, ``wmap`` or
+``coeffs``).
+
 Ambient coordinates are x0..x(n-1) on the boundary and y last.
 """
 from __future__ import annotations
@@ -52,30 +60,58 @@ class DualPoly:
 
     def __add__(self, other):
         other = self._co(other)
+        if not (other.a.terms or other.b.terms):
+            return self
+        if not (self.a.terms or self.b.terms):
+            return other
         return DualPoly(self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._co(other)
+        if not (other.a.terms or other.b.terms):
+            return self
+        if not (self.a.terms or self.b.terms):
+            return -other
         return DualPoly(self.a - other.a, self.b - other.b)
 
     def __rsub__(self, other):
         return self._co(other) - self
 
     def __neg__(self):
+        if not (self.a.terms or self.b.terms):
+            return self
         return DualPoly(-self.a, -self.b)
 
     def __mul__(self, other):
+        a1, b1 = self.a, self.b
         if type(other) is not DualPoly:
             if isinstance(other, (int, Fraction)):
-                return DualPoly(self.a * other, self.b * other)
+                if not (a1.terms or b1.terms):
+                    return self
+                return DualPoly(a1 * other, b1 * other)
             return NotImplemented
-        return DualPoly(self.a * other.a, self.a * other.b + self.b * other.a)
+        a2, b2 = other.a, other.b
+        # (a1 + eps b1)(a2 + eps b2) = a1 a2 + eps (a1 b2 + b1 a2); a
+        # component product with an empty a factor is skipped
+        if not a1.terms:
+            if not b1.terms:
+                return self
+            if not a2.terms:
+                return other if not b2.terms else DualPoly(a1, a1)
+            return DualPoly(a1, b1 * a2)
+        if not a2.terms:
+            if not b2.terms:
+                return other
+            return DualPoly(a2, a1 * b2)
+        return DualPoly(a1 * a2, a1 * b2 + b1 * a2)
 
     __rmul__ = __mul__
 
     def diff(self, i: int) -> "DualPoly":
+        if not (self.a.terms or self.b.terms):
+            return self
         return DualPoly(self.a.diff(i), self.b.diff(i))
 
     def drop_last(self) -> "DualPoly":
@@ -135,10 +171,11 @@ class WxPoly:
 
     def __add__(self, other):
         other = self._co(other)
-        out = dict(self.wmap)
-        for w, p in other.wmap.items():
-            out[w] = out.get(w, Poly.zero(self.ctx.n)) + p
-        return WxPoly(self.ctx, out)
+        if not other.wmap:
+            return self
+        if not self.wmap:
+            return other
+        return _wx(self.ctx, _accumulate(dict(self.wmap), other.wmap.items()))
 
     __radd__ = __add__
 
@@ -149,37 +186,62 @@ class WxPoly:
         return self._co(other) + (-self)
 
     def __neg__(self):
+        if not self.wmap:
+            return self
         return _wx(self.ctx, {w: -p for w, p in self.wmap.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            if other == 0:
+            if not self.wmap:
+                return self
+            if not (other.terms if type(other) is Poly else other):
                 return self.ctx.zero_boundary()
             return _wx(self.ctx, {w: p * other for w, p in self.wmap.items()})
         if not isinstance(other, WxPoly):
             return NotImplemented
-        out: dict = {}
-        for w1, p1 in self.wmap.items():
-            for w2, p2 in other.wmap.items():
-                w = w1 + w2
-                q = p1 * p2
-                out[w] = out.get(w, Poly.zero(self.ctx.n)) + q
-        return WxPoly(self.ctx, out)
+        if not self.wmap:
+            return self
+        if not other.wmap:
+            return other
+        b = other.wmap.items()
+        # products of nonzero polynomials are nonzero; only their sums cancel
+        return _wx(self.ctx, _accumulate({}, ((w1 + w2, p1 * p2)
+                                              for w1, p1 in self.wmap.items() for w2, p2 in b)))
 
     __rmul__ = __mul__
 
     def diff(self, i: int) -> "WxPoly":
         """d/dx_i with the chain rule through the weight factors."""
+        if not self.wmap:
+            return self
         s0i = self.ctx.sigma0_partials[i]
         out: dict = {}
         for w, p in self.wmap.items():
-            q = p.diff(i) + (w * s0i) * p
-            if not q.iszero():
+            q = p.diff(i)
+            if w and s0i.terms:
+                q = q + (w * s0i) * p
+            if q.terms:
                 out[w] = q
         return _wx(self.ctx, out)
 
     def iszero(self) -> bool:
         return all(p.iszero() for p in self.wmap.values())
+
+
+def _accumulate(out: dict, items) -> dict:
+    """Add the weighted polynomials ``items`` into ``out`` in place, dropping
+    weights whose polynomial cancels to zero; returns ``out``."""
+    for w, p in items:
+        q = out.get(w)
+        if q is None:
+            out[w] = p
+        else:
+            q = q + p
+            if q.terms:
+                out[w] = q
+            else:
+                del out[w]
+    return out
 
 
 def _wx(ctx: "JetCtx", wmap: dict) -> WxPoly:
@@ -231,13 +293,15 @@ class Jet:
         if not isinstance(other, Jet):
             return NotImplemented
         o = min(self.ord, other.ord)
-        out = [self.ctx.zero_boundary() for _ in range(o + 1)]
-        for i in range(o + 1):
-            ci = self.coeffs[i]
-            if ci.iszero():
+        out = [self.ctx.zero_boundary()] * (o + 1)
+        right = [(jj, c) for jj, c in enumerate(other.coeffs[: o + 1]) if c.wmap]
+        for i, ci in enumerate(self.coeffs[: o + 1]):
+            if not ci.wmap:
                 continue
-            for jj in range(o + 1 - i):
-                out[i + jj] = out[i + jj] + ci * other.coeffs[jj]
+            for jj, cj in right:
+                if i + jj > o:
+                    break
+                out[i + jj] = out[i + jj] + ci * cj
         return Jet(self.ctx, out, o)
 
     __rmul__ = __mul__
@@ -273,6 +337,7 @@ class JetCtx:
         self.sigma0 = self.sigma_jet[0]
         self.sigma0_partials = [self.sigma0.diff(i) for i in range(n)]
         self._exp_cache: dict = {}
+        self._zero = _wx(self, {})
 
     @staticmethod
     def _normal_taylor(p: Poly, order: int) -> list:
@@ -286,7 +351,8 @@ class JetCtx:
         return out
 
     def zero_boundary(self) -> WxPoly:
-        return WxPoly(self, {})
+        """The one empty WxPoly of this context, shared by every caller."""
+        return self._zero
 
     def exp_boundary(self, m) -> WxPoly:
         return WxPoly(self, {Q(m): Poly.const(self.n, 1)})

@@ -8,9 +8,12 @@ degree to a quadratic form in the three Dirichlet slots, whose 3x3 Gram
 matrix of unit-extension pairings comes from exact radial integrals (ball) or
 Gauss-Legendre quadrature (hemisphere).  The Gram matrices are memoized:
 ``ball_interior_gram`` on (n, l) and ``hemisphere_interior_gram`` on
-(n, l, critical, grid_size), so every check after the first at a degree
-reads nine floats instead of solving three unit modes.  Flat half-space data
-are transported to the ball through stereographic projection, under which
+(n, l, grid_size), so every check after the first at a degree reads nine
+floats instead of solving three unit modes.  The critical (n = 5)
+statements need no tables of their own: the subcritical display terms and
+interior coefficients at n = 5, zero terms dropped, are the critical ones,
+so both kinds of check read the same entries.  Flat half-space data are
+transported to the ball through stereographic projection, under which
 both sides of the statements are invariant, and share the ball entries.
 """
 from __future__ import annotations
@@ -216,17 +219,13 @@ class InequalityReport:
 
 
 # displayed boundary quadratics: (slotA, slotB, coefficient(n), power of the
-# boundary-Laplacian eigenvalue).  Slots: 0 = f, 1 = phi, 2 = psi.
-def display_terms(kind: GeometryKind, n: int, critical: bool):
+# boundary-Laplacian eigenvalue).  Slots: 0 = f, 1 = phi, 2 = psi.  Some
+# coefficients vanish at particular n (several at the critical n = 5);
+# callers skip those terms.
+def display_terms(kind: GeometryKind, n: int):
     if kind is GeometryKind.UPPER_HALF_SPACE:
         return [(2, 1, Q(8), 1), (1, 0, Q(16, 3), 2)]
     if kind is GeometryKind.EUCLIDEAN_BALL:
-        if critical:
-            return [
-                (2, 2, Q(-2), 0), (2, 1, Q(8), 1), (2, 1, Q(32), 0),
-                (2, 0, Q(-8, 3), 1), (1, 1, Q(16), 0), (1, 0, Q(16, 3), 2),
-                (1, 0, Q(16, 3), 1), (0, 0, Q(64, 9), 2), (0, 0, Q(16), 1),
-            ]
         return [
             (2, 2, Q(n - 9, 2), 0), (2, 1, Q(8), 1), (2, 1, Q(2 * (n**2 - 9)), 0),
             (2, 0, Q(-4 * (n - 3), 3), 1), (0, 2, Q(-(n - 3) * (n - 5) * (n + 3), 3), 0),
@@ -238,11 +237,6 @@ def display_terms(kind: GeometryKind, n: int, critical: bool):
             (0, 0, Q((n - 5) * (n - 3) * (n + 3) * (n**2 + 4 * n - 9), 18), 0),
         ]
     if kind is GeometryKind.ROUND_HEMISPHERE:
-        if critical:
-            return [
-                (2, 1, Q(8), 1), (2, 1, Q(24), 0),
-                (0, 1, Q(16, 3), 2), (0, 1, Q(32), 1),
-            ]
         return [
             (2, 1, Q(8), 1), (2, 1, Q(3 * n**2 - 8 * n + 13, 2), 0),
             (0, 1, Q(16, 3), 2), (0, 1, Q(2 * (5 * n**2 - 8 * n - 37), 3), 1),
@@ -251,10 +245,9 @@ def display_terms(kind: GeometryKind, n: int, critical: bool):
     raise ValueError(kind)
 
 
-def hemisphere_interior_coeffs(n: int, critical: bool):
-    """Coefficients of |grad lap u|^2, (lap u)^2, |grad u|^2, u^2."""
-    if critical:
-        return (1.0, 10.0, 24.0, 0.0)
+def hemisphere_interior_coeffs(n: int):
+    """Coefficients of |grad lap u|^2, (lap u)^2, |grad u|^2, u^2; at the
+    critical n = 5 they are (1, 10, 24, 0)."""
     return (
         1.0,
         (3 * n**2 - 35) / 4.0,
@@ -268,6 +261,11 @@ SLOT_GAMMAS = (Q(5, 2), Q(3, 2), Q(1, 2))
 # Largest ``ZonalGrid.tail_fraction`` (the weight of the last three zonal
 # coefficients) of boundary data that still counts as resolved at lmax.
 TAIL_GUARD = 1e-7
+
+
+class UnderResolvedError(ValueError):
+    """Boundary data whose zonal tail exceeds ``TAIL_GUARD`` at the chosen
+    lmax: a configuration that cannot be checked, not a failed check."""
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +306,13 @@ def hemisphere_interior_nodes(n: int, grid_size: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def hemisphere_interior_gram(n: int, ell: int, critical: bool, grid_size: int) -> tuple:
+def hemisphere_interior_gram(n: int, ell: int, grid_size: int) -> tuple:
     """G[a][b], the interior seminorm pairing (``hemisphere_interior_coeffs``)
     of the degree-l unit extensions of slots a and b on the hemisphere, by
     ``grid_size``-node quadrature, as floats.  The three factor kernels are
     evaluated on the nodes once and shared by the three unit profiles.  All
     nine entries are computed: the quadrature is symmetric only up to the
-    last bit.  Memoized on (n, l, critical, grid_size); an entry is stored
+    last bit.  Memoized on (n, l, grid_size); an entry is stored
     only once its three unit solves passed ``COND_GUARD``, since a solve that
     trips it raises."""
     theta, w = hemisphere_interior_nodes(n, grid_size)
@@ -323,7 +321,7 @@ def hemisphere_interior_gram(n: int, ell: int, critical: bool, grid_size: int) -
     evals = [p.chi_dchi_lapchi_dlapchi(values) for p in profs]
     lam = sphere_eigenvalue(n, ell)
     s2 = np.sin(theta) ** 2
-    c1, c2, c3, c4 = hemisphere_interior_coeffs(n, critical)
+    c1, c2, c3, c4 = hemisphere_interior_coeffs(n)
 
     def pair(evala, evalb) -> float:
         ca, dca, la, dla = evala
@@ -344,7 +342,7 @@ class TraceChecker:
     ``grid_size`` Gauss-Legendre nodes carry the hemisphere interior
     quadrature.  The interior seminorm reads the memoized per-degree Gram
     matrices: ``ball_interior_gram`` keyed on (n, l), or
-    ``hemisphere_interior_gram`` keyed on (n, l, critical, grid_size)."""
+    ``hemisphere_interior_gram`` keyed on (n, l, grid_size)."""
 
     def __init__(self, geom: ModelGeometry, lmax: int = 32, grid_size: int = 64):
         if geom.kind not in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE):
@@ -381,7 +379,7 @@ class TraceChecker:
         return out
 
     # -- the two sides -------------------------------------------------------
-    def lhs_energy(self, slots, critical: bool) -> tuple:
+    def lhs_energy(self, slots) -> tuple:
         """Interior seminorm of the extension plus the displayed boundary
         terms; returns (value, interior, boundary)."""
         n = self.n
@@ -391,7 +389,7 @@ class TraceChecker:
                 return ball_interior_gram(n, ell)
         else:
             def gram(ell):
-                return hemisphere_interior_gram(n, ell, critical, self.grid_size)
+                return hemisphere_interior_gram(n, ell, self.grid_size)
         cosangs = [[float(np.dot(slots[a].axis, slots[b].axis)) for b in range(3)] for a in range(3)]
         angles = [[grid.angle_factors(c) for c in row] for row in cosangs]
         interior = 0.0
@@ -407,7 +405,9 @@ class TraceChecker:
                         continue
                     interior += ca * cb * G[a][b] * grid.norms[ell] * angles[a][b][ell]
         boundary = 0.0
-        for a, b, co, p in display_terms(self.geom.kind, n, critical):
+        for a, b, co, p in display_terms(self.geom.kind, n):
+            if not co:
+                continue
             acc = 0.0
             for ell in range(self.lmax + 1):
                 lam = sphere_eigenvalue(n, ell)
@@ -439,10 +439,10 @@ class TraceChecker:
         for s in slots:
             tail = self.grid.tail_fraction(s.coeffs)
             if tail > TAIL_GUARD:
-                raise ValueError(
+                raise UnderResolvedError(
                     f"boundary data under-resolved at lmax={self.lmax} (tail {tail:.2e})"
                 )
-        lhs, interior, boundary = self.lhs_energy(slots, critical)
+        lhs, interior, boundary = self.lhs_energy(slots)
         rhs = self.rhs_sharp(slots, critical)
         gap = lhs - rhs
         scale = max(abs(lhs), abs(rhs), 1e-300)
@@ -497,7 +497,7 @@ def sphere_sobolev_check(n: int, gamma, w_of_t, lmax: int = 32, nodes: int = ZON
     coeffs = grid.expand(vals)
     tail = grid.tail_fraction(coeffs)
     if tail > TAIL_GUARD:
-        raise ValueError(f"zonal data under-resolved (tail {tail:.2e})")
+        raise UnderResolvedError(f"zonal data under-resolved (tail {tail:.2e})")
     lhs = 0.0
     for ell in range(lmax + 1):
         lhs += float(round_multiplier(n, gamma, ell)) * coeffs[ell] ** 2 * grid.norms[ell]

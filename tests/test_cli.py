@@ -58,6 +58,8 @@ def test_config_errors(tmp_path, capsys):
     for argv in (
         ["dtn", "--lmax", "-1"],
         ["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "1"],
+        ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "8"],
+        ["critical", "--n", "5", "--geometry", "ball", "--lmax", "8"],
         ["dtn", "--grid", "0"],
         ["dtn", "--csv", "multiplier_table"],
         ["dtn", "--csv", f"nosuch:{csv}"],

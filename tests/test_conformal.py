@@ -166,6 +166,183 @@ def test_weighted_polys_hold_no_zero_weight():
     assert (x * Q(-2, 3)).wmap == {w: Q(-2, 3) * p for w, p in x.wmap.items()}
 
 
+# ---------------------------------------------------------------------------
+# ring laws with zero operands
+# ---------------------------------------------------------------------------
+
+def _snapshot(x):
+    """Deep copy of the content of a Poly, DualPoly, WxPoly or Jet."""
+    if isinstance(x, Poly):
+        return dict(x.terms)
+    if isinstance(x, DualPoly):
+        return _snapshot(x.a), _snapshot(x.b)
+    if isinstance(x, confcalc.WxPoly):
+        return {w: dict(p.terms) for w, p in x.wmap.items()}
+    return [_snapshot(c) for c in x.coeffs]
+
+
+def _dense_wx(ctx, pairs):
+    """Sum of weighted polynomials, accumulated from zero and filtered once."""
+    out = {}
+    for w, p in pairs:
+        out[w] = out.get(w, Poly.zero(ctx.n)) + p
+    return {w: p for w, p in out.items() if not p.iszero()}
+
+
+def _dense_wx_mul(ctx, x, y):
+    return _dense_wx(ctx, [(w1 + w2, p1 * p2) for w1, p1 in x.wmap.items() for w2, p2 in y.wmap.items()])
+
+
+def _dense_wx_diff(ctx, x, i):
+    s0i = ctx.sigma0_partials[i]
+    return _dense_wx(ctx, [(w, p.diff(i) + (w * s0i) * p) for w, p in x.wmap.items()])
+
+
+def _dense_jet_mul(ctx, x, y):
+    """The direct convolution of the coefficients, to the smaller order."""
+    o = min(x.ord, y.ord)
+    return [_dense_wx(ctx, [(w, p) for i in range(k + 1)
+                            for w, p in _dense_wx_mul(ctx, x.coeffs[i], y.coeffs[k - i]).items()])
+            for k in range(o + 1)]
+
+
+def _dual_elements(rng, n):
+    d = n + 1
+    kit = DualKit(n, random_poly(rng, d, 2, 2) + Poly.var(d, 0))
+    zero = DualPoly(Poly.zero(d), Poly.zero(d))
+    return [
+        zero, kit.embed(random_poly(rng, d, 2, 3)), DualPoly(Poly.zero(d), random_poly(rng, d, 2, 3)),
+        DualPoly(random_poly(rng, d, 2, 3), random_poly(rng, d, 2, 3)), kit.sigma_elem(),
+        kit.exp_ambient(Q(-3, 2)), DualPoly(Poly.const(d, 2), Poly.zero(d)), zero,
+    ]
+
+
+def _jet_ctx(rng, n, order):
+    # sigma in x0, x1 and y only: sigma0_partials[i] is empty for i >= 2
+    d = n + 1
+    x0, x1, y = Poly.var(d, 0), Poly.var(d, 1), Poly.var(d, d - 1)
+    return JetCtx(n, x0 * y + x1 * x1 + rng.randint(1, 3) * x0 * x1 + y * y, order)
+
+
+def _wx_elements(rng, ctx):
+    n = ctx.n
+    return [
+        ctx.zero_boundary(), ctx.embed_boundary(random_poly(rng, n, 2, 3)),
+        ctx.exp_boundary(2) * random_poly(rng, n, 2, 3),
+        ctx.exp_boundary(Q(-1, 2)) * random_poly(rng, n, 2, 2) + ctx.embed_boundary(random_poly(rng, n, 2, 2)),
+        ctx.exp_boundary(1), confcalc.WxPoly(ctx, {Q(3): Poly.zero(n)}),
+    ]
+
+
+def _jet_elements(rng, ctx):
+    d = ctx.n + 1
+    wx = _wx_elements(rng, ctx)
+    return [
+        confcalc.Jet(ctx, [], ctx.order), ctx.embed(random_poly(rng, d, 2, 3)), ctx.embed(Poly.const(d, 3)),
+        ctx.exp_ambient(Q(1, 2)), confcalc.Jet(ctx, [wx[0], wx[2], wx[0], wx[3]], ctx.order),
+        confcalc.Jet(ctx, [wx[1], wx[0], wx[4]], ctx.order - 1),
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_dual_ring_laws_with_zero_operands(seed):
+    rng = random.Random(seed)
+    n = 5
+    xs = _dual_elements(rng, n)
+    before = [_snapshot(x) for x in xs]
+    for x in xs:
+        for y in xs:
+            assert _value(x + y) == (x.a + y.a, x.b + y.b)
+            assert _value(x - y) == (x.a - y.a, x.b - y.b)
+            assert _value(x * y) == (x.a * y.a, x.a * y.b + x.b * y.a)
+        assert _value(-x) == (-x.a, -x.b)
+        assert _value(x * Q(2, 3)) == (x.a * Q(2, 3), x.b * Q(2, 3))
+        for i in (0, n):
+            assert _value(x.diff(i)) == (x.a.diff(i), x.b.diff(i))
+    zero = xs[0]
+    for x in xs[1:-1]:
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert zero * x is zero and x * zero is zero
+    assert zero.diff(0) is zero and -zero is zero and zero * 5 is zero
+    assert [_snapshot(x) for x in xs] == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_weighted_ring_laws_with_zero_operands(seed):
+    rng = random.Random(seed)
+    n = 5
+    ctx = _jet_ctx(rng, n, 4)
+    assert not ctx.sigma0_partials[n - 1].terms
+    xs = _wx_elements(rng, ctx)
+    before = [_snapshot(x) for x in xs]
+    for x in xs:
+        for y in xs:
+            assert (x + y).wmap == _dense_wx(ctx, [*x.wmap.items(), *y.wmap.items()])
+            assert (x - y).wmap == _dense_wx(ctx, [*x.wmap.items(), *((w, -p) for w, p in y.wmap.items())])
+            assert (x * y).wmap == _dense_wx_mul(ctx, x, y)
+        for i in range(n):
+            assert x.diff(i).wmap == _dense_wx_diff(ctx, x, i)
+        assert (-x).wmap == _dense_wx(ctx, [(w, -p) for w, p in x.wmap.items()])
+    zero = ctx.zero_boundary()
+    assert ctx.zero_boundary() is zero and xs[-1].iszero()
+    for x in xs[1:-1]:
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert zero * x is zero and x * zero is zero
+        assert zero * random_poly(rng, n, 2, 2) is zero
+    assert zero.diff(0) is zero and -zero is zero
+    assert [_snapshot(x) for x in xs] == before
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_jet_ring_laws_with_zero_operands(seed):
+    rng = random.Random(seed)
+    n = 5
+    ctx = _jet_ctx(rng, n, 4)
+    xs = _jet_elements(rng, ctx)
+    before = [_snapshot(x) for x in xs]
+    for x in xs:
+        for y in xs:
+            o = min(x.ord, y.ord)
+            assert [c.wmap for c in (x * y).coeffs] == _dense_jet_mul(ctx, x, y)
+            assert [c.wmap for c in (x + y).coeffs] == [
+                _dense_wx(ctx, [*x.coeffs[k].wmap.items(), *y.coeffs[k].wmap.items()]) for k in range(o + 1)]
+        for i in range(n):
+            assert [c.wmap for c in x.diff(i).coeffs] == [_dense_wx_diff(ctx, c, i) for c in x.coeffs]
+        assert [c.wmap for c in x.diff(n).coeffs] == [
+            _dense_wx(ctx, [(w, (k + 1) * p) for w, p in x.coeffs[k + 1].wmap.items()]) for k in range(x.ord)]
+    zero, empty = xs[0], ctx.zero_boundary()
+    assert all(c is empty for c in zero.coeffs)
+    for x in xs:
+        assert all(a is b for a, b in zip((x + zero).coeffs, x.coeffs))
+        assert all(c is empty for c in (zero * x).coeffs + (x * zero).coeffs + zero.diff(0).coeffs)
+    assert [_snapshot(x) for x in xs] == before
+
+
+@pytest.fixture
+def perturbed_t4(monkeypatch):
+    """T4 of every engine built from here on carries an extra lapJ/1000; the
+    engine memo is cleared before and after, so no perturbed engine leaks."""
+    import gjms6.boundary as boundary
+
+    t4 = boundary.t4_scalar
+    monkeypatch.setattr(boundary, "t4_scalar", lambda n, C: t4(n, C) + Q(1, 1000) * C.lapJ)
+    conformal._engine.cache_clear()
+    yield
+    conformal._engine.cache_clear()
+
+
+def test_zero_fast_paths_keep_a_real_residual(perturbed_t4):
+    """Negative control: a perturbed T4 leaves a nonzero residual on both
+    rings, so skipping zero operands hides nothing that is there."""
+    n = 7
+    d = n + 1
+    x0, x2 = Poly.var(d, 0), Poly.var(d, 2)
+    sigma, u = x0**4, x0 * x2 + 1
+    g = halfspace(n)
+    assert not infinitesimal_covariance_residual(4, VariationProbe(sigma), u, g).iszero()
+    assert not finite_covariance_residual(4, sigma, u, g, order=6).iszero()
+
+
 @pytest.fixture
 def engine_builds(monkeypatch):
     """Arguments of every HalfspaceConformalEngine build from here on,

@@ -15,10 +15,12 @@ from gjms6.traces import (
     CriticalExponentError,
     ExtremalSpec,
     TraceChecker,
+    UnderResolvedError,
     ZonalGrid,
     ball_interior_gram,
     corollary_check,
     critical_check,
+    display_terms,
     flat_bubble_lp_norm,
     hemisphere_interior_coeffs,
     hemisphere_interior_gram,
@@ -286,12 +288,10 @@ def test_interior_gram_is_fully_keyed(monkeypatch):
     import gjms6.traces as traces
 
     clear_grams()
-    # at n = 5 the critical and subcritical interior coefficients coincide,
-    # so only the key tells the two entries apart
-    for critical, grid_size in ((True, 64), (False, 64), (True, 48), (True, 64)):
-        hemisphere_interior_gram(5, 2, critical, grid_size)
+    for grid_size in (64, 48, 64):
+        hemisphere_interior_gram(5, 2, grid_size)
     info = hemisphere_interior_gram.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
+    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
     theta, w = hemisphere_interior_nodes(5, 48)
     with pytest.raises(ValueError):
         theta[0] = 0.0
@@ -316,7 +316,7 @@ def test_interior_gram_is_fully_keyed(monkeypatch):
     assert calls == []
 
 
-def old_hemisphere_pair(n, ell, critical, grid_size, a, b):
+def old_hemisphere_pair(n, ell, grid_size, a, b):
     """The interior pairing as a checker computed it before the memo: its own
     nodes, a fresh superposition of each unit profile, one quadrature."""
     x, w = np.polynomial.legendre.leggauss(grid_size)
@@ -337,7 +337,7 @@ def old_hemisphere_pair(n, ell, critical, grid_size, a, b):
     s2 = np.sin(th) ** 2
     ca, dca, la, dla = evaluate(unit_profile(hemisphere(n), ell, a))
     cb, dcb, lb, dlb = evaluate(unit_profile(hemisphere(n), ell, b))
-    c1, c2, c3, c4 = hemisphere_interior_coeffs(n, critical)
+    c1, c2, c3, c4 = hemisphere_interior_coeffs(n)
     integ = (
         c1 * (dla * dlb + lam * la * lb / s2)
         + c2 * (la * lb)
@@ -355,11 +355,46 @@ def test_interior_gram_matches_the_per_pair_route_bit_for_bit():
             for b in range(3):
                 pa, pb = unit_profile(ball(7), ell, a), unit_profile(ball(7), ell, b)
                 assert G[a][b] == float(radial_pair_integral(pa.lap(), pb.lap()))
-        for n, critical in ((7, False), (5, True)):
-            G = hemisphere_interior_gram(n, ell, critical, 64)
+        for n in (7, 5):
+            G = hemisphere_interior_gram(n, ell, 64)
             for a in range(3):
                 for b in range(3):
-                    assert G[a][b] == old_hemisphere_pair(n, ell, critical, 64, a, b)
+                    assert G[a][b] == old_hemisphere_pair(n, ell, 64, a, b)
+
+
+# the tables the critical statements used to carry beside the subcritical ones
+CRITICAL_DISPLAY_TERMS = {
+    ball(5).kind: [
+        (2, 2, Q(-2), 0), (2, 1, Q(8), 1), (2, 1, Q(32), 0),
+        (2, 0, Q(-8, 3), 1), (1, 1, Q(16), 0), (1, 0, Q(16, 3), 2),
+        (1, 0, Q(16, 3), 1), (0, 0, Q(64, 9), 2), (0, 0, Q(16), 1),
+    ],
+    hemisphere(5).kind: [
+        (2, 1, Q(8), 1), (2, 1, Q(24), 0),
+        (0, 1, Q(16, 3), 2), (0, 1, Q(32), 1),
+    ],
+}
+
+
+def test_critical_statements_share_the_subcritical_tables():
+    """At n = 5 the subcritical display terms, zero terms dropped, and the
+    hemisphere interior coefficients are the critical tables, so a critical
+    check and the subcritical energy read one Gram entry per degree."""
+    for kind, want in CRITICAL_DISPLAY_TERMS.items():
+        assert [t for t in display_terms(kind, 5) if t[2]] == want
+    assert hemisphere_interior_coeffs(5) == (1.0, 10.0, 24.0, 0.0)
+
+    clear_grams()
+    critical_check(hemisphere(5), GRAM_COEFFS, lmax=8)
+    info = hemisphere_interior_gram.cache_info()
+    assert (info.currsize, info.misses) == (3, 3)
+    entries = [hemisphere_interior_gram(5, ell, 64) for ell in range(3)]
+    checker = TraceChecker(hemisphere(5), lmax=8)
+    value, interior, _ = checker.lhs_energy(checker.slots_from_coeffs(GRAM_COEFFS))
+    info = hemisphere_interior_gram.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 6)
+    assert entries == [hemisphere_interior_gram(5, ell, 64) for ell in range(3)]
+    assert critical_check(hemisphere(5), GRAM_COEFFS, lmax=8).breakdown["interior"] == interior
 
 
 def test_guards_fire_around_the_gram_memo(monkeypatch):
@@ -374,6 +409,8 @@ def test_guards_fire_around_the_gram_memo(monkeypatch):
     assert hemisphere_interior_gram.cache_info().currsize == 0
     corollary_check(hemisphere(7), GRAM_COEFFS, lmax=8)
     assert hemisphere_interior_gram.cache_info().currsize == 3
-    # a warm memo does not bypass the resolution guard
-    with pytest.raises(ValueError, match="under-resolved"):
+    # a warm memo does not bypass the resolution guard, which library
+    # callers still see as a ValueError
+    assert issubclass(UnderResolvedError, ValueError)
+    with pytest.raises(UnderResolvedError, match="under-resolved"):
         corollary_check(hemisphere(7), [np.ones(9), np.ones(9), np.ones(9)], lmax=8)
