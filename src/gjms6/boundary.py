@@ -3,14 +3,20 @@ GJMS operator, with all curvature coefficients.
 
 The scalar coefficients and the operator assembly are written once, in
 ``apply_boundary_operator``, generic over an arithmetic kit: exact rational
-curvature data with polynomial fields on the flat models, and the
-conformally-flat calculus ring used for the covariance checks.  On separated
-modes of a model geometry (the half-space modes among them) the same
-assembly, run once on a symbolic jet, gives ``separated_stencil``: each
-operator as a linear form in the profile jet with coefficients polynomial in
-the boundary eigenvalue, which ``apply_B`` evaluates.  Zeroth-order blocks
-carry the factor (n-5)/2 and vanish identically in the critical dimension
-n = 5.
+curvature data with polynomial fields on the flat half space, and the
+conformally-flat calculus ring used for the covariance checks.  Two field
+representations on the model geometries are read through stencils that the
+same assembly derives once per model, run on symbols:
+
+- ``separated_stencil``: on separated modes (the half-space modes among
+  them), each operator as a linear form in the profile jet with coefficients
+  polynomial in the boundary eigenvalue;
+- ``ball_poly_stencil``: on polynomials on the ball, each operator as degree
+  weights, polynomial in the degree k, on the homogeneous pieces of u, lap u
+  and lap^2 u, followed by one reduction modulo the unit sphere.
+
+``apply_B`` evaluates them.  Zeroth-order blocks carry the factor (n-5)/2
+and vanish identically in the critical dimension n = 5.
 
 ``field_ops`` is the only place that picks the primitive kit for a field
 representation on a model geometry, and ``leading_part`` holds the only table
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import GeometryKind, ModelGeometry, boundary_data
+from .polys import Poly, degree_weighted, laplacian, reduce_mod_sphere, sum_all
 from .series import Series, TruncationError
 
 Q = Fraction
@@ -438,26 +445,24 @@ def field_ops(geom: ModelGeometry, u) -> BoundaryOps:
     """The primitive kit for the field ``u`` on a model geometry.
 
     The only dispatch from a field representation to its kit.  It picks
-    three of the four kits of ``apply_boundary_operator``: ``SeparatedOps``
+    two of the three kits of ``apply_boundary_operator``: ``SeparatedOps``
     for a SeparatedMode on any model (a half-space mode e^(-t y) q(y) is a
-    separated mode with boundary eigenvalue lam = t^2), ``BallPolyOps`` for
-    Poly on the ball, and ``HalfspacePolyOps`` for Poly and for the
-    dual-number and jet rings of ``confcalc`` on the half space, where
-    ``apply_B`` is the flat side of the covariance residuals.  The fourth,
-    ``confcalc.HalfspaceConformalEngine``, is its own kit.
+    separated mode with boundary eigenvalue lam = t^2), and
+    ``HalfspacePolyOps`` for Poly and for the dual-number and jet rings of
+    ``confcalc`` on the half space, where ``apply_B`` is the flat side of the
+    covariance residuals.  The third, ``confcalc.HalfspaceConformalEngine``,
+    is its own kit.  Separated modes and Poly fields on the ball are read by
+    ``apply_B`` through the derived stencils instead.
     """
     from . import reps
     from .confcalc import DualPoly, Jet
-    from .polys import Poly
 
     if isinstance(u, reps.SeparatedMode):
         return reps.separated_ops(geom, u)
     if isinstance(u, (Poly, DualPoly, Jet)):
         if geom.kind is GeometryKind.UPPER_HALF_SPACE:
             return reps.HalfspacePolyOps(geom.n)
-        if geom.kind is GeometryKind.EUCLIDEAN_BALL and isinstance(u, Poly):
-            return reps.BallPolyOps(geom.n)
-        raise ValueError(f"{type(u).__name__} fields are not supported on {geom.kind}")
+        raise ValueError(f"{type(u).__name__} fields have no primitive kit on {geom.kind}")
     raise TypeError(f"unsupported field representation {type(u).__name__}")
 
 
@@ -471,7 +476,6 @@ def separated_stencil(geom: ModelGeometry) -> tuple:
     Entry j lists, for each k, the coefficient of c_k as a polynomial in lam,
     given as ((power, Fraction), ...).  Memoized per model geometry.
     """
-    from .polys import Poly
     from .reps import SeparatedMode, SeparatedOps
 
     n = geom.n
@@ -489,12 +493,91 @@ def separated_stencil(geom: ModelGeometry) -> tuple:
     return tuple(out)
 
 
+class _BallDegreeOps(BoundaryOps):
+    """The ball primitives on one homogeneous piece u_k of a polynomial, as
+    symbols: a field is a Poly in (k, D) whose term k^a D^m stands for
+    k^a lap^m u_k.  lap^m u_k has degree k - 2m, so the Euler operator r d/dr
+    is E = k - 2 D d/dD; at r = 1 the normal derivative is E, the normal
+    Hessian E(E - 1) and the boundary Laplacian lap - E(E + n - 1), which
+    hold for any ambient representative of a boundary function, so nothing
+    is reduced modulo the sphere.  Curvature is constant: the pairings and
+    eta <P, Hess u> vanish and divPbar is half the boundary Laplacian."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.k = Poly.var(2, 0)
+        self.D = Poly.var(2, 1)
+
+    def bzero(self):
+        return Poly.zero(2)
+
+    def restrict(self, u):
+        return u
+
+    def eta(self, u):
+        return self.k * u - 2 * (self.D * u.diff(1))
+
+    def lap(self, u):
+        return self.D * u
+
+    def hess_nn(self, u):
+        e = self.eta(u)
+        return self.eta(e) - e
+
+    def lapbar(self, w):
+        e = self.eta(w)
+        return self.D * w - self.eta(e) - (self.n - 1) * e
+
+    def divPbar(self, w):
+        return Q(1, 2) * self.lapbar(w)
+
+    def eta_P_hess(self, u):
+        return self.bzero()
+
+
+@functools.lru_cache(maxsize=None)
+def ball_poly_stencil(geom: ModelGeometry) -> tuple:
+    """B0..B5 on polynomials on the ball, as degree weights:
+    B_j(u) = reduce_mod_sphere(sum_m sum_k c_jm(k) (lap^m u)_(k-2m)), m <= 2,
+    with (lap^m u)_(k-2m) the degree k - 2m piece of lap^m u.
+
+    Derived from ``apply_boundary_operator`` on the symbolic kit
+    ``_BallDegreeOps``.  Entry j lists, for each m, c_jm as a polynomial in
+    k given as ((power, Fraction), ...).  Memoized per model geometry.
+    """
+    if geom.kind is not GeometryKind.EUCLIDEAN_BALL:
+        raise ValueError(f"the polynomial stencil is defined on the ball, not on {geom.kind}")
+    n = geom.n
+    C, coeffs = model_coefficients(geom)
+    ops = _BallDegreeOps(n)
+    out = []
+    for j in range(6):
+        form: dict = {}
+        for (a, m), c in apply_boundary_operator(j, n, C, ops, Poly.const(2, 1), coeffs).terms.items():
+            form.setdefault(m, []).append((a, c))
+        out.append(tuple((m, tuple(sorted(form[m]))) for m in sorted(form)))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def ball_poly_weight(geom: ModelGeometry, j: int, m: int, deg: int) -> Fraction:
+    """c_jm(deg + 2m) of ``ball_poly_stencil``: the weight of the degree-deg
+    piece of lap^m u in B_j(u).  Memoized per (model, j, m, degree)."""
+    k = deg + 2 * m
+    poly = dict(ball_poly_stencil(geom)[j]).get(m, ())
+    return sum((c * k**p for p, c in poly), Q(0))
+
+
 def apply_B(j, geom: ModelGeometry, u):
     """Apply the boundary operator of normal order j on a model geometry.
 
-    Accepts a BoundaryOperatorId or plain integer for j, and any field
-    representation that ``field_ops`` has a kit for; separated modes are read
-    through ``separated_stencil``.  Exact for exact inputs.
+    Accepts a BoundaryOperatorId or plain integer for j.  Two field
+    representations are read through stencils derived once per model from
+    ``apply_boundary_operator``: separated modes through
+    ``separated_stencil`` and polynomials on the ball through
+    ``ball_poly_stencil`` (the result is reduced modulo the unit sphere).
+    Every other field goes through the kit that ``field_ops`` picks.  A
+    polynomial must be ambient, in n + 1 variables.  Exact for exact inputs.
     """
     from .reps import SeparatedMode
 
@@ -510,6 +593,18 @@ def apply_B(j, geom: ModelGeometry, u):
         for k, poly in separated_stencil(geom)[j]:
             out = out + sum(c * u.lam**p for p, c in poly) * chi.coeffs[k]
         return out
+    if isinstance(u, Poly):
+        if u.d != geom.n + 1:
+            raise ValueError(f"a field on a model of boundary dimension {geom.n} must be a "
+                             f"polynomial in {geom.n + 1} variables, got {u.d}")
+        if geom.kind is GeometryKind.EUCLIDEAN_BALL:
+            form = ball_poly_stencil(geom)[j]
+            pieces = [u]  # u, lap u, lap^2 u as far as B_j reads them
+            while len(pieces) <= form[-1][0]:
+                pieces.append(laplacian(pieces[-1]))
+            return reduce_mod_sphere(sum_all([
+                degree_weighted(pieces[m], functools.partial(ball_poly_weight, geom, j, m))
+                for m, _ in form]))
     C, coeffs = model_coefficients(geom)
     return apply_boundary_operator(j, geom.n, C, field_ops(geom, u), u, coeffs)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .boundary import apply_B
 from .fractional import DTN_IDENTITIES, round_multiplier
 from .geometry import GeometryKind, ModelGeometry
-from .polys import MomentScalar, Poly, ball_integral, grad_dot, laplacian, sphere_integral
+from .polys import MomentScalar, Poly, ball_integral, grad_dot, laplacian, sphere_pairing
 from .reps import RadialProfile, radial_l2_integral
 from .solver import BoundaryTriple, ball_mode_solve
 
@@ -55,8 +55,8 @@ def _require_ball_polys(geom: ModelGeometry, u, v):
 def q6_form(geom: ModelGeometry, u: Poly, v: Poly) -> EnergyReport:
     """Energy pairing: interior integral of u times the sixth-order operator
     of v, plus the boundary pairing sum of B_j(u) B_(5-j)(v), j = 0..2.
-    The products are integrated unreduced: the sphere relation does not
-    change a sphere integral."""
+    B_j is read through ``boundary.ball_poly_stencil``, and each boundary
+    product is integrated by ``sphere_pairing`` without being formed."""
     _require_ball_polys(geom, u, v)
     l6v = -laplacian(laplacian(laplacian(v)))
     interior = ball_integral(u * l6v)
@@ -64,7 +64,7 @@ def q6_form(geom: ModelGeometry, u: Poly, v: Poly) -> EnergyReport:
     for j in range(3):
         bu = apply_B(j, geom, u)
         bv = apply_B(5 - j, geom, v)
-        boundary = boundary + sphere_integral(bu * bv)
+        boundary = boundary + sphere_pairing(bu, bv)
     return EnergyReport(interior, boundary, interior + boundary, True)
 
 

@@ -413,6 +413,29 @@ def sphere_integral(p: Poly) -> MomentScalar:
     return MomentScalar(q, "vol_sn", d - 1)
 
 
+def sphere_pairing(p: Poly, q: Poly) -> MomentScalar:
+    """``sphere_integral(p * q)`` without forming the product: a monomial
+    moment vanishes unless every exponent is even, so only terms of ``p``
+    and ``q`` whose exponents agree in parity are paired."""
+    if p.d != q.d:
+        raise ValueError(f"dimension mismatch: {p.d} vs {q.d}")
+    d = p.d
+    by_parity: dict = {}
+    for e, c in q.terms.items():
+        by_parity.setdefault(tuple(k & 1 for k in e), []).append((e, c))
+    acc: dict = {}
+    get = acc.get
+    for e1, c1 in p.terms.items():
+        for e2, c2 in by_parity.get(tuple(k & 1 for k in e1), ()):
+            e = tuple(map(_add, e1, e2))
+            s = get(e)
+            acc[e] = c1 * c2 if s is None else s + c1 * c2
+    total = Q(0)
+    for e, c in acc.items():
+        total += c * sphere_monomial_moment(e, d)
+    return MomentScalar(total, "vol_sn", d - 1)
+
+
 def ball_integral(p: Poly) -> MomentScalar:
     """Exact integral of ``p`` over the closed unit ball in R^d.
 

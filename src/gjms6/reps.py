@@ -26,13 +26,14 @@ modes e^(-t y)(a + b y + c y^2) are jets of this kind
 (exact), floats (numeric solves), or Poly symbols (operator-identity checks);
 the code is generic over them.
 
-This module holds three of the four primitive kits of
-``boundary.apply_boundary_operator``: ``SeparatedOps`` on every model,
-``BallPolyOps`` for polynomials on the ball, and ``HalfspacePolyOps``, the
-one flat half-space kit for polynomial fields and for the dual-number and
-jet rings of ``confcalc``, so the flat side of every covariance residual is
-``apply_B``.  The fourth is the conformal engine,
-``confcalc.HalfspaceConformalEngine``.
+This module holds two of the three primitive kits of
+``boundary.apply_boundary_operator``: ``SeparatedOps`` on every model, from
+which ``boundary.separated_stencil`` is derived, and ``HalfspacePolyOps``,
+the one flat half-space kit for polynomial fields and for the dual-number
+and jet rings of ``confcalc``, so the flat side of every covariance residual
+is ``apply_B``.  The third is the conformal engine,
+``confcalc.HalfspaceConformalEngine``.  Polynomials on the ball have no kit
+here: ``apply_B`` reads them through ``boundary.ball_poly_stencil``.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 from .boundary import BoundaryOps
 from .fractional import sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry
-from .polys import Poly, degree_weighted, euler_op, laplacian, reduce_mod_sphere, sum_all
+from .polys import sum_all
 from .series import Series, sec2_series, series_inverse, tan_series
 
 Q = Fraction
@@ -181,7 +182,7 @@ def separated_ops(geom: ModelGeometry, u: SeparatedMode) -> SeparatedOps:
 
 
 # ---------------------------------------------------------------------------
-# polynomial kits on the flat models
+# the flat half-space kit
 # ---------------------------------------------------------------------------
 
 class HalfspacePolyOps(BoundaryOps):
@@ -216,45 +217,6 @@ class HalfspacePolyOps(BoundaryOps):
 
     def divPbar(self, w):
         return 0
-
-    def eta_P_hess(self, u):
-        return 0
-
-
-class BallPolyOps(BoundaryOps):
-    """Polynomials on the flat unit ball; boundary functions are ambient
-    polynomials reduced modulo the unit-sphere relation.
-
-    A homogeneous piece u_k of degree k is an eigenfunction of the Euler
-    operator r d/dr with eigenvalue k, so the normal derivatives at r = 1 are
-    degree weights: hess_nn u = sum_k k(k-1) u_k, and the boundary Laplacian
-    is lap w - sum_k k(k+n-1) w_k, each one pass before the reduction.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def bzero(self):
-        return Poly.zero(self.n + 1)
-
-    def restrict(self, u: Poly) -> Poly:
-        return reduce_mod_sphere(u)
-
-    def eta(self, u: Poly) -> Poly:
-        return reduce_mod_sphere(euler_op(u))
-
-    def lap(self, u: Poly) -> Poly:
-        return laplacian(u)
-
-    def hess_nn(self, u: Poly) -> Poly:
-        return reduce_mod_sphere(degree_weighted(u, lambda k: k * (k - 1)))
-
-    def lapbar(self, w: Poly) -> Poly:
-        n = self.n
-        return reduce_mod_sphere(laplacian(w) + degree_weighted(w, lambda k: -k * (k + n - 1)))
-
-    def divPbar(self, w: Poly) -> Poly:
-        return Q(1, 2) * self.lapbar(w)
 
     def eta_P_hess(self, u):
         return 0

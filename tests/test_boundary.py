@@ -9,9 +9,12 @@ import pytest
 
 from gjms6.boundary import (
     BoundaryOperatorId,
+    BoundaryOps,
     LEADING_TERMS,
     apply_B,
     apply_boundary_operator,
+    ball_poly_stencil,
+    ball_poly_weight,
     coefficient_scalars,
     coefficients,
     leading_part,
@@ -21,10 +24,63 @@ from gjms6.boundary import (
 )
 from gjms6.fractional import rising, sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
-from gjms6.polys import Poly
+from gjms6.polys import Poly, degree_weighted, euler_op, laplacian, random_poly, reduce_mod_sphere
 from gjms6.reps import RadialProfile, SeparatedMode, SeparatedOps
 from gjms6.series import Series, TruncationError
 from gjms6.solver import halfspace_symbolic_mode
+
+
+class BallPolyOps(BoundaryOps):
+    """Polynomials on the flat unit ball; boundary functions are ambient
+    polynomials reduced modulo the unit-sphere relation.
+
+    A homogeneous piece u_k of degree k is an eigenfunction of the Euler
+    operator r d/dr with eigenvalue k, so the normal derivatives at r = 1 are
+    degree weights: hess_nn u = sum_k k(k-1) u_k, and the boundary Laplacian
+    is lap w - sum_k k(k+n-1) w_k, each one pass before the reduction.
+
+    The concrete kit of the ball: a reference for ``ball_poly_stencil``,
+    which ``apply_B`` reads instead.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def bzero(self):
+        return Poly.zero(self.n + 1)
+
+    def restrict(self, u: Poly) -> Poly:
+        return reduce_mod_sphere(u)
+
+    def eta(self, u: Poly) -> Poly:
+        return reduce_mod_sphere(euler_op(u))
+
+    def lap(self, u: Poly) -> Poly:
+        return laplacian(u)
+
+    def hess_nn(self, u: Poly) -> Poly:
+        return reduce_mod_sphere(degree_weighted(u, lambda k: k * (k - 1)))
+
+    def lapbar(self, w: Poly) -> Poly:
+        n = self.n
+        return reduce_mod_sphere(laplacian(w) + degree_weighted(w, lambda k: -k * (k + n - 1)))
+
+    def divPbar(self, w: Poly) -> Poly:
+        return Q(1, 2) * self.lapbar(w)
+
+    def eta_P_hess(self, u):
+        return 0
+
+
+def reference_B(j, geom, u, coeffs=None):
+    """B_j on a ball polynomial through the reference kit."""
+    C, model = model_coefficients(geom)
+    return apply_boundary_operator(j, geom.n, C, BallPolyOps(geom.n), u, coeffs or model)
+
+
+def clear_ball_memos():
+    for memo in (model_coefficients, ball_poly_stencil, ball_poly_weight):
+        memo.cache_clear()
 
 
 class GeodesicOperators:
@@ -126,7 +182,8 @@ def test_curvature_record_is_built_once_per_geometry(monkeypatch):
         return coefficient_scalars(n, C)
 
     monkeypatch.setattr(boundary, "coefficient_scalars", counting)
-    model_coefficients.cache_clear()
+    # the ball stencil reads the record on its first build
+    clear_ball_memos()
     for geom in (ball(7), ball(9), halfspace(7)):
         d = geom.n + 1
         x0, x1, y = Poly.var(d, 0), Poly.var(d, 1), Poly.var(d, d - 1)
@@ -163,8 +220,6 @@ def test_ball_mode_matches_poly_route():
     r2 = sum((Poly.var(d, i) ** 2 for i in range(d)), Poly.zero(d))
     u_poly = (3 * Poly.const(d, 1) - 5 * r2) * h2  # (3 - 5 r^2) x0 x1
     prof = RadialProfile(n, 2, {0: Q(3), 1: Q(-5)})
-    from gjms6.reps import BallPolyOps
-
     ops = BallPolyOps(n)
     h2_b = ops.restrict(h2)
     for j in range(6):
@@ -177,9 +232,6 @@ def test_ball_mode_matches_poly_route():
 def test_ball_poly_ops_degree_weights_match_euler_operator(n):
     """hess_nn and lapbar by degree weights equal their Euler-operator forms:
     d^2/dr^2 = E(E - 1) and lapbar = lap - E^2 - (n-1) E at r = 1."""
-    from gjms6.polys import euler_op, laplacian, random_poly, reduce_mod_sphere
-    from gjms6.reps import BallPolyOps
-
     ops = BallPolyOps(n)
     rng = random.Random(n)
     for _ in range(8):
@@ -187,6 +239,54 @@ def test_ball_poly_ops_degree_weights_match_euler_operator(n):
         e = euler_op(u)
         assert ops.hess_nn(u) == reduce_mod_sphere(euler_op(e) - e)
         assert ops.lapbar(u) == reduce_mod_sphere(laplacian(u) - euler_op(e) - (n - 1) * e)
+
+
+def ball_fields(n):
+    """Seeded fields on the ball in R^(n+1): zero, constants, x_last^6 and
+    random polynomials of degree <= 7."""
+    d = n + 1
+    rng = random.Random(100 + n)
+    fixed = [Poly.zero(d), Poly.const(d, 1), Poly.const(d, Q(-7, 3)), Poly.var(d, n, 6)]
+    return fixed + [random_poly(rng, d, 7, 10) for _ in range(6)]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+def test_ball_stencil_matches_reference_kit(n):
+    """The derived degree stencil and the assembly on the concrete ball kit
+    give the same canonical polynomial for every operator."""
+    g = ball(n)
+    for u in ball_fields(n):
+        for j in range(6):
+            assert apply_B(j, g, u) == reference_B(j, g, u), (n, j, u)
+
+
+def test_ball_stencil_sees_a_perturbed_coefficient(monkeypatch):
+    """Negative control: the stencil is rebuilt from the coefficient scalars,
+    so a perturbed T3 moves B3 off the reference and leaves B2 on it."""
+    import gjms6.boundary as boundary
+
+    g = ball(7)
+    _, true_coeffs = model_coefficients(g)
+    t3 = boundary.t3_scalar
+    monkeypatch.setattr(boundary, "t3_scalar", lambda n, C: t3(n, C) + Q(1, 7))
+    clear_ball_memos()
+    try:
+        for u in ball_fields(7)[1:]:
+            assert apply_B(3, g, u) != reference_B(3, g, u, true_coeffs)
+            assert apply_B(2, g, u) == reference_B(2, g, u, true_coeffs)
+    finally:
+        monkeypatch.undo()
+        clear_ball_memos()
+    assert apply_B(3, g, Poly.const(8, 1)) == reference_B(3, g, Poly.const(8, 1))
+
+
+@pytest.mark.parametrize("geom", [ball(7), halfspace(7)], ids=["ball", "halfspace"])
+def test_apply_B_rejects_non_ambient_polynomials(geom):
+    for d in (geom.n, geom.n + 2):
+        u = Poly.var(d, 0) * Poly.var(d, d - 1) ** 2
+        for j in range(6):
+            with pytest.raises(ValueError):
+                apply_B(j, geom, u)
 
 
 def test_hemisphere_closed_forms_symbolically():
@@ -303,8 +403,9 @@ def test_separated_mode_below_operator_order_raises():
 def test_separated_stencil_is_derived_on_first_use():
     code = (
         "import gjms6\n"
-        "from gjms6.boundary import separated_stencil\n"
+        "from gjms6.boundary import ball_poly_stencil, separated_stencil\n"
         "assert separated_stencil.cache_info().currsize == 0\n"
+        "assert ball_poly_stencil.cache_info().currsize == 0\n"
         "from gjms6.solver import ball_mode_solve, BoundaryTriple\n"
         "ball_mode_solve(7, 2, BoundaryTriple(1, 0, 0))\n"
         "assert separated_stencil.cache_info().currsize == 1\n"

@@ -34,6 +34,25 @@ def test_q6_examples():
     assert rep.exact
 
 
+@pytest.mark.parametrize("n, want", [
+    (5, (Q(129951, 640), Q(-4459747, 2240), Q(-7946223, 4480), Q(-31807, 2240))),
+    (7, (Q(-1153811, 1120), Q(-374009877, 17920), Q(289533, 4480), Q(-78725797, 3584))),
+    (9, (Q(8650093, 33600), Q(-861033893, 13440), Q(-1297019, 11200), Q(-856017433, 13440))),
+])
+def test_q6_pinned_values(n, want):
+    """Interior and boundary parts of q6(u, v) and q6(v, u) on seeded degree-8
+    fields, pinned exactly: an error that is symmetric in u and v leaves
+    the symmetry residual at zero but moves these values."""
+    rng = random.Random(n)
+    a = random_poly(rng, n + 1, 4, 4)
+    b = random_poly(rng, n + 1, 4, 4)
+    u, v = a * a + b, b * b + a
+    uv, vu = q6_form(ball(n), u, v), q6_form(ball(n), v, u)
+    got = (uv.interior, uv.boundary, vu.interior, vu.boundary)
+    assert got == tuple(MomentScalar(q, "vol_sn", n) for q in want)
+    assert uv.total == vu.total
+
+
 def test_q6_rejects_other_models():
     with pytest.raises(ValueError):
         q6_form(halfspace(7), Poly.zero(8), Poly.zero(8))

@@ -75,7 +75,7 @@ def test_L6_commutes_with_harmonic_decomposition():
     u = (Poly.const(d, 1) + 2 * radial_sq(d)) * h2
     out_poly = apply_L6(ball(n), u)
     # compare boundary values of the profiles
-    from gjms6.reps import BallPolyOps
+    from test_boundary import BallPolyOps
 
     ops = BallPolyOps(n)
     got = out.profile.value()

@@ -16,6 +16,7 @@ from gjms6.polys import (
     random_poly,
     reduce_mod_sphere,
     sphere_integral,
+    sphere_pairing,
     sphere_relation_power,
 )
 
@@ -242,3 +243,24 @@ def test_sphere_relation_power_is_the_power(d):
     rel = Poly.const(d, 1) - sum((Poly.var(d, i, 2) for i in range(d - 1)), Poly.zero(d))
     for k in range(4):
         assert sphere_relation_power(d, k) == rel**k
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_sphere_pairing_is_the_integral_of_the_product(d):
+    """Pairing only parity-matched terms drops no nonzero moment, on zero
+    operands, terms of odd exponent, and reduced and unreduced operands."""
+    @settings(max_examples=40, deadline=None)
+    @given(cancelling_polys(d), cancelling_polys(d), st.booleans(), st.booleans())
+    def check(p, q, reduce_p, reduce_q):
+        if reduce_p:
+            p = reduce_mod_sphere(p)
+        if reduce_q:
+            q = reduce_mod_sphere(q)
+        assert sphere_pairing(p, q) == sphere_integral(p * q)
+        assert sphere_pairing(q, p) == sphere_pairing(p, q)
+
+    check()
+    x0, y = Poly.var(d, 0), Poly.var(d, d - 1)
+    assert sphere_pairing(x0 + y, x0 * 3) == MomentScalar(Q(3, d), "vol_sn", d - 1)
+    with pytest.raises(ValueError):
+        sphere_pairing(x0, Poly.var(d + 1, 0))

@@ -82,10 +82,12 @@ def test_ball_solve_linearity_and_uniqueness():
 
 
 def test_ball_dirichlet_matrix_is_built_once_per_degree():
-    from gjms6.traces import corollary_check
+    from gjms6.traces import ball_interior_gram, corollary_check
 
     # nonzero in every degree l <= 8, with a tail far below the guard
     coeffs = [[10.0 ** (-2 * k) for k in range(9)]] * 3
+    # a warm interior Gram memo would skip the unit solves that build them
+    ball_interior_gram.cache_clear()
     ball_dirichlet_matrix.cache_clear()
     first = corollary_check(ball(7), coeffs, lmax=8)
     second = corollary_check(ball(7), coeffs, lmax=8)
