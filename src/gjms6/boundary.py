@@ -20,7 +20,7 @@ and vanish identically in the critical dimension n = 5.
 
 ``field_ops`` is the only place that picks the primitive kit for a field
 representation on a model geometry, and ``leading_part`` holds the only table
-from primitive names to kit calls.
+from primitive names to kit calls, for the fields that have a kit.
 """
 from __future__ import annotations
 
@@ -542,8 +542,9 @@ def ball_poly_stencil(geom: ModelGeometry) -> tuple:
     with (lap^m u)_(k-2m) the degree k - 2m piece of lap^m u.
 
     Derived from ``apply_boundary_operator`` on the symbolic kit
-    ``_BallDegreeOps``.  Entry j lists, for each m, c_jm as a polynomial in
-    k given as ((power, Fraction), ...).  Memoized per model geometry.
+    ``_BallDegreeOps``.  Entry j lists, for each m, the weight of the pieces
+    of lap^m u as a function deg -> c_jm(deg + 2m), evaluated once per
+    degree.  Memoized per model geometry, weights included.
     """
     if geom.kind is not GeometryKind.EUCLIDEAN_BALL:
         raise ValueError(f"the polynomial stencil is defined on the ball, not on {geom.kind}")
@@ -555,17 +556,19 @@ def ball_poly_stencil(geom: ModelGeometry) -> tuple:
         form: dict = {}
         for (a, m), c in apply_boundary_operator(j, n, C, ops, Poly.const(2, 1), coeffs).terms.items():
             form.setdefault(m, []).append((a, c))
-        out.append(tuple((m, tuple(sorted(form[m]))) for m in sorted(form)))
+        out.append(tuple((m, _shifted_weight(tuple(form[m]), m)) for m in sorted(form)))
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
-def ball_poly_weight(geom: ModelGeometry, j: int, m: int, deg: int) -> Fraction:
-    """c_jm(deg + 2m) of ``ball_poly_stencil``: the weight of the degree-deg
-    piece of lap^m u in B_j(u).  Memoized per (model, j, m, degree)."""
-    k = deg + 2 * m
-    poly = dict(ball_poly_stencil(geom)[j]).get(m, ())
-    return sum((c * k**p for p, c in poly), Q(0))
+def _shifted_weight(poly: tuple, m: int):
+    """deg -> c(deg + 2m) for c(k) given as ((power, Fraction), ...),
+    cached per degree."""
+    @functools.lru_cache(maxsize=None)
+    def weight(deg: int) -> Fraction:
+        k = deg + 2 * m
+        return sum((c * k**p for p, c in poly), Q(0))
+
+    return weight
 
 
 def apply_B(j, geom: ModelGeometry, u):
@@ -602,9 +605,7 @@ def apply_B(j, geom: ModelGeometry, u):
             pieces = [u]  # u, lap u, lap^2 u as far as B_j reads them
             while len(pieces) <= form[-1][0]:
                 pieces.append(laplacian(pieces[-1]))
-            return reduce_mod_sphere(sum_all([
-                degree_weighted(pieces[m], functools.partial(ball_poly_weight, geom, j, m))
-                for m, _ in form]))
+            return reduce_mod_sphere(sum_all([degree_weighted(pieces[m], weight) for m, weight in form]))
     C, coeffs = model_coefficients(geom)
     return apply_boundary_operator(j, geom.n, C, field_ops(geom, u), u, coeffs)
 
@@ -694,7 +695,11 @@ LEADING_TERMS = {
 def leading_part(j: int, geom: ModelGeometry, u):
     """The universal leading part of the order-j operator applied to u.
 
-    Holds the only table from primitive names to calls on the kit.
+    Holds the only table from primitive names to calls on the kit.  Takes
+    the fields that ``field_ops`` has a kit for: separated modes on any
+    model, and polynomials and the ``confcalc`` rings on the half space.  A
+    polynomial on the ball raises ValueError: its operators are read whole
+    through ``ball_poly_stencil``, which keeps no leading part apart.
     """
     ops = field_ops(geom, u)
     lap_u = ops.lap(u)

@@ -1,7 +1,7 @@
 """Command-line entry point: run verification suites and emit reports.
 
 Usage: gjms6 SUITE [--geometry G] [--n N] [--lmax L] [--grid N] [--tol T]
-       [--seed S] [--out PATH] [--timings] [--csv WHAT:PATH]
+       [--seed S] [--out PATH] [--csv WHAT:PATH]
 with SUITE one of covariance, symmetry, dtn, trace, critical, all.
 Exit status is nonzero iff any check fails.
 """
@@ -248,9 +248,6 @@ def main(argv=None) -> int:
     ap.add_argument("--tol", type=float, default=1e-6, help="numeric tolerance")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=str, default=None, help="JSON report path")
-    ap.add_argument("--timings", action="store_true",
-                    help="write the measured runtime_ms of each check into the JSON report "
-                         "(0.0 by default, so reports are byte-identical across runs)")
     ap.add_argument("--csv", type=str, default=None, metavar="WHAT:PATH",
                     help="emit a data series (multiplier_table, gap_vs_epsilon, ...)")
     args = ap.parse_args(argv)
@@ -268,7 +265,7 @@ def main(argv=None) -> int:
         return 2
     report.print_lines()
     if args.out:
-        report.write_json(args.out, timings=args.timings)
+        report.write_json(args.out)
         print(f"report written to {args.out}")
     if args.csv:
         emit_csv(report, what, path)

@@ -38,8 +38,8 @@ class CheckEntry:
             ok = abs(float(self.residual)) <= self.tolerance
         return "pass" if ok else "fail"
 
-    def as_json(self, timings: bool = False) -> dict:
-        # timings default off so reports are byte-identical across runs
+    def as_json(self) -> dict:
+        # runtime_ms is written as 0.0 so reports are byte-identical across runs
         return {
             "id": self.id,
             "tag": self.tag,
@@ -47,7 +47,7 @@ class CheckEntry:
             "residual": _residual_str(self.residual),
             "tolerance": format(self.tolerance, ".3e"),
             "exact": self.exact,
-            "runtime_ms": round(self.runtime_ms, 3) if timings else 0.0,
+            "runtime_ms": 0.0,
         }
 
 
@@ -77,11 +77,11 @@ class CheckReport:
     def ok(self) -> bool:
         return self.n_fail == 0
 
-    def as_json(self, timings: bool = False) -> dict:
+    def as_json(self) -> dict:
         return {
             "version": SCHEMA_VERSION,
             "config": self.config,
-            "checks": [c.as_json(timings) for c in self.checks],
+            "checks": [c.as_json() for c in self.checks],
             "summary": {
                 "suite": self.suite,
                 "pass": self.n_pass,
@@ -90,9 +90,9 @@ class CheckReport:
             },
         }
 
-    def write_json(self, path: str, timings: bool = False):
+    def write_json(self, path: str):
         with open(path, "w") as fh:
-            json.dump(self.as_json(timings), fh, indent=2, sort_keys=True)
+            json.dump(self.as_json(), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     def print_lines(self):

@@ -14,7 +14,6 @@ from gjms6.boundary import (
     apply_B,
     apply_boundary_operator,
     ball_poly_stencil,
-    ball_poly_weight,
     coefficient_scalars,
     coefficients,
     leading_part,
@@ -79,7 +78,7 @@ def reference_B(j, geom, u, coeffs=None):
 
 
 def clear_ball_memos():
-    for memo in (model_coefficients, ball_poly_stencil, ball_poly_weight):
+    for memo in (model_coefficients, ball_poly_stencil):
         memo.cache_clear()
 
 
@@ -287,6 +286,19 @@ def test_apply_B_rejects_non_ambient_polynomials(geom):
         for j in range(6):
             with pytest.raises(ValueError):
                 apply_B(j, geom, u)
+
+
+def test_leading_part_has_no_ball_polynomial_kit():
+    """Ball polynomials are read whole through the degree stencil, so the
+    leading-part split takes no ball polynomial; modes on the ball and
+    polynomials on the half space still have a kit."""
+    n = 7
+    u = Poly.var(n + 1, 0) * Poly.var(n + 1, n)
+    with pytest.raises(ValueError, match="no primitive kit"):
+        leading_part(2, ball(n), u)
+    assert leading_part(2, halfspace(n), u) == apply_B(2, halfspace(n), u)
+    mode = RadialProfile(n, 2, {0: Q(3), 1: Q(-5)}).to_separated()
+    assert leading_part(0, ball(n), mode) == apply_B(0, ball(n), mode)
 
 
 def test_hemisphere_closed_forms_symbolically():

@@ -14,7 +14,6 @@ from gjms6.cli import main
 # by the walk below without editing this list
 KNOWN = {
     "gjms6.boundary.ball_poly_stencil",
-    "gjms6.boundary.ball_poly_weight",
     "gjms6.boundary.model_coefficients",
     "gjms6.boundary.separated_stencil",
     "gjms6.conformal._engine",
