@@ -6,13 +6,8 @@ from .geometry import (
     GeometryKind,
     ModelGeometry,
     ball,
-    boundary_data,
-    conformally_flat_curvature,
-    coronal_check,
-    geodesic_invariants,
     halfspace,
     hemisphere,
-    hyperbolic_expansion,
     hyperbolic_geodesic,
 )
 from .polys import (
@@ -26,9 +21,7 @@ from .polys import (
 from .gjms import apply_L6, factorization_shifts, q6_constant_curvature, t4_action
 from .boundary import (
     BoundaryOperatorId,
-    CurvatureCoefficients,
     apply_B,
-    coefficients,
     normal_form_operators,
 )
 from .conformal import (
@@ -42,13 +35,11 @@ from .conformal import (
 )
 from .solver import (
     BoundaryTriple,
-    ModeIndex,
     SolveResult,
     ball_mode_solve,
     geodesic_mode_solve,
     halfspace_solve,
     hemisphere_mode_solve,
-    kernel_check,
     mode_solve,
 )
 from .fractional import (

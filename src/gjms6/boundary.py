@@ -1,6 +1,9 @@
 """The six conformally covariant boundary operators of the sixth-order
 GJMS operator, with all curvature coefficients.
 
+``model_curvature_inputs`` is the one curvature table of the four model
+geometries (H, P(eta,eta), Jbar, |Pbar|^2 and the derivatives of J), and
+``model_coefficients`` memoizes it with its coefficient scalars per model.
 The scalar coefficients and the operator assembly are written once, in
 ``apply_boundary_operator``, generic over an arithmetic kit: exact rational
 curvature data with polynomial fields on the flat half space, and the
@@ -28,7 +31,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .geometry import GeometryKind, ModelGeometry, boundary_data
+from .geometry import GeometryKind, ModelGeometry
 from .polys import Poly, degree_weighted, laplacian, reduce_mod_sphere, sum_all
 from .series import Series, TruncationError
 
@@ -53,8 +56,9 @@ class BoundaryOperatorId:
 class CurvatureInputs:
     """Named curvature scalars entering the boundary operators.
 
-    For model geometries every field is an exact Fraction (derivative fields
-    vanish); the conformal engine fills the same slots with ring elements.
+    For model geometries every field is an exact Fraction (the tangential
+    derivative fields vanish); the conformal engine fills the same slots with
+    ring elements.
     """
 
     __slots__ = (
@@ -71,15 +75,28 @@ class CurvatureInputs:
 
 
 def model_curvature_inputs(geom: ModelGeometry) -> CurvatureInputs:
-    d = boundary_data(geom)
-    z = Q(0)
-    return CurvatureInputs(
-        H=d.H, Pnn=d.P_eta_eta, Jb=d.Jbar, Pbar2=d.Pbar_norm_sq,
-        etaJ=d.eta_J, lapJ=d.delta_J, hessJnn=d.hess_J_eta_eta,
-        etaPnn=d.eta_P_eta_eta, etaPsq=d.eta_P_norm_sq, etaLapJ=d.eta_delta_J,
-        lapbarH=z, lapbar2H=z, lapbarJb=z, lapbarPnn=z, lapbar_etaJ=z,
-        gradH2=z, PbarHessH=z, pair_dH_dJb=z, pair_dH_dPnn=z,
-    )
+    """The exact curvature scalars of a model geometry: the one curvature
+    table of the four models, read through ``model_coefficients``.
+
+    Every model is umbilic with vanishing Fialkow tensor and constant
+    curvature data, so each slot not set below is zero.  Each round boundary
+    has Pbar = gbar/2, hence Jbar = n/2 and |Pbar|^2 = n/4.
+    """
+    n, kind = geom.n, geom.kind
+    fields = dict.fromkeys(CurvatureInputs.__slots__, Q(0))
+    if kind is not GeometryKind.UPPER_HALF_SPACE:
+        fields.update(Jb=Q(n, 2), Pbar2=Q(n, 4))
+    if kind is GeometryKind.EUCLIDEAN_BALL:
+        # unit sphere in flat space: H = n, flat interior
+        fields["H"] = Q(n)
+    elif kind is GeometryKind.ROUND_HEMISPHERE:
+        # totally geodesic equator; the interior Schouten tensor is g/2
+        fields["Pnn"] = Q(1, 2)
+    elif kind is GeometryKind.HYPERBOLIC_GEODESIC:
+        # totally geodesic boundary with J = Jbar; the interior Laplacian of
+        # J and its normal Hessian restrict to |Pbar|^2 = n/4
+        fields.update(lapJ=Q(n, 4), hessJnn=Q(n, 4))
+    return CurvatureInputs(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -231,38 +248,12 @@ def coefficient_scalars(n, C) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class CurvatureCoefficients:
-    """Exact coefficient scalars of a model geometry; the one-form block
-    sigma4 vanishes on all models (constant curvature data)."""
-
-    T1: Fraction
-    T2: Fraction
-    T3: Fraction
-    T4c: Fraction
-    T5: Fraction
-    S2: Fraction
-    S3: Fraction
-    S4: Fraction
-    R13: Fraction
-    R23: Fraction
-    sigma4_zero: bool = True
-
-
 @functools.lru_cache(maxsize=None)
 def model_coefficients(geom: ModelGeometry) -> tuple:
     """(CurvatureInputs, coefficient_scalars dict) of a model geometry,
     built once per geometry; callers share them and must not mutate them."""
     C = model_curvature_inputs(geom)
     return C, coefficient_scalars(geom.n, C)
-
-
-def coefficients(geom: ModelGeometry) -> CurvatureCoefficients:
-    _, s = model_coefficients(geom)
-    return CurvatureCoefficients(
-        T1=s["T1"], T2=s["T2"], T3=s["T3"], T4c=s["T4"], T5=s["T5"],
-        S2=s["S2"], S3=s["S3"], S4=s["S4"], R13=s["R13"], R23=s["R23"],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import geometry
 from .geometry import GeometryKind, ModelGeometry
 from .polys import random_poly
-from .report import CheckReport, Stopwatch, emit_csv
+from .report import CheckReport, emit_csv
 from .traces import UnderResolvedError
 
 Q = Fraction
@@ -48,26 +48,23 @@ def run_covariance(report: CheckReport, n: int, seed: int, probes: int = 12):
         u = random_poly(rng, d, 3, 2)
         probe = VariationProbe(sigma=sigma)
         for j in range(6):
-            with Stopwatch() as sw:
-                r = infinitesimal_covariance_residual(j, probe, u, g)
+            r = infinitesimal_covariance_residual(j, probe, u, g)
             report.add(f"covariance-infinitesimal-B{j}-probe{k}", "boundary-operator-covariance",
-                       Q(0) if r.iszero() else Q(1), 0.0, True, sw.ms)
+                       Q(0) if r.iszero() else Q(1), 0.0, True)
     for k in range(max(2, probes // 4)):
         sigma = random_poly(rng, d, 2, 2, 2)
         u = random_poly(rng, d, 2, 2, 2)
         for j in range(6):
-            with Stopwatch() as sw:
-                r = finite_covariance_residual(j, sigma, u, g, order=6)
+            r = finite_covariance_residual(j, sigma, u, g, order=6)
             report.add(f"covariance-finite-B{j}-probe{k}", "boundary-operator-covariance",
-                       Q(0) if r.iszero() else Q(1), 0.0, True, sw.ms)
+                       Q(0) if r.iszero() else Q(1), 0.0, True)
     if n == 5:
         for k in range(max(2, probes // 4)):
             sigma = random_poly(rng, 6, 2, 2, 2)
             for j in range(1, 6):
-                with Stopwatch() as sw:
-                    r = critical_T_shift(j, sigma, g)
+                r = critical_T_shift(j, sigma, g)
                 report.add(f"critical-shift-T{j}-probe{k}", "critical-coefficient-shift",
-                           Q(0) if r.iszero() else Q(1), 0.0, True, sw.ms)
+                           Q(0) if r.iszero() else Q(1), 0.0, True)
 
 
 def run_symmetry(report: CheckReport, n: int, seed: int, pairs: int = 20):
@@ -80,19 +77,17 @@ def run_symmetry(report: CheckReport, n: int, seed: int, pairs: int = 20):
     for k in range(pairs):
         u = random_poly(rng, d, 5, 3)
         v = random_poly(rng, d, 5, 3)
-        with Stopwatch() as sw:
-            res = symmetry_residual(g, u, v)
-        report.add(f"energy-symmetry-pair{k}", "energy-form-symmetry", res.q, 0.0, True, sw.ms)
+        res = symmetry_residual(g, u, v)
+        report.add(f"energy-symmetry-pair{k}", "energy-form-symmetry", res.q, 0.0, True)
     for k in range(3):
         u = random_poly(rng, d, 4, 3)
         v = random_poly(rng, d, 4, 3)
-        with Stopwatch() as sw:
-            dec = fi_fb_decompose(g, u, v)
-            tot = q6_form(g, u, v).total
-            resid = (dec.FI + dec.FB - tot).q
-            sym = (fi_fb_decompose(g, v, u).FI - dec.FI).q
+        dec = fi_fb_decompose(g, u, v)
+        tot = q6_form(g, u, v).total
+        resid = (dec.FI + dec.FB - tot).q
+        sym = (fi_fb_decompose(g, v, u).FI - dec.FI).q
         report.add(f"interior-boundary-split-pair{k}", "energy-form-symmetry",
-                   resid + abs(sym), 0.0, True, sw.ms)
+                   resid + abs(sym), 0.0, True)
 
 
 def run_dtn(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float):
@@ -100,18 +95,13 @@ def run_dtn(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float):
 
     n = geom.n
     if geom.kind is GeometryKind.UPPER_HALF_SPACE:
-        with Stopwatch() as sw:
-            recs = dtn_verify(geom, n, None)
-        report.extend_records(recs, "dtn-identities", sw.ms)
+        report.extend_records(dtn_verify(geom, n, None), "dtn-identities")
         return
     for ell in range(min(lmax, 6) + 1):
-        with Stopwatch() as sw:
-            recs = dtn_verify(geom, n, ell, tol=tol)
-        report.extend_records(recs, "dtn-identities", sw.ms)
+        report.extend_records(dtn_verify(geom, n, ell, tol=tol), "dtn-identities")
     for j in (1, 3, 5):
-        with Stopwatch() as sw:
-            recs = dtn_selfadjointness(geom, n, j, range(min(lmax, 4) + 1))
-        report.extend_records(recs, "dtn-selfadjointness", sw.ms)
+        report.extend_records(dtn_selfadjointness(geom, n, j, range(min(lmax, 4) + 1)),
+                              "dtn-selfadjointness")
 
 
 def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,
@@ -121,9 +111,8 @@ def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,
     rng = np.random.default_rng(seed)
     dim_center = n + 1
     centered = [ExtremalSpec("power", (0.0,) * dim_center, 1.0) for _ in range(3)]
-    with Stopwatch() as sw:
-        rep = corollary_check(geom, centered, lmax=lmax, grid_size=grid)
-    report.add("trace-centered-extremals", "sharp-trace-equality", rep.relative_gap, tol, False, sw.ms)
+    rep = corollary_check(geom, centered, lmax=lmax, grid_size=grid)
+    report.add("trace-centered-extremals", "sharp-trace-equality", rep.relative_gap, tol, False)
     offc = [
         ExtremalSpec("power", tuple([0.3] + [0.0] * n), 1.0),
         ExtremalSpec("power", tuple([0.0, 0.25] + [0.0] * (n - 1)), 0.7),
@@ -135,17 +124,15 @@ def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,
             ExtremalSpec.from_flat("power", 1.5, [0.0] * n, n, 0.8),
             ExtremalSpec.from_flat("power", 0.7, [-0.1, 0.1] + [0.0] * (n - 2), n, 1.2),
         ]
-    with Stopwatch() as sw:
-        rep = corollary_check(geom, offc, lmax=lmax, grid_size=grid)
-    report.add("trace-offcenter-extremals", "sharp-trace-equality", rep.relative_gap, tol, False, sw.ms)
+    rep = corollary_check(geom, offc, lmax=lmax, grid_size=grid)
+    report.add("trace-offcenter-extremals", "sharp-trace-equality", rep.relative_gap, tol, False)
     gaps = []
     for k in range(5):
         coeffs = [rng.normal(size=6) * 0.5 ** np.arange(6) for _ in range(3)]
-        with Stopwatch() as sw:
-            r = corollary_check(geom, coeffs, lmax=lmax, grid_size=grid)
+        r = corollary_check(geom, coeffs, lmax=lmax, grid_size=grid)
         gaps.append((k, r.gap))
         report.add(f"trace-positive-gap-{k}", "sharp-trace-inequality",
-                   0.0 if r.gap > 0 else -1.0, 0.5, False, sw.ms)
+                   0.0 if r.gap > 0 else -1.0, 0.5, False)
     report.series["gap_vs_probe"] = (("probe", "gap"), gaps)
     # gap as a function of the flat bubble scale
     rows = []
@@ -167,14 +154,12 @@ def run_critical(report: CheckReport, geom: ModelGeometry, lmax: int, grid: int,
         ExtremalSpec("power", tuple([0.0, 0.25] + [0.0] * (n - 1)), 0.7),
         ExtremalSpec("power", tuple([0.1, -0.2] + [0.0] * (n - 1)), 1.3),
     ]
-    with Stopwatch() as sw:
-        rep = critical_check(geom, specs, lmax=lmax, grid_size=grid)
-    report.add("critical-trace-extremals", "critical-trace-equality", rep.gap, tol, False, sw.ms)
+    rep = critical_check(geom, specs, lmax=lmax, grid_size=grid)
+    report.add("critical-trace-extremals", "critical-trace-equality", rep.gap, tol, False)
     if geom.kind is GeometryKind.ROUND_HEMISPHERE:
         sol = hemisphere_mode_solve(n, 1, BoundaryTriple(0.2, 0.5, 0.3))
-        with Stopwatch() as sw:
-            resid = hemisphere_factored_residual(sol.profile, np.linspace(0.3, 1.5, 7))
-        report.add("critical-factorized-equation", "critical-extremal-equation", resid, 1e-8, False, sw.ms)
+        resid = hemisphere_factored_residual(sol.profile, np.linspace(0.3, 1.5, 7))
+        report.add("critical-factorized-equation", "critical-extremal-equation", resid, 1e-8, False)
 
 
 def run_multiplier_table(report: CheckReport, n: int, lmax: int):

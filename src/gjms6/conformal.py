@@ -12,7 +12,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import apply_B, coefficients
+from .boundary import apply_B, model_coefficients
 from .confcalc import DualKit, HalfspaceConformalEngine, JetCtx
 from .geometry import GeometryKind, ModelGeometry
 from .polys import Poly
@@ -126,8 +126,7 @@ def normalize_jet(geom: ModelGeometry, order: int = 5) -> BoundaryJet:
     are the eta-direction derivatives at the zero-frequency boundary mode.
     """
     n = geom.n
-    co = coefficients(geom)
-    t_vals = {1: co.T1, 2: co.T2, 3: co.T3, 4: co.T4c, 5: co.T5}
+    scalars = model_coefficients(geom)[1]
     # eta = eta_sign * d/dtau in the collar parametrization
     _, _, eta_sign, _ = collar_coefficients(geom.kind, n, 2)
     known = [Q(1) if n > 5 else Q(0)]  # eta^0 u
@@ -143,7 +142,7 @@ def normalize_jet(geom: ModelGeometry, order: int = 5) -> BoundaryJet:
                 derivs.append(Q(0))
         mode = SeparatedMode.from_derivs(n, 0, derivs, order + 2)
         val = apply_B(j, geom, mode)
-        target = Poly.zero(1) if n > 5 else Poly.const(1, -t_vals[j])
+        target = Poly.zero(1) if n > 5 else Poly.const(1, -scalars[f"T{j}"])
         rel = val - target if isinstance(val, Poly) else Poly.const(1, val) - target
         # rel = c1 * x + c0 must vanish
         c1 = rel.terms.get((1,), Q(0))

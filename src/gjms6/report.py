@@ -6,7 +6,6 @@ reports are byte-identical across runs with the same configuration and seed.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,7 +27,6 @@ class CheckEntry:
     residual: object
     tolerance: float
     exact: bool
-    runtime_ms: float
 
     @property
     def status(self) -> str:
@@ -58,12 +56,12 @@ class CheckReport:
     checks: list = field(default_factory=list)
     series: dict = field(default_factory=dict)
 
-    def add(self, id: str, tag: str, residual, tolerance: float, exact: bool, runtime_ms: float = 0.0):
-        self.checks.append(CheckEntry(id, tag, residual, tolerance, exact, runtime_ms))
+    def add(self, id: str, tag: str, residual, tolerance: float, exact: bool):
+        self.checks.append(CheckEntry(id, tag, residual, tolerance, exact))
 
-    def extend_records(self, records, tag: str, runtime_ms: float = 0.0):
+    def extend_records(self, records, tag: str):
         for r in records:
-            self.add(r.name, tag, r.residual, r.tolerance, r.exact, runtime_ms)
+            self.add(r.name, tag, r.residual, r.tolerance, r.exact)
 
     @property
     def n_pass(self) -> int:
@@ -101,16 +99,6 @@ class CheckReport:
             kind = "exact" if c.exact else f"tol {c.tolerance:.1e}"
             print(f"[{marker}] {c.id}  residual={_residual_str(c.residual)}  ({kind})")
         print(f"summary: {self.n_pass} passed, {self.n_fail} failed")
-
-
-class Stopwatch:
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.ms = (time.perf_counter() - self.t0) * 1000.0
-        return False
 
 
 def emit_csv(report: CheckReport, what: str, path: str):

@@ -60,15 +60,6 @@ COND_GUARD = 1e12
 HALFSPACE_N = 7
 
 
-@dataclass(frozen=True)
-class ModeIndex:
-    """Spherical-harmonic degree on round boundaries, frequency on the flat
-    boundary."""
-
-    ell: int | None = None
-    t: float | Fraction | None = None
-
-
 @dataclass
 class BoundaryTriple:
     """Dirichlet data (f, phi, psi) for the first three boundary operators,
@@ -513,17 +504,3 @@ def mode_solve(geom: ModelGeometry, ell: int, data: BoundaryTriple) -> SolveResu
     if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
         return geodesic_mode_solve(geom.n, ell, data)
     raise ValueError("per-mode extensions by harmonic degree live on the round-boundary models")
-
-
-def kernel_check(geom: ModelGeometry, mode: ModeIndex) -> bool:
-    """True iff the per-mode Dirichlet system is nonsingular: unit data
-    solve without a degenerate system or a tripped ``COND_GUARD``."""
-    unit = BoundaryTriple(Q(1), Q(0), Q(0))
-    try:
-        if geom.kind is GeometryKind.UPPER_HALF_SPACE:
-            halfspace_solve(mode.t, unit)
-        else:
-            mode_solve(geom, mode.ell, unit)
-    except DegenerateModeError:
-        return False
-    return True

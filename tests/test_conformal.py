@@ -462,6 +462,19 @@ def test_hess_nn_is_the_normal_entry_of_the_hessian(n):
         assert not got.iszero()
 
 
+def test_engine_curvature_of_sigma_y():
+    """The engine's curvature record for e^(2 sigma) * flat on the half space:
+    flat for sigma = 0; for sigma = y, P-hat = dy x dy - g/2, so
+    e^(s0) H-hat = n * eta(sigma) = -n and e^(2 s0) P-hat(eta, eta) = 1/2."""
+    n = 7
+    d = n + 1
+    flat = conformal._engine(n, Poly.zero(d), 6).curvature()
+    assert flat.H.iszero() and flat.Pnn.iszero()
+    C = conformal._engine(n, Poly.var(d, d - 1), 6).curvature()
+    assert C.H.wmap == {-1: Poly.const(n, -7)}
+    assert C.Pnn.wmap == {-2: Poly.const(n, Q(1, 2))}
+
+
 def test_critical_shift_examples():
     d = 6
     g = halfspace(5)

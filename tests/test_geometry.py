@@ -1,21 +1,15 @@
-"""Model geometry data, compactification expansions, conformally flat curvature."""
+"""The four model geometries and their one curvature table,
+``boundary.model_curvature_inputs``, tied to the collar table
+``reps.collar_coefficients``."""
 
 from fractions import Fraction as Q
 
 import pytest
 
-from gjms6.geometry import (
-    ball,
-    boundary_data,
-    conformally_flat_curvature,
-    coronal_check,
-    geodesic_invariants,
-    halfspace,
-    hemisphere,
-    hyperbolic_expansion,
-    hyperbolic_geodesic,
-)
-from gjms6.polys import Poly
+from gjms6.boundary import CurvatureInputs, model_curvature_inputs
+from gjms6.geometry import GeometryKind, ball, halfspace, hemisphere, hyperbolic_geodesic
+from gjms6.reps import collar_coefficients
+from gjms6.series import series_inverse
 
 
 def test_dimension_guard():
@@ -23,92 +17,45 @@ def test_dimension_guard():
         halfspace(4)
 
 
-def test_halfspace_data():
-    d = boundary_data(halfspace(7))
-    assert (d.H, d.P_eta_eta, d.Jbar, d.Pbar_coeff) == (0, 0, 0, 0)
-    assert d.fialkow_zero
-
-
-def test_ball_data():
-    d = boundary_data(ball(7))
-    assert d.H == 7
-    assert d.Pbar_coeff == Q(1, 2)
-    assert d.Jbar == Q(7, 2)
-    assert d.P_eta_eta == 0
-    # trace identity: ambient J vanishes on the flat interior
-    assert d.J == 0
-
-
-def test_hemisphere_data():
-    d = boundary_data(hemisphere(7))
-    assert d.H == 0
-    assert d.Pbar_coeff == Q(1, 2)
-    assert d.Jbar == Q(7, 2)
-    # round interior Schouten is g/2
-    assert d.P_eta_eta == Q(1, 2)
-    assert d.J == Q(4)  # (n+1)/2
-
-
-def test_coronal_check_models():
-    n = 7
-    zero = [[0] * n for _ in range(n)]
-    for geom in (halfspace(n), ball(n), hemisphere(n), hyperbolic_geodesic(n)):
-        assert coronal_check(boundary_data(geom), zero, zero)
-
-
-def test_coronal_check_violations():
-    n = 7
-    zero = [[0] * n for _ in range(n)]
-    bad = [[0] * n for _ in range(n)]
-    bad[0][1] = 1
-    data = boundary_data(ball(n))
-    assert not coronal_check(data, bad, zero)
-    assert not coronal_check(data, zero, bad)
-    from dataclasses import replace
-
-    umbilic_broken = replace(data, A0_norm_sq=Q(1))
-    assert not coronal_check(umbilic_broken, zero, zero)
-    with pytest.raises(ValueError):
-        coronal_check(data, [[0] * (n - 1)] * n, zero)
+def _expected_fields(kind, n):
+    """The closed-form curvature scalars, written out per model."""
+    fields = dict.fromkeys(CurvatureInputs.__slots__, 0)
+    if kind is GeometryKind.UPPER_HALF_SPACE:
+        return fields
+    # round boundary: Pbar = gbar/2
+    fields.update(Jb=Q(n, 2), Pbar2=Q(n, 4))
+    if kind is GeometryKind.EUCLIDEAN_BALL:
+        fields["H"] = n
+    elif kind is GeometryKind.ROUND_HEMISPHERE:
+        # interior Schouten g/2 of the round sphere
+        fields["Pnn"] = Q(1, 2)
+    else:
+        # Delta J and Hess J(eta, eta) restrict to |Pbar|^2 = n/4
+        fields.update(lapJ=Q(n, 4), hessJnn=Q(n, 4))
+    return fields
 
 
 @pytest.mark.parametrize("n", range(5, 13))
-def test_hyperbolic_expansion_identities(n):
-    exp = hyperbolic_expansion(n)
-    assert exp.h2 == Q(-1, 2)
-    data = boundary_data(hyperbolic_geodesic(n))
-    assert exp.h2 == -data.Pbar_coeff
-    assert Q(n) * exp.h4 == Q(1, 4) * data.Pbar_norm_sq
-    assert Q(n) * exp.h4 == Q(n, 16)
+@pytest.mark.parametrize("model", [halfspace, ball, hemisphere, hyperbolic_geodesic])
+def test_model_curvature_table(model, n):
+    geom = model(n)
+    C = model_curvature_inputs(geom)
+    got = {name: getattr(C, name) for name in CurvatureInputs.__slots__}
+    assert got == _expected_fields(geom.kind, n)
+    assert all(isinstance(v, Q) for v in got.values())
+    # trace identity J = Jbar + P(eta, eta) - H^2/(2n) against the ambient
+    # Schouten trace: flat interior, round sphere g/2, and J = Jbar
+    ambient_J = {GeometryKind.UPPER_HALF_SPACE: 0, GeometryKind.EUCLIDEAN_BALL: 0,
+                 GeometryKind.ROUND_HEMISPHERE: Q(n + 1, 2),
+                 GeometryKind.HYPERBOLIC_GEODESIC: Q(n, 2)}
+    assert C.Jb + C.Pnn - C.H**2 / (2 * n) == ambient_J[geom.kind]
 
-
-def test_geodesic_invariants():
-    inv = geodesic_invariants(7)
-    assert inv["H"] == 0 and inv["eta_J"] == 0 and inv["eta_delta_J"] == 0
-    # round infinity: interior Laplacian of J restricts to |Pbar|^2 = n/4
-    assert inv["delta_J"] == Q(7, 4)
-    data = boundary_data(hyperbolic_geodesic(7))
-    assert inv["H"] == data.H and inv["P_eta_eta"] == data.P_eta_eta
-    assert inv["J"] == data.Jbar
-
-
-def test_conformally_flat_curvature_halfspace():
-    n = 7
-    d = n + 1
-    y = Poly.var(d, d - 1)
-    rec = conformally_flat_curvature(Poly.zero(d), halfspace(n))
-    assert rec.mean_curvature_weighted.iszero()
-    assert all(p.iszero() for row in rec.schouten for p in row)
-    rec = conformally_flat_curvature(y, halfspace(n))
-    # e^sigma H-hat = n * eta(sigma) = -7 on the boundary
-    assert rec.mean_curvature_weighted == Poly.const(n, -7)
-    # P-hat = dy x dy - g/2, so the normal-normal component is 1/2
-    assert rec.p_eta_eta_weighted == Poly.const(n, Q(1, 2))
-    assert rec.weyl_zero and rec.cotton_zero and rec.bach_zero
-
-
-def test_conformally_flat_curvature_errors():
-    with pytest.raises(ValueError):
-        conformally_flat_curvature(Poly.zero(8), hemisphere(7))
-    with pytest.raises(TypeError):
-        conformally_flat_curvature(1.0, halfspace(7))
+    # the same geometry read off the collar Laplacian of the model
+    A, B, _, cPbar = collar_coefficients(geom.kind, n, 4)
+    assert C.H == A.value()
+    assert C.Jb == n * cPbar
+    assert C.Pbar2 == n * cPbar**2
+    if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
+        # h_r = (1/B) h = h - Pbar r^2 + (|Pbar|^2 / (4n)) h r^4
+        h = series_inverse(B)
+        assert h.coeffs[:5] == [1, 0, -cPbar, 0, C.Pbar2 / (4 * n)]

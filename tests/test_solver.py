@@ -17,7 +17,6 @@ from gjms6.series import Series
 from gjms6.solver import (
     BoundaryTriple,
     DegenerateModeError,
-    ModeIndex,
     ball_dirichlet_matrix,
     ball_mode_solve,
     geodesic_mode_extension,
@@ -27,7 +26,6 @@ from gjms6.solver import (
     hemisphere_factor_solve,
     hemisphere_factored_residual,
     hemisphere_mode_solve,
-    kernel_check,
     mode_solve,
     poisson_branch_series,
 )
@@ -118,15 +116,19 @@ def test_residual_norms_are_absolute_on_every_model():
             assert got == abs(a - d)
 
 
-def test_kernel_checks():
-    assert kernel_check(halfspace(7), ModeIndex(t=Q(1)))
-    assert not kernel_check(halfspace(7), ModeIndex(t=0))
-    assert kernel_check(ball(7), ModeIndex(ell=0))
+def test_unit_data_solve_on_every_model():
+    """The per-mode Dirichlet systems of unit data are nonsingular, except
+    at the zero frequency of the half space."""
+    unit = BoundaryTriple(Q(1), Q(0), Q(0))
+    assert halfspace_solve(Q(1), unit).exact
+    with pytest.raises(DegenerateModeError):
+        halfspace_solve(0, unit)
     for n in (6, 7, 9, 12):
         for ell in range(0, 6):
-            assert kernel_check(ball(n), ModeIndex(ell=ell)), (n, ell)
-    assert kernel_check(hyperbolic_geodesic(7), ModeIndex(ell=3))
-    assert kernel_check(hemisphere(7), ModeIndex(ell=2))
+            assert mode_solve(ball(n), ell, unit).exact, (n, ell)
+    assert mode_solve(hyperbolic_geodesic(7), 3, unit).exact
+    res = mode_solve(hemisphere(7), 2, unit)
+    assert max(res.residual_norms) < 1e-12
 
 
 def test_mode_solve_exact_on_ball_and_geodesic():
