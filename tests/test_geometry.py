@@ -55,7 +55,24 @@ def test_model_curvature_table(model, n):
     assert C.H == A.value()
     assert C.Jb == n * cPbar
     assert C.Pbar2 == n * cPbar**2
-    if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
-        # h_r = (1/B) h = h - Pbar r^2 + (|Pbar|^2 / (4n)) h r^4
-        h = series_inverse(B)
-        assert h.coeffs[:5] == [1, 0, -cPbar, 0, C.Pbar2 / (4 * n)]
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_hyperbolic_expansion_identities(n):
+    # h_r = (1/B) h = h - Pbar r^2 + (|Pbar|^2 / (4n)) h r^4 on the collar
+    # of the geodesic model, with Pbar = gbar/2
+    C = model_curvature_inputs(hyperbolic_geodesic(n))
+    _, B, _, cPbar = collar_coefficients(GeometryKind.HYPERBOLIC_GEODESIC, n, 4)
+    assert cPbar == Q(1, 2)
+    h = series_inverse(B)
+    assert h.coeffs[:5] == [1, 0, -cPbar, 0, C.Pbar2 / (4 * n)]
+    assert n * h.coeffs[4] == Q(n, 16)
+
+
+def test_geodesic_invariants():
+    n = 7
+    C = model_curvature_inputs(hyperbolic_geodesic(n))
+    # totally geodesic boundary with no normal derivative of J
+    assert C.H == 0 and C.Pnn == 0 and C.etaJ == 0 and C.etaLapJ == 0
+    # round infinity: Delta J and Hess J(eta, eta) restrict to |Pbar|^2
+    assert C.lapJ == C.hessJnn == C.Pbar2 == Q(n, 4)
