@@ -28,6 +28,7 @@ Ambient coordinates are x0..x(n-1) on the boundary and y last.
 """
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .boundary import BoundaryOps, CurvatureInputs, apply_boundary_operator, coefficient_scalars
@@ -495,10 +496,6 @@ class HalfspaceConformalEngine(BoundaryOps):
         s = kit.sigma_elem()
         self.amb = ConformallyFlat(s, n + 1, kit.exp_ambient)
         self.bdy = ConformallyFlat(s.drop_last(), n, kit.exp_boundary)
-        self._curv = None
-        self._coeffs = None
-        self._bhessH = None
-        self._sigma4 = None
 
     def eta_scalar(self, F):
         return -(self.bdy.exp(-1) * F.diff(self.nu).drop_last())
@@ -514,19 +511,27 @@ class HalfspaceConformalEngine(BoundaryOps):
         return h
 
     # -- curvature record -------------------------------------------------
+    @functools.cached_property
+    def H(self):
+        """Mean curvature of the boundary."""
+        return Q(-self.n) * (self.bdy.exp(-1) * self.amb.si[self.nu].drop_last())
+
+    @functools.cached_property
+    def bhessH(self):
+        """Boundary Hessian of the mean curvature."""
+        return self.bdy.hess(self.H)
+
+    @functools.cached_property
     def curvature(self) -> CurvatureInputs:
-        if self._curv is not None:
-            return self._curv
-        n, nu, amb, bdy = self.n, self.nu, self.amb, self.bdy
-        H = Q(-n) * (bdy.exp(-1) * amb.si[nu].drop_last())
+        nu, amb, bdy = self.nu, self.amb, self.bdy
+        H = self.H
         Pnn = bdy.exp(-2) * amb.P[nu][nu].drop_last()
         Jb = bdy.J
         Jhat = amb.J
         lapJhat = amb.lap(Jhat)
         etaJ = self.eta_scalar(Jhat)
         lapbarH = bdy.lap(H)
-        self._bhessH = bdy.hess(H)
-        self._curv = CurvatureInputs(
+        return CurvatureInputs(
             H=H, Pnn=Pnn, Jb=Jb, Pbar2=bdy.contract(bdy.P, bdy.P), etaJ=etaJ,
             lapJ=lapJhat.drop_last(), hessJnn=self.hess_nn(Jhat),
             etaPnn=-(bdy.exp(-3) * self.cov_P_nnn().drop_last()),
@@ -534,22 +539,19 @@ class HalfspaceConformalEngine(BoundaryOps):
             etaLapJ=self.eta_scalar(lapJhat),
             lapbarH=lapbarH, lapbar2H=bdy.lap(lapbarH), lapbarJb=bdy.lap(Jb),
             lapbarPnn=bdy.lap(Pnn), lapbar_etaJ=bdy.lap(etaJ),
-            gradH2=bdy.pair(H, H), PbarHessH=bdy.contract(bdy.P, self._bhessH),
+            gradH2=bdy.pair(H, H), PbarHessH=bdy.contract(bdy.P, self.bhessH),
             pair_dH_dJb=bdy.pair(H, Jb), pair_dH_dPnn=bdy.pair(H, Pnn),
         )
-        return self._curv
 
+    @functools.cached_property
     def coeffs(self) -> dict:
-        if self._coeffs is None:
-            self._coeffs = coefficient_scalars(self.n, self.curvature())
-        return self._coeffs
+        return coefficient_scalars(self.n, self.curvature)
 
+    @functools.cached_property
     def sigma4_components(self) -> list:
         """Boundary one-form coefficient of the order-five operator."""
-        if self._sigma4 is not None:
-            return self._sigma4
         n = self.n
-        C = self.curvature()
+        C = self.curvature
         H, Jb, Pnn = C.H, C.Jb, C.Pnn
         lapbarH = C.lapbarH
         H3 = H * H * H
@@ -567,7 +569,6 @@ class HalfspaceConformalEngine(BoundaryOps):
                 + Q(3 * n**3 - 32 * n**2 + 117 * n - 144, 6 * n**3) * H3.diff(i)
             )
             comps.append(c)
-        self._sigma4 = comps
         return comps
 
     # -- BoundaryOps interface ---------------------------------------------
@@ -601,17 +602,15 @@ class HalfspaceConformalEngine(BoundaryOps):
         return self.bdy.pair(a, w)
 
     def hesspair_H(self, w):
-        if self._bhessH is None:
-            self.curvature()
-        return self.bdy.contract(self._bhessH, self.bdy.hess(w))
+        return self.bdy.contract(self.bhessH, self.bdy.hess(w))
 
     def sigma4_pair(self, w):
-        comps = self.sigma4_components()
+        comps = self.sigma4_components
         return self.bdy.exp(-2) * sum_all([comps[i] * w.diff(i) for i in range(self.n)])
 
     # -- entry point ---------------------------------------------------------
     def boundary_operator(self, j: int, u):
-        return apply_boundary_operator(j, self.n, self.curvature(), self, u, self.coeffs())
+        return apply_boundary_operator(j, self.n, self.curvature, self, u, self.coeffs)
 
     def t_scalar(self, j: int):
-        return self.coeffs()[f"T{j}"]
+        return self.coeffs[f"T{j}"]

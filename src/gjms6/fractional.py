@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .geometry import GeometryKind, ModelGeometry
+from .report import passes
 
 Q = Fraction
 
@@ -211,9 +212,7 @@ class CheckRecord:
 
     @property
     def passed(self) -> bool:
-        if self.exact:
-            return self.residual == 0
-        return abs(self.residual) <= self.tolerance
+        return passes(self.residual, self.tolerance, self.exact)
 
 
 def dtn_verify_halfspace_symbolic():

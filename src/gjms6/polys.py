@@ -184,17 +184,9 @@ class Poly:
         t = {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0}
         return _unchecked(self.d - 1, t)
 
-    def lift(self, d: int) -> "Poly":
-        """Embed into ``d`` variables by appending zero exponents."""
-        pad = (0,) * (d - self.d)
-        return _unchecked(d, {e + pad: c for e, c in self.terms.items()})
-
     # -- queries --------------------------------------------------------
     def iszero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

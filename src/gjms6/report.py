@@ -20,6 +20,14 @@ def _residual_str(value) -> str:
     return format(float(value), ".17e")
 
 
+def passes(residual, tolerance: float, exact: bool) -> bool:
+    """The one pass rule: an exact check passes iff its residual is 0, a
+    float check iff |residual| <= tolerance."""
+    if exact:
+        return residual == 0
+    return abs(float(residual)) <= tolerance
+
+
 @dataclass
 class CheckEntry:
     id: str
@@ -30,11 +38,7 @@ class CheckEntry:
 
     @property
     def status(self) -> str:
-        if self.exact:
-            ok = self.residual == 0
-        else:
-            ok = abs(float(self.residual)) <= self.tolerance
-        return "pass" if ok else "fail"
+        return "pass" if passes(self.residual, self.tolerance, self.exact) else "fail"
 
     def as_json(self) -> dict:
         # runtime_ms is written as 0.0 so reports are byte-identical across runs

@@ -14,8 +14,8 @@ per model:
 
 ``collar_coefficients`` holds this table.  Its readers: ``SeparatedOps``,
 hence ``boundary.separated_stencil`` and ``gjms.apply_L6`` on separated
-modes; the hemisphere factor jets
-(``solver.HemisphereFactor.chi_series``); the geodesic Poisson branches
+modes; the hemisphere factor jets (``solver.factor_jet``, through
+``solver.mode_basis``); the geodesic Poisson branches
 (``solver.poisson_branch_series``); and geodesic L6
 (``gjms.hyperbolic_shifted_factor``).
 
@@ -283,9 +283,6 @@ class RadialProfile:
 
     def __neg__(self):
         return self * Q(-1)
-
-    def scale(self, c):
-        return self * c
 
 
 def _is_zero(c) -> bool:

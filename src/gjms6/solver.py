@@ -6,23 +6,24 @@ separated: a mode is a boundary jet, a ``SeparatedMode``, that ``apply_B``
 reads through the one ``boundary.separated_stencil`` of its model.  The flat
 half space is the separated model with boundary eigenvalue lam = t^2 at
 frequency t, its basis the jets of y^m e^(-t y); the ball uses the
-triharmonic basis r^(l+2m); the hemisphere the hypergeometric factor kernels
-summed as power series; the geodesic compactification of hyperbolic space
-the scattering-series jets.  On the half space, ball and hemisphere the
-three basis jets give a 3x3 Dirichlet matrix, and ``_solve_modes`` is the one
-solve of that system; the geodesic slot solutions reproduce their data by
-construction, so that model superposes them directly.
+triharmonic basis r^(l+2m); the hemisphere the hypergeometric factor kernels,
+whose jets start from a closed-form equator derivative; the geodesic
+compactification of hyperbolic space the scattering-series jets.  On the half
+space, ball and hemisphere the three basis jets give a 3x3 Dirichlet matrix,
+and ``_solve_modes`` is the one solve of that system; the geodesic slot
+solutions reproduce their data by construction, so that model superposes
+them directly.
 
 The collar table ``reps.collar_coefficients`` is read by the stencil, the
-hemisphere factor jets (``HemisphereFactor.chi_series``), the geodesic Poisson
-branches (``poisson_branch_series``) and geodesic L6
-(``gjms.hyperbolic_shifted_factor``).  Data that depend on (n, l) alone are
-built once: the ball Dirichlet matrix, each hemisphere factor with its
-column of the mode matrix and each geodesic Poisson branch are memoized.
-The interior pairings of ``traces`` evaluate the three hemisphere factor
-kernels on their quadrature nodes once per (n, l, nodes) and superpose the
-unit profiles of that degree from those values
-(``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
+hemisphere factor jets (``factor_jet``), the geodesic Poisson branches
+(``poisson_branch_series``) and geodesic L6
+(``gjms.hyperbolic_shifted_factor``).  Data that depend on (model, l) alone
+are built once: ``mode_basis`` holds the basis jets and the Dirichlet matrix
+of the ball and the hemisphere, and each hemisphere factor and each geodesic
+Poisson branch are memoized.  The interior pairings of ``traces`` evaluate
+the three hemisphere factor kernels on their quadrature nodes once per
+(n, l, nodes) and superpose the unit profiles of that degree from those
+values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
@@ -37,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boundary import apply_B
-from .fractional import d_gamma, round_multiplier, sphere_eigenvalue
+from .fractional import d_gamma, rising, round_multiplier, sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry, ball, halfspace, hemisphere, hyperbolic_geodesic
 from .gjms import factorization_shifts
 from .polys import Poly, sum_all
@@ -179,29 +180,60 @@ def halfspace_solve(t, data: BoundaryTriple) -> SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# euclidean ball
+# round models: one basis memo
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _ball_basis(n: int, ell: int) -> tuple:
-    """Jets of the regular triharmonic basis r^l, r^(l+2), r^(l+4) (times a
-    degree-l harmonic) at the unit sphere.  Memoized on (n, ell), so callers
-    share the jets and must not mutate them."""
-    return tuple(RadialProfile(n, ell, {m: Q(1)}).to_separated(JET_ORDER) for m in range(3))
+def factor_jet(A, B, lam, shift, chi0, dchi0, order: int) -> Series:
+    """Jet of the solution of chi'' + A chi' - lam B chi = shift chi, one
+    second-order factor in a collar with Laplacian d^2 + A d - lam B (A and B
+    as coefficient sequences), solved order by order from chi(0) = chi0 and
+    chi'(0) = dchi0.  Generic over Fraction and float."""
+    a = [chi0, dchi0] + [0] * (order - 1)
+    for k in range(order - 1):
+        acc = shift * a[k]
+        for i in range(k + 1):
+            acc += lam * B[i] * a[k - i] - A[i] * (k - i + 1) * a[k - i + 1]
+        a[k + 2] = acc / ((k + 2) * (k + 1))
+    return Series(a, order)
 
 
 @functools.lru_cache(maxsize=None)
+def mode_basis(geom: ModelGeometry, ell: int) -> tuple:
+    """(basis, M) of a round model in degree l: the boundary jets of its three
+    basis solutions and the Dirichlet matrix M[j][m] = B_j(basis[m]), as
+    immutable tuples.  The ball takes the regular triharmonic basis
+    r^l, r^(l+2), r^(l+4), exact; the hemisphere the three factor kernels,
+    as floats, each jet solved by ``factor_jet`` in the collar table from
+    chi = 1 and the closed-form dv0 at the equator.  Memoized on (geom, l),
+    so callers share the jets and must not mutate them."""
+    n = geom.n
+    if geom.kind is GeometryKind.EUCLIDEAN_BALL:
+        basis = tuple(RadialProfile(n, ell, {m: Q(1)}).to_separated(JET_ORDER) for m in range(3))
+    elif geom.kind is GeometryKind.ROUND_HEMISPHERE:
+        A, B, _, _ = collar_coefficients(geom.kind, n, JET_ORDER)
+        A = [float(c) for c in A.coeffs]
+        B = [float(c) for c in B.coeffs]
+        lam = sphere_eigenvalue(n, ell)
+        facs = [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)]
+        # z = cos(theta) decreases with theta, so chi'(0) = -dv0
+        basis = tuple(SeparatedMode(n, lam, factor_jet(A, B, lam, float(f.shift), 1.0, -float(f.dv0), JET_ORDER))
+                      for f in facs)
+    else:
+        raise ValueError("the basis memo holds the ball and the hemisphere")
+    return basis, tuple(tuple(apply_B(j, geom, m) for m in basis) for j in range(3))
+
+
 def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
     """Exact 3x3 matrix of the first three boundary operators on the regular
-    triharmonic basis, as immutable rows.  Memoized on (n, ell)."""
-    g = ball(n)
-    modes = _ball_basis(n, ell)
-    return tuple(tuple(apply_B(j, g, m) for m in modes) for j in range(3))
+    triharmonic basis, as immutable rows, read from ``mode_basis``."""
+    return mode_basis(ball(n), ell)[1]
 
 
 def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     """Exact (rational data) or floating solve in the triharmonic basis."""
-    coef, *rest = _solve_modes(ball(n), ball_dirichlet_matrix(n, ell), _ball_basis(n, ell), data)
+    g = ball(n)
+    basis, M = mode_basis(g, ell)
+    coef, *rest = _solve_modes(g, M, basis, data)
     return SolveResult(RadialProfile(n, ell, dict(enumerate(coef))), *rest)
 
 
@@ -209,48 +241,22 @@ def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
 # round hemisphere
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HemisphereFactor:
-    """Regular solution of one second-order factor on the hemisphere, as
-    power series in x = (1 - z)/2 (z = cos(colatitude)) of its value and of
-    its z-derivative, normalized to v0 = 1 at the equator.  ``column`` is its
-    column of the 3x3 hemisphere mode matrix."""
+    """Regular solution v of one second-order factor on the hemisphere,
+    scaled to v0 = 1 at the equator, where its z-derivative is the exact
+    ``dv0`` (z = cos(colatitude)).  Values off the equator come from the
+    float power series in x = (1 - z)/2 of v (``coeffs``) and of dv/dz
+    (``dcoeffs``).  Compared and hashed by identity, as the factors are
+    memoized and the arrays define no truth value."""
 
     n: int
     ell: int
     shift: Fraction
     coeffs: np.ndarray
     dcoeffs: np.ndarray
-    v0: float
-    dv0: float
-
-    def chi_series(self) -> Series:
-        """Profile series in tau = colatitude - pi/2 at the equator: the jet
-        of lap chi = shift chi, with lap = d^2 + A d - lam B the hemisphere
-        collar Laplacian of ``reps.collar_coefficients``, solved order by
-        order from chi(0) = v0 and chi'(0) = -dv0 (z = cos(theta) decreases
-        with theta)."""
-        A, B, _, _ = collar_coefficients(GeometryKind.ROUND_HEMISPHERE, self.n, JET_ORDER)
-        A = [float(c) for c in A.coeffs]
-        B = [float(c) for c in B.coeffs]
-        lam = sphere_eigenvalue(self.n, self.ell)
-        shift = float(self.shift)
-        a = [self.v0, -self.dv0] + [0.0] * (JET_ORDER - 1)
-        for k in range(JET_ORDER - 1):
-            # coefficient k of chi'' = shift chi - A chi' + lam B chi
-            acc = shift * a[k]
-            for i in range(k + 1):
-                acc += lam * B[i] * a[k - i] - A[i] * (k - i + 1) * a[k - i + 1]
-            a[k + 2] = acc / ((k + 2) * (k + 1))
-        return Series(a, JET_ORDER)
-
-    @functools.cached_property
-    def column(self) -> tuple:
-        """B0, B1, B2 of the factor jet, as floats; computed once per factor,
-        and the factors are memoized by ``hemisphere_factor_solve``."""
-        g = hemisphere(self.n)
-        mode = SeparatedMode(self.n, sphere_eigenvalue(self.n, self.ell), self.chi_series())
-        return tuple(float(apply_B(j, g, mode)) for j in range(3))
+    dv0: Fraction
+    v0 = 1.0
 
     def v_and_dv(self, z):
         x = (1.0 - np.asarray(z)) / 2.0
@@ -277,32 +283,37 @@ def hemisphere_factor_solve(n: int, ell: int, shift) -> HemisphereFactor:
     (1-z^2) v'' - (2l+n+1) z v' - (l(l+n) + shift) v = 0, and in
     x = (1-z)/2 the hypergeometric equation, whose solution regular at the
     pole x = 0 is 2F1(A, B; C; x) with A, B = l + n/2 +- sqrt(n^2/4 - shift)
-    and C = l + (n+1)/2 (DLMF 15.10).  For the factorization shifts A, B and
-    C, hence every Taylor coefficient, are nonnegative, and the hemisphere is
-    0 <= x <= 1/2, so the series is summed without cancellation.  It is cut
-    where a term at x = 1/2 falls below 1e-18 of the partial sum and scaled
-    to v = 1 at the equator.  The equator sums are taken with math.fsum: the
-    3x3 mode system amplifies the rounding error of dv0, and summed term by
-    term it lifts the DtN residuals up to l = 16 from about 1e-9 to 1e-8.
-    Memoized on (n, ell, shift).
+    and C = l + (n+1)/2 (DLMF 15.10).  For the factorization shift c_k the
+    square root is k - 1/2, so C = (A + B + 1)/2, and Gauss's second summation
+    theorem (DLMF 15.4.28) gives F and, through DLMF 15.5.1, its derivative
+    at the equator x = 1/2.  With a = A/2 the Gamma functions cancel to
+        dv0 = -2 (a - k + 1/2)_k / (a - k + 1)_(k-1),
+    the z-derivative at the equator of the kernel scaled to 1 there.  Off
+    the equator v is the float Taylor series: A, B and C, hence every
+    coefficient, are nonnegative, and the hemisphere is 0 <= x <= 1/2, so it
+    is summed without cancellation, cut where a term at x = 1/2 falls below
+    1e-18 of the partial sum.  Other shifts raise ValueError.  Memoized on
+    (n, ell, shift).
     """
-    beta = math.sqrt(n * n / 4 - float(shift))
-    A, B, C = ell + n / 2 + beta, ell + n / 2 - beta, ell + (n + 1) / 2
-    if B < 0:
-        raise ValueError(f"shift {shift} gives a series with terms of both signs")
-    # terms of the series at x = 1/2; the coefficients are terms * 2^k
+    shifts = factorization_shifts(n)
+    if shift not in shifts:
+        raise ValueError(f"shift {shift} is not a factorization shift of n = {n}")
+    k = shifts.index(shift) + 1
+    A = ell + Q(n, 2) + k - Q(1, 2)
+    a = A / 2
+    dv0 = -2 * rising(a - k + Q(1, 2), k) / rising(a - k + 1, k - 1)
+    A, B, C = float(A), float(A - 2 * k + 1), ell + (n + 1) / 2
+    # terms of the series at x = 1/2; the coefficients are terms * 2^j
     terms = [1.0]
     total = 1.0
-    k = 0
+    j = 0
     while terms[-1] >= 1e-18 * total:
-        terms.append(terms[-1] * (A + k) * (B + k) / ((C + k) * (k + 1) * 2))
+        terms.append(terms[-1] * (A + j) * (B + j) / ((C + j) * (j + 1) * 2))
         total += terms[-1]
-        k += 1
-    total = math.fsum(terms)
-    dv0 = -math.fsum(k * t for k, t in enumerate(terms)) / total
+        j += 1
     coeffs = np.ldexp(np.array(terms) / total, np.arange(len(terms)))
     dcoeffs = -0.5 * np.polynomial.polynomial.polyder(coeffs)
-    return HemisphereFactor(n, ell, Q(shift), coeffs, dcoeffs, 1.0, dv0)
+    return HemisphereFactor(n, ell, Q(shift), coeffs, dcoeffs, dv0)
 
 
 @dataclass
@@ -316,12 +327,10 @@ class HemisphereProfile:
     alphas: np.ndarray
 
     def separated(self) -> SeparatedMode:
-        lam = sphere_eigenvalue(self.n, self.ell)
-        total = None
-        for fac, al in zip(self.factors, self.alphas):
-            s = fac.chi_series() * float(al)
-            total = s if total is None else total + s
-        return SeparatedMode(self.n, lam, total)
+        """The profile as the boundary jet ``apply_B`` reads: the memoized
+        factor jets of ``mode_basis`` superposed."""
+        basis, _ = mode_basis(hemisphere(self.n), self.ell)
+        return sum_all([b * float(al) for b, al in zip(basis, self.alphas)])
 
     def chi_dchi_lapchi_dlapchi(self, factor_values):
         """chi, chi', Delta-profile, (Delta-profile)' on a grid, superposed
@@ -339,15 +348,12 @@ class HemisphereProfile:
 
 
 def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
-    """Solve the hemisphere extension per mode via the three factor kernels.
-
-    The 3x3 mode matrix is assembled from the ``column`` of each memoized
-    factor."""
+    """Solve the hemisphere extension per mode via the three factor kernels,
+    whose jets and mode matrix come from ``mode_basis``."""
+    g = hemisphere(n)
     factors = [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)]
-    lam = sphere_eigenvalue(n, ell)
-    basis = [SeparatedMode(n, lam, fac.chi_series()) for fac in factors]
-    M = list(zip(*(fac.column for fac in factors)))
-    coef, *rest = _solve_modes(hemisphere(n), M, basis, data)
+    basis, M = mode_basis(g, ell)
+    coef, *rest = _solve_modes(g, M, basis, data)
     return SolveResult(HemisphereProfile(n, ell, factors, np.array(coef)), *rest)
 
 
@@ -355,9 +361,9 @@ def hemisphere_factored_residual(prof: HemisphereProfile, thetas) -> float:
     """Max residual of the factorized sixth-order equation at sample points.
 
     At each point, local Taylor series of every factor kernel are regenerated
-    from its own second-order equation (seeded by the kernel values),
-    the three factors are composed in series arithmetic, and the value at the
-    point is read off.  The local series are cut at order 10.
+    by ``factor_jet`` from its own second-order equation (seeded by the
+    kernel values), the three factors are composed in series arithmetic, and
+    the value at the point is read off.  The local series are cut at order 10.
     """
     n, ell = prof.n, prof.ell
     lam = sphere_eigenvalue(n, ell)
@@ -377,23 +383,12 @@ def hemisphere_factored_residual(prof: HemisphereProfile, thetas) -> float:
             d1 = s.deriv()
             return d1.deriv() + A * d1 + (-lam) * (Bc * s)
 
-        total = None
+        jets = []
         for fac, al in zip(prof.factors, prof.alphas):
             chi0, dchi0 = (float(x) for x in fac.chi_and_dchi(th))
-            # local Taylor from the factor ODE: chi'' = -n cot chi' + (lam csc^2 + c) chi
-            a = [0.0] * (K + 1)
-            a[0], a[1] = chi0, dchi0
-            cshift = float(fac.shift)
-            for k in range(K - 1):
-                acc = 0.0
-                for i in range(0, k + 1):
-                    acc += -float(A.coeffs[i]) * (k - i + 1) * a[k - i + 1]
-                    acc += lam * float(Bc.coeffs[i]) * a[k - i]
-                acc += cshift * a[k]
-                a[k + 2] = acc / ((k + 2) * (k + 1))
-            s = Series(a, K) * float(al)
-            total = s if total is None else total + s
-        out = total
+            # the factor ODE: chi'' = -n cot chi' + (lam csc^2 + c) chi
+            jets.append(factor_jet(A.coeffs, Bc.coeffs, lam, float(fac.shift), chi0, dchi0, K) * float(al))
+        out = sum_all(jets)
         for c in shifts:
             out = -lap_local(out) + c * out
         worst = max(worst, abs(out.value()))

@@ -71,6 +71,15 @@ def sharp_constant(n: int, gamma) -> SharpConstant:
 ZONAL_NODES = 256
 
 
+def gegenbauer(alpha: float, t, lmax: int) -> list:
+    """C_0(t), ..., C_lmax(t), the Gegenbauer polynomials of index alpha by
+    their three-term recurrence, at a float t or elementwise on an array."""
+    out = [t**0, 2.0 * alpha * t]
+    for ell in range(2, lmax + 1):
+        out.append((2.0 * (ell + alpha - 1) * t * out[-1] - (ell + 2 * alpha - 2) * out[-2]) / ell)
+    return out[: lmax + 1]
+
+
 class ZonalGrid:
     """Quadrature and Gegenbauer tables for zonal functions on S^n.
 
@@ -90,14 +99,7 @@ class ZonalGrid:
         self.vol_minor = vol_sphere(n - 1)
         self.vol = vol_sphere(n)
         alpha = (n - 1) / 2.0
-        C = np.zeros((lmax + 1, nodes))
-        C[0] = 1.0
-        if lmax >= 1:
-            C[1] = 2.0 * alpha * self.t
-        for ell in range(2, lmax + 1):
-            C[ell] = (2.0 * (ell + alpha - 1) * self.t * C[ell - 1]
-                      - (ell + 2 * alpha - 2) * C[ell - 2]) / ell
-        self.C = C
+        self.C = C = np.array(gegenbauer(alpha, self.t, lmax))
         self.C1 = np.array([self._c_at_one(ell, alpha) for ell in range(lmax + 1)])
         self.norms = np.array([self.vol_minor * float(np.sum(self.wq * C[ell] ** 2))
                                for ell in range(lmax + 1)])
@@ -133,15 +135,7 @@ class ZonalGrid:
         """Pairing of unit-coefficient degree-l zonal harmonics about two
         axes, relative to the aligned case: C_l(cos angle)/C_l(1) for
         l = 0..lmax, in one pass of the Gegenbauer recurrence."""
-        alpha = (self.n - 1) / 2.0
-        out = [1.0]
-        c0, c1 = 1.0, 2.0 * alpha * cosang
-        if self.lmax >= 1:
-            out.append(c1 / self.C1[1])
-        for k in range(2, self.lmax + 1):
-            c0, c1 = c1, (2.0 * (k + alpha - 1) * cosang * c1 - (k + 2 * alpha - 2) * c0) / k
-            out.append(c1 / self.C1[k])
-        return out
+        return [c / c1 for c, c1 in zip(gegenbauer((self.n - 1) / 2.0, cosang, self.lmax), self.C1)]
 
     def tail_fraction(self, coeffs: np.ndarray) -> float:
         """Relative weight of the last expansion coefficients; a guard for

@@ -72,13 +72,15 @@ def test_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("suite,geometry,n", [
     pytest.param("dtn", "ball", "7", id="ball-7"),
     pytest.param("dtn", "halfspace", "7", id="halfspace-7"),
+    pytest.param("dtn", "hemisphere", "7", id="hemisphere-7"),
     pytest.param("dtn", "hyperbolic", "5", id="hyperbolic-5"),
     pytest.param("dtn", "hyperbolic", "7", id="hyperbolic-7"),
     pytest.param("dtn", "hyperbolic", "8", id="hyperbolic-8"),
     pytest.param("covariance", None, "5", id="covariance-5"),
 ])
 def test_dtn_reports_match_golden_files(tmp_path, suite, geometry, n):
-    """Byte-identical default reports; these runs are exact-only, so the
+    """Byte-identical default reports.  These runs are exact, or on the
+    hemisphere plain float arithmetic on correctly rounded inputs, so the
     files do not depend on BLAS or libm.  A run without a geometry uses the
     default one, and its file name leaves the geometry out."""
     out = tmp_path / "report.json"

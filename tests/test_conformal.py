@@ -468,9 +468,9 @@ def test_engine_curvature_of_sigma_y():
     e^(s0) H-hat = n * eta(sigma) = -n and e^(2 s0) P-hat(eta, eta) = 1/2."""
     n = 7
     d = n + 1
-    flat = conformal._engine(n, Poly.zero(d), 6).curvature()
+    flat = conformal._engine(n, Poly.zero(d), 6).curvature
     assert flat.H.iszero() and flat.Pnn.iszero()
-    C = conformal._engine(n, Poly.var(d, d - 1), 6).curvature()
+    C = conformal._engine(n, Poly.var(d, d - 1), 6).curvature
     assert C.H.wmap == {-1: Poly.const(n, -7)}
     assert C.Pnn.wmap == {-2: Poly.const(n, Q(1, 2))}
 

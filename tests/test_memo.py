@@ -19,9 +19,8 @@ KNOWN = {
     "gjms6.conformal._engine",
     "gjms6.polys.sphere_relation_power",
     "gjms6.reps.collar_coefficients",
-    "gjms6.solver._ball_basis",
-    "gjms6.solver.ball_dirichlet_matrix",
     "gjms6.solver.hemisphere_factor_solve",
+    "gjms6.solver.mode_basis",
     "gjms6.solver.poisson_branch_series",
     "gjms6.traces.ball_interior_gram",
     "gjms6.traces.hemisphere_interior_gram",

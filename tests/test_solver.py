@@ -26,6 +26,7 @@ from gjms6.solver import (
     hemisphere_factor_solve,
     hemisphere_factored_residual,
     hemisphere_mode_solve,
+    mode_basis,
     mode_solve,
     poisson_branch_series,
 )
@@ -86,12 +87,13 @@ def test_ball_dirichlet_matrix_is_built_once_per_degree():
     coeffs = [[10.0 ** (-2 * k) for k in range(9)]] * 3
     # a warm interior Gram memo would skip the unit solves that build them
     ball_interior_gram.cache_clear()
-    ball_dirichlet_matrix.cache_clear()
+    mode_basis.cache_clear()
     first = corollary_check(ball(7), coeffs, lmax=8)
     second = corollary_check(ball(7), coeffs, lmax=8)
     assert first == second
-    assert ball_dirichlet_matrix.cache_info().misses == 9
+    assert mode_basis.cache_info().misses == 9
     M = ball_dirichlet_matrix(7, 3)
+    assert M is mode_basis(ball(7), 3)[1]
     with pytest.raises(TypeError):
         M[0][0] = Q(0)
     with pytest.raises(TypeError):
@@ -162,13 +164,16 @@ def test_hemisphere_solve_achieves_data():
     sol = hemisphere_mode_solve(n, 0, BoundaryTriple(1.0, 0.0, 0.0))
     assert max(sol.residual_norms) <= 1e-8
     sol = hemisphere_mode_solve(n, 1, BoundaryTriple(0.0, 1.0, 0.0))
+    assert sol.profile.separated().profile.coeffs == sol.mode.profile.coeffs
     b4 = float(apply_B(4, hemisphere(n), sol.profile.separated()))
     assert abs(b4 - 480.0) <= 1e-7 * 480  # 8 * Gamma(6)/Gamma(3)
 
 
 def test_hemisphere_factor_against_hypergeometric():
     """The series factor kernels match 2F1(A, B; C; (1-z)/2), scaled to 1 at
-    the equator, in value and z-derivative across the hemisphere."""
+    the equator, in value and z-derivative across the hemisphere; the
+    closed-form equator derivative dv0 is an exact rational that matches to
+    the working precision of the reference."""
     mp.mp.dps = 30
     for n in (5, 7):
         for shift in factorization_shifts(n):
@@ -188,14 +193,18 @@ def test_hemisphere_factor_against_hypergeometric():
                     assert abs(v - v_ref) <= 1e-13 * abs(v_ref), (n, shift, ell, z)
                     assert abs(dv - dv_ref) <= 1e-13 * abs(dv_ref), (n, shift, ell, z)
                     if z == 0:
-                        assert abs(fac.dv0 - dv_ref) <= 1e-13 * abs(dv_ref), (n, shift, ell)
-    with pytest.raises(ValueError, match="both signs"):
+                        assert isinstance(fac.dv0, Q)
+                        dv0 = mp.mpf(fac.dv0.numerator) / fac.dv0.denominator
+                        assert abs(dv0 - dv_ref) <= 1e-25 * abs(dv_ref), (n, shift, ell)
+    assert hemisphere_factor_solve(7, 5, 6).dv0 == Q(-160, 21)
+    assert len({hemisphere_factor_solve(7, 5, c) for c in factorization_shifts(7)}) == 3
+    with pytest.raises(ValueError, match="not a factorization shift"):
         hemisphere_factor_solve(7, 0, Q(-1))
 
 
 def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
-    """The mode matrix comes from the columns of the memoized factors: a
-    warm solve evaluates only the three boundary values of its solution."""
+    """The mode matrix comes from the memoized basis of the degree: a warm
+    solve evaluates only the three boundary values of its solution."""
     import gjms6.solver as solver
 
     calls = []
@@ -206,6 +215,7 @@ def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
 
     monkeypatch.setattr(solver, "apply_B", counting_apply_B)
     hemisphere_factor_solve.cache_clear()
+    mode_basis.cache_clear()
     per_solve = []
     factors = []
     for slot in range(3):
@@ -215,7 +225,7 @@ def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
         sol = hemisphere_mode_solve(7, 5, BoundaryTriple(*data))
         per_solve.append(len(calls) - before)
         factors.append(sol.profile.factors)
-    # three factor columns of three values each, then the achieved triple
+    # the 3x3 mode matrix of the factor jets, then the achieved triple
     assert per_solve == [9 + 3, 3, 3]
     assert all(a is b for a, b in zip(factors[0], factors[2]))
     assert hemisphere_factor_solve.cache_info().misses == 3

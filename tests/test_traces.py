@@ -127,6 +127,22 @@ def test_flat_lp_norm_matches_round():
     assert abs(round_norm - flat_norm) <= 1e-9 * flat_norm
 
 
+def test_gegenbauer_tables_match_the_row_loop():
+    """The one Gegenbauer recurrence gives the zonal table and the angle
+    factors bit for bit as the row-by-row loop does."""
+    n, lmax, nodes = 7, 16, 64
+    grid = ZonalGrid(n, lmax, nodes)
+    alpha = (n - 1) / 2.0
+    C = np.zeros((lmax + 1, nodes))
+    C[0] = 1.0
+    C[1] = 2.0 * alpha * grid.t
+    for ell in range(2, lmax + 1):
+        C[ell] = (2.0 * (ell + alpha - 1) * grid.t * C[ell - 1] - (ell + 2 * alpha - 2) * C[ell - 2]) / ell
+    assert np.array_equal(grid.C, C)
+    for k in (0, 17, nodes - 1):
+        assert grid.angle_factors(float(grid.t[k])) == list(C[:, k] / grid.C1)
+
+
 def test_zonal_grid_is_built_once_per_key(monkeypatch):
     builds = []
     init = ZonalGrid.__init__
