@@ -3,11 +3,14 @@
 Usage: gjms6 SUITE [--geometry G] [--n N] [--lmax L] [--grid N] [--tol T]
        [--seed S] [--out PATH] [--csv WHAT:PATH]
 with SUITE one of covariance, symmetry, dtn, trace, critical, all.
-Exit status is nonzero iff any check fails.
+Exit status is 1 if any check fails, and 2 for a configuration that cannot
+be checked: bad options, data under-resolved at --lmax, or a degree whose
+Dirichlet system trips the conditioning guard.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
@@ -18,7 +21,8 @@ from . import geometry
 from .geometry import GeometryKind, ModelGeometry
 from .polys import random_poly
 from .report import CheckReport, emit_csv
-from .traces import UnderResolvedError
+from .solver import DegenerateModeError
+from .traces import ZONAL_NODES, UnderResolvedError
 
 Q = Fraction
 
@@ -186,10 +190,14 @@ def build_config(args) -> dict:
 def run_suite(args) -> CheckReport:
     if args.n < 5:
         raise ConfigError("boundary dimension must satisfy n >= 5")
-    if args.tol <= 0:
-        raise ConfigError("tolerance must be positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError("tolerance must be positive and finite")
     if args.lmax < 0:
         raise ConfigError("harmonic-degree cap must be nonnegative")
+    # trace and critical expand on the ZONAL_NODES-node grid, whose norms
+    # hold to 1e-12 up to this degree; every n >= 5 runs one of them in "all"
+    if args.suite in ("trace", "critical", "all") and args.lmax > ZONAL_NODES // 2:
+        raise ConfigError(f"the trace checks need --lmax <= {ZONAL_NODES // 2}")
     if args.grid < 2:
         raise ConfigError("quadrature size must be at least 2")
     if args.suite == "critical" and args.n != 5:
@@ -219,6 +227,9 @@ def run_suite(args) -> CheckReport:
     except UnderResolvedError as exc:
         # the fixed extremal data of trace and critical need a larger lmax
         raise ConfigError(f"{exc}; raise --lmax") from exc
+    except DegenerateModeError as exc:
+        # the float Dirichlet systems of high degrees trip COND_GUARD
+        raise ConfigError(f"{exc}; lower --lmax") from exc
     run_multiplier_table(report, args.n, args.lmax)
     return report
 

@@ -10,9 +10,13 @@ triharmonic basis r^(l+2m); the hemisphere the hypergeometric factor kernels,
 whose jets start from a closed-form equator derivative; the geodesic
 compactification of hyperbolic space the scattering-series jets.  On the half
 space, ball and hemisphere the three basis jets give a 3x3 Dirichlet matrix,
-and ``_solve_modes`` is the one solve of that system; the geodesic slot
-solutions reproduce their data by construction, so that model superposes
-them directly.
+and ``_coefficients`` is the one solve of that system, with the one
+``COND_GUARD`` check of a float system.  ``_solve_modes`` superposes the
+basis and reads back the achieved triple for the per-mode solvers;
+``unit_extensions`` needs the coefficients alone, those of unit data in each
+slot, under one guard check per degree.  The geodesic slot solutions
+reproduce their data by construction, so that model superposes them
+directly.
 
 The collar table ``reps.collar_coefficients`` is read by the stencil, the
 hemisphere factor jets (``factor_jet``), the geodesic Poisson branches
@@ -21,9 +25,9 @@ hemisphere factor jets (``factor_jet``), the geodesic Poisson branches
 are built once: ``mode_basis`` holds the basis jets and the Dirichlet matrix
 of the ball and the hemisphere, and each hemisphere factor and each geodesic
 Poisson branch are memoized.  The interior pairings of ``traces`` evaluate
-the three hemisphere factor kernels on their quadrature nodes once per
-(n, l, nodes) and superpose the unit profiles of that degree from those
-values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
+the three hemisphere factor kernels of a degree on their quadrature nodes in
+one Horner pass (``kernel_values``) and superpose the unit profiles of that
+degree from those values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
@@ -126,23 +130,29 @@ def _solve3(M, rhs):
     return [A[r][3] for r in range(3)]
 
 
-def _solve_modes(geom: ModelGeometry, M, basis, data: BoundaryTriple) -> tuple:
-    """Solve M alpha = data, where column m of M is B0..B2 of the basis jet m,
-    and superpose the basis.
+def _coefficients(M, rhs_list, exact: bool) -> list:
+    """Basis coefficients alpha with M alpha = rhs for each right-hand side,
+    column m of M being B0..B2 of the basis jet m.
 
-    Exact when M and the data are rational; otherwise both are taken to
-    floats and the system must be within ``COND_GUARD``.  Returns the
-    coefficients, the superposed jet, the achieved triple, the residual norms
-    and the exactness flag."""
-    exact = data.exact and all(isinstance(x, (int, Fraction)) for row in M for x in row)
-    rhs = data.aslist()
+    Exact when ``exact``; otherwise M and the right-hand sides are taken to
+    floats, and M must be within ``COND_GUARD``: one check, however many
+    right-hand sides share it."""
     if not exact:
         M = [[float(x) for x in row] for row in M]
-        rhs = [float(v) for v in rhs]
         cond = np.linalg.cond(M)
         if cond > COND_GUARD:
             raise DegenerateModeError(f"mode matrix condition {cond:.3g} exceeds the guard")
-    coef = _solve3(M, rhs)
+        rhs_list = [[float(v) for v in rhs] for rhs in rhs_list]
+    return [_solve3(M, rhs) for rhs in rhs_list]
+
+
+def _solve_modes(geom: ModelGeometry, M, basis, data: BoundaryTriple) -> tuple:
+    """Solve M alpha = data (``_coefficients``), exactly when M and the data
+    are rational, superpose the basis and read back the achieved triple.
+    Returns the coefficients, the superposed jet, the achieved triple, the
+    residual norms and the exactness flag."""
+    exact = data.exact and all(isinstance(x, (int, Fraction)) for row in M for x in row)
+    [coef] = _coefficients(M, [data.aslist()], exact)
     mode = sum_all([b * c for b, c in zip(basis, coef)])
     achieved = BoundaryTriple(*(apply_B(j, geom, mode) for j in range(3)))
     return coef, mode, achieved, _residual_norms(achieved, data), exact
@@ -229,12 +239,34 @@ def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
     return mode_basis(ball(n), ell)[1]
 
 
+def _native_profiles(geom: ModelGeometry, ell: int, coefs) -> list:
+    """The degree-l extensions with the basis coefficients ``coefs`` in the
+    native form of a round model: RadialProfile on the ball, HemisphereProfile
+    on the hemisphere, whose profiles share the three factor kernels."""
+    n = geom.n
+    if geom.kind is GeometryKind.EUCLIDEAN_BALL:
+        return [RadialProfile(n, ell, dict(enumerate(c))) for c in coefs]
+    factors = [hemisphere_factor_solve(n, ell, shift) for shift in factorization_shifts(n)]
+    return [HemisphereProfile(n, ell, factors, np.array(c)) for c in coefs]
+
+
+def unit_extensions(geom: ModelGeometry, ell: int) -> list:
+    """Native profiles of the degree-l extensions of float unit data in each
+    slot, on the ball or the hemisphere: the coefficients that ``mode_solve``
+    finds for that data, bit for bit, from one ``COND_GUARD`` check of the
+    degree's Dirichlet matrix (``DegenerateModeError`` past it).  No jet is
+    superposed and no boundary value read back."""
+    _, M = mode_basis(geom, ell)
+    units = [[1.0 if j == slot else 0.0 for j in range(3)] for slot in range(3)]
+    return _native_profiles(geom, ell, _coefficients(M, units, exact=False))
+
+
 def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     """Exact (rational data) or floating solve in the triharmonic basis."""
     g = ball(n)
     basis, M = mode_basis(g, ell)
     coef, *rest = _solve_modes(g, M, basis, data)
-    return SolveResult(RadialProfile(n, ell, dict(enumerate(coef))), *rest)
+    return SolveResult(_native_profiles(g, ell, [coef])[0], *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -258,20 +290,31 @@ class HemisphereFactor:
     dv0: Fraction
     v0 = 1.0
 
-    def v_and_dv(self, z):
-        x = (1.0 - np.asarray(z)) / 2.0
-        polyval = np.polynomial.polynomial.polyval
-        return polyval(x, self.coeffs), polyval(x, self.dcoeffs)
-
     def chi_and_dchi(self, theta):
         """chi = sin^l(theta) v(cos theta) and its theta-derivative."""
-        theta = np.asarray(theta, dtype=float)
-        s, cth = np.sin(theta), np.cos(theta)
-        v, dv = self.v_and_dv(cth)
-        ell = self.ell
-        chi = s**ell * v
-        dchi = (ell * s ** (ell - 1) * cth * v if ell else 0.0) - s ** (ell + 1) * dv
-        return chi, dchi
+        chi, dchi = kernel_values([self], theta)
+        return chi[0], dchi[0]
+
+
+def kernel_values(factors, theta) -> tuple:
+    """(chi, dchi): chi = sin^l(theta) v(cos theta) and its theta-derivative
+    for each factor kernel of one degree l, stacked along a first axis in
+    the order of ``factors``.  The series of v and dv/dz of all the kernels,
+    zero-padded to one length, are summed in one Horner pass; leading zeros
+    leave Horner's rule unchanged, so each kernel's values are those of its
+    own series bit for bit."""
+    ell = factors[0].ell
+    theta = np.asarray(theta, dtype=float)
+    s, cth = np.sin(theta), np.cos(theta)
+    series = [c for fac in factors for c in (fac.coeffs, fac.dcoeffs)]
+    C = np.zeros((max(len(c) for c in series), len(series)))
+    for j, c in enumerate(series):
+        C[: len(c), j] = c
+    values = np.polynomial.polynomial.polyval((1.0 - cth) / 2.0, C, tensor=True)
+    v, dv = values[0::2], values[1::2]
+    chi = s**ell * v
+    dchi = (ell * s ** (ell - 1) * cth * v if ell else 0.0) - s ** (ell + 1) * dv
+    return chi, dchi
 
 
 @functools.lru_cache(maxsize=None)
@@ -334,12 +377,12 @@ class HemisphereProfile:
 
     def chi_dchi_lapchi_dlapchi(self, factor_values):
         """chi, chi', Delta-profile, (Delta-profile)' on a grid, superposed
-        from ``factor_values``, the ``chi_and_dchi`` of each factor on that
-        grid in the order of ``factors``; profiles of one degree share the
-        factors, so their values are evaluated once for all of them.  The
-        factor relation Delta chi_i = shift_i chi_i avoids high derivatives."""
+        from ``factor_values``, the ``kernel_values`` (chi, dchi) of the
+        factors on that grid; profiles of one degree share the factors, so
+        their values are evaluated once for all of them.  The factor
+        relation Delta chi_i = shift_i chi_i avoids high derivatives."""
         chi = dchi = lap = dlap = 0.0
-        for fac, al, (c, dc) in zip(self.factors, self.alphas, factor_values):
+        for fac, al, c, dc in zip(self.factors, self.alphas, *factor_values):
             chi = chi + al * c
             dchi = dchi + al * dc
             lap = lap + al * float(fac.shift) * c
@@ -351,10 +394,9 @@ def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult
     """Solve the hemisphere extension per mode via the three factor kernels,
     whose jets and mode matrix come from ``mode_basis``."""
     g = hemisphere(n)
-    factors = [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)]
     basis, M = mode_basis(g, ell)
     coef, *rest = _solve_modes(g, M, basis, data)
-    return SolveResult(HemisphereProfile(n, ell, factors, np.array(coef)), *rest)
+    return SolveResult(_native_profiles(g, ell, [coef])[0], *rest)
 
 
 def hemisphere_factored_residual(prof: HemisphereProfile, thetas) -> float:

@@ -9,7 +9,12 @@ matrix of unit-extension pairings comes from exact radial integrals (ball) or
 Gauss-Legendre quadrature (hemisphere).  The Gram matrices are memoized:
 ``ball_interior_gram`` on (n, l) and ``hemisphere_interior_gram`` on
 (n, l, grid_size), so every check after the first at a degree reads nine
-floats instead of solving three unit modes.  The critical (n = 5)
+floats.  A cold entry reads the unit-data coefficients of
+``solver.unit_extensions``, one ``COND_GUARD`` check per degree, and on the
+hemisphere evaluates the three factor kernels in one
+``solver.kernel_values`` pass.  One read-only Gauss-Legendre rule per node
+count (``gauss_legendre``) serves the zonal grids, the hemisphere interior
+nodes and the flat-side norms.  The critical (n = 5)
 statements need no tables of their own: the subcritical display terms and
 interior coefficients at n = 5, zero terms dropped, are the critical ones,
 so both kinds of check read the same entries.  Flat half-space data are
@@ -30,7 +35,7 @@ from .fractional import DTN_IDENTITIES, gamma_ratio, round_multiplier, sphere_ei
 from .geometry import GeometryKind, ModelGeometry, ball, hemisphere
 from .polys import vol_sphere
 from .reps import radial_pair_integral
-from .solver import BoundaryTriple, mode_solve
+from .solver import BoundaryTriple, kernel_values, unit_extensions
 
 Q = Fraction
 
@@ -71,6 +76,16 @@ def sharp_constant(n: int, gamma) -> SharpConstant:
 ZONAL_NODES = 256
 
 
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(nodes: int) -> tuple:
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only; memoized on
+    the node count, the only input of the rule."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    for a in (x, w):
+        a.setflags(write=False)
+    return x, w
+
+
 def gegenbauer(alpha: float, t, lmax: int) -> list:
     """C_0(t), ..., C_lmax(t), the Gegenbauer polynomials of index alpha by
     their three-term recurrence, at a float t or elementwise on an array."""
@@ -92,7 +107,7 @@ class ZonalGrid:
         self.n = n
         self.lmax = lmax
         self.nodes = nodes
-        x, w = np.polynomial.legendre.leggauss(nodes)
+        x, w = gauss_legendre(nodes)
         self.theta = (x + 1.0) * (math.pi / 2)
         self.wq = w * (math.pi / 2) * np.sin(self.theta) ** (n - 1)
         self.t = np.cos(self.theta)
@@ -266,24 +281,14 @@ class UnderResolvedError(ValueError):
 # interior Gram matrices of the unit extensions
 # ---------------------------------------------------------------------------
 
-def _unit_extensions(geom: ModelGeometry, ell: int) -> list:
-    """Native profiles of the degree-l extensions of float unit data in each
-    slot; ``mode_solve`` raises ``DegenerateModeError`` past ``COND_GUARD``."""
-    out = []
-    for slot in range(3):
-        data = [0.0, 0.0, 0.0]
-        data[slot] = 1.0
-        out.append(mode_solve(geom, ell, BoundaryTriple(*data)).profile)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def ball_interior_gram(n: int, ell: int) -> tuple:
     """G[a][b], the interior pairing of the Laplacians of the degree-l unit
     extensions of slots a and b on the ball (``radial_pair_integral``), as
-    floats.  Memoized on (n, l); an entry is stored only once its three unit
-    solves passed ``COND_GUARD``, since a solve that trips it raises."""
-    laps = [p.lap() for p in _unit_extensions(ball(n), ell)]
+    floats.  Memoized on (n, l); an entry is stored only once the Dirichlet
+    matrix of the degree passed its one ``COND_GUARD`` check in
+    ``solver.unit_extensions``, since a check that trips raises."""
+    laps = [p.lap() for p in unit_extensions(ball(n), ell)]
     return tuple(tuple(float(radial_pair_integral(la, lb)) for lb in laps) for la in laps)
 
 
@@ -291,7 +296,7 @@ def ball_interior_gram(n: int, ell: int) -> tuple:
 def hemisphere_interior_nodes(n: int, grid_size: int) -> tuple:
     """Gauss-Legendre colatitudes on (0, pi/2) and their weights times
     sin^n, read-only; memoized on (n, grid_size)."""
-    x, w = np.polynomial.legendre.leggauss(grid_size)
+    x, w = gauss_legendre(grid_size)
     theta = (x + 1.0) * (math.pi / 4)
     weights = w * (math.pi / 4) * np.sin(theta) ** n
     for a in (theta, weights):
@@ -304,14 +309,15 @@ def hemisphere_interior_gram(n: int, ell: int, grid_size: int) -> tuple:
     """G[a][b], the interior seminorm pairing (``hemisphere_interior_coeffs``)
     of the degree-l unit extensions of slots a and b on the hemisphere, by
     ``grid_size``-node quadrature, as floats.  The three factor kernels are
-    evaluated on the nodes once and shared by the three unit profiles.  All
-    nine entries are computed: the quadrature is symmetric only up to the
-    last bit.  Memoized on (n, l, grid_size); an entry is stored
-    only once its three unit solves passed ``COND_GUARD``, since a solve that
-    trips it raises."""
+    evaluated on the nodes in one ``solver.kernel_values`` pass and shared by
+    the three unit profiles.  All nine entries are computed: the quadrature
+    is symmetric only up to the last bit.  Memoized on (n, l, grid_size); an
+    entry is stored only once the Dirichlet matrix of the degree passed its
+    one ``COND_GUARD`` check in ``solver.unit_extensions``, since a check
+    that trips raises."""
     theta, w = hemisphere_interior_nodes(n, grid_size)
-    profs = _unit_extensions(hemisphere(n), ell)
-    values = [fac.chi_and_dchi(theta) for fac in profs[0].factors]
+    profs = unit_extensions(hemisphere(n), ell)
+    values = kernel_values(profs[0].factors, theta)
     evals = [p.chi_dchi_lapchi_dlapchi(values) for p in profs]
     lam = sphere_eigenvalue(n, ell)
     s2 = np.sin(theta) ** 2
@@ -511,7 +517,7 @@ def flat_bubble_lp_norm(n: int, eps: float, weight, p: float, amplitude: float =
                         nodes: int = 256) -> float:
     """L^p norm over R^n of amplitude*(eps + |x - x0|^2)^(-weight), exact in
     the center by translation invariance; radial quadrature via rho = sqrt(eps) tan(phi)."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = gauss_legendre(nodes)
     phi = (x + 1.0) * (math.pi / 4)
     wphi = w * (math.pi / 4)
     rho = math.sqrt(eps) * np.tan(phi)

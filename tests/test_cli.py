@@ -57,6 +57,11 @@ def test_config_errors(tmp_path, capsys):
     csv = tmp_path / "series.csv"
     for argv in (
         ["dtn", "--lmax", "-1"],
+        ["dtn", "--tol", "nan"],
+        ["dtn", "--tol", "inf"],
+        ["trace", "--n", "7", "--lmax", "129"],
+        ["critical", "--n", "5", "--lmax", "129"],
+        ["all", "--n", "5", "--lmax", "129"],
         ["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "1"],
         ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "8"],
         ["critical", "--n", "5", "--geometry", "ball", "--lmax", "8"],
@@ -67,6 +72,27 @@ def test_config_errors(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error:"), argv
     assert not csv.exists()
+
+
+def test_guard_trips_are_config_errors(monkeypatch, capsys):
+    """A Gram solve past COND_GUARD ends the run with status 2 and asks for a
+    lower --lmax.  The critical run takes lmax 16, at which its extremal data
+    are resolved, so that its guard is reached."""
+    import gjms6.solver as solver
+    from gjms6.traces import ball_interior_gram, hemisphere_interior_gram
+
+    monkeypatch.setattr(solver, "COND_GUARD", 1.0)
+    for argv in (
+        ["trace", "--n", "7", "--lmax", "8"],
+        ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "8"],
+        ["critical", "--n", "5", "--geometry", "hemisphere", "--lmax", "16"],
+    ):
+        ball_interior_gram.cache_clear()
+        hemisphere_interior_gram.cache_clear()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: mode matrix condition"), argv
+        assert err.rstrip().endswith("lower --lmax"), argv
 
 
 @pytest.mark.parametrize("suite,geometry,n", [

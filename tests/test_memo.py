@@ -23,6 +23,7 @@ KNOWN = {
     "gjms6.solver.mode_basis",
     "gjms6.solver.poisson_branch_series",
     "gjms6.traces.ball_interior_gram",
+    "gjms6.traces.gauss_legendre",
     "gjms6.traces.hemisphere_interior_gram",
     "gjms6.traces.hemisphere_interior_nodes",
     "gjms6.traces.zonal_grid",

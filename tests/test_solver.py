@@ -26,9 +26,11 @@ from gjms6.solver import (
     hemisphere_factor_solve,
     hemisphere_factored_residual,
     hemisphere_mode_solve,
+    kernel_values,
     mode_basis,
     mode_solve,
     poisson_branch_series,
+    unit_extensions,
 )
 
 
@@ -189,7 +191,7 @@ def test_hemisphere_factor_against_hypergeometric():
                     x = (1 - mp.mpf(z)) / 2
                     v_ref = mp.hyp2f1(A, Bp, C, x) / equator
                     dv_ref = -A * Bp / C * mp.hyp2f1(A + 1, Bp + 1, C + 1, x) / 2 / equator
-                    v, dv = fac.v_and_dv(z)
+                    v, dv = (np.polynomial.polynomial.polyval((1 - z) / 2, c) for c in (fac.coeffs, fac.dcoeffs))
                     assert abs(v - v_ref) <= 1e-13 * abs(v_ref), (n, shift, ell, z)
                     assert abs(dv - dv_ref) <= 1e-13 * abs(dv_ref), (n, shift, ell, z)
                     if z == 0:
@@ -231,6 +233,67 @@ def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
     assert hemisphere_factor_solve.cache_info().misses == 3
 
 
+def test_unit_extensions_match_unit_mode_solves_bit_for_bit():
+    """The coefficient-only unit solves give the profiles that ``mode_solve``
+    gives for float unit data, bit for bit, on the ball and the hemisphere;
+    the three hemisphere profiles of a degree share its factor kernels."""
+    for n in range(5, 10):
+        for ell in range(33):
+            for geom in (ball(n), hemisphere(n)):
+                profs = unit_extensions(geom, ell)
+                assert len(profs) == 3
+                for slot, prof in enumerate(profs):
+                    data = [0.0, 0.0, 0.0]
+                    data[slot] = 1.0
+                    want = mode_solve(geom, ell, BoundaryTriple(*data)).profile
+                    assert type(prof) is type(want) and (prof.n, prof.ell) == (n, ell)
+                    if geom.kind is ball(n).kind:
+                        assert repr(prof.coeffs) == repr(want.coeffs), (n, ell, slot)
+                    else:
+                        assert prof.alphas.tobytes() == want.alphas.tobytes(), (n, ell, slot)
+                        assert all(a is b for a, b in zip(prof.factors, want.factors))
+                        assert prof.factors is profs[0].factors
+
+
+def horner(c, x):
+    """Horner's rule over the series c at x, one numpy operation per term."""
+    out = c[-1] + x * 0
+    for a in c[-2::-1]:
+        out = a + out * x
+    return out
+
+
+def test_kernel_values_match_each_factor_series_bit_for_bit():
+    """The one Horner pass over the zero-padded series of a degree's three
+    kernels gives each kernel's chi and dchi as Horner's rule over its own
+    series does, bit for bit, on arrays and at a scalar angle."""
+    theta = np.linspace(0.02, np.pi / 2, 37)
+    s, cth = np.sin(theta), np.cos(theta)
+    x = (1.0 - cth) / 2.0
+    padded = False
+    for n in (5, 7, 9):
+        for ell in (0, 1, 5, 32):
+            factors = [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)]
+            padded |= len({len(f.coeffs) for f in factors}) > 1
+            chi, dchi = kernel_values(factors, theta)
+            assert chi.shape == dchi.shape == (3, len(theta))
+            for k, fac in enumerate(factors):
+                v, dv = horner(fac.coeffs, x), horner(fac.dcoeffs, x)
+                assert v.tobytes() == np.polynomial.polynomial.polyval(x, fac.coeffs).tobytes()
+                want_chi = s**ell * v
+                want_dchi = (ell * s ** (ell - 1) * cth * v if ell else 0.0) - s ** (ell + 1) * dv
+                assert chi[k].tobytes() == want_chi.tobytes(), (n, ell, k)
+                assert dchi[k].tobytes() == want_dchi.tobytes(), (n, ell, k)
+                one = fac.chi_and_dchi(theta)
+                assert one[0].tobytes() == want_chi.tobytes() and one[1].tobytes() == want_dchi.tobytes()
+                th = 0.7
+                s0, c0 = np.sin(th), np.cos(th)
+                v0, dv0 = horner(fac.coeffs, (1.0 - c0) / 2.0), horner(fac.dcoeffs, (1.0 - c0) / 2.0)
+                want = (s0**ell * v0, (ell * s0 ** (ell - 1) * c0 * v0 if ell else 0.0) - s0 ** (ell + 1) * dv0)
+                assert [float(g) for g in fac.chi_and_dchi(th)] == [float(w) for w in want]
+    assert padded  # the kernels of some degree have series of different lengths
+
+
 def test_hemisphere_mode_solve_applies_mode_guard_after_warm_solve(monkeypatch):
     import gjms6.solver as solver
 
@@ -253,6 +316,9 @@ def test_every_float_system_is_guarded(monkeypatch):
         with pytest.raises(DegenerateModeError, match="mode matrix condition"):
             solve(floats)
         assert solve(exact).exact
+    for geom in (ball(7), hemisphere(7)):
+        with pytest.raises(DegenerateModeError, match="mode matrix condition"):
+            unit_extensions(geom, 3)
 
 
 def test_hemisphere_paths_load_neither_scipy_nor_mpmath():

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as Q
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from gjms6.traces import (
     CriticalExponentError,
     ExtremalSpec,
     TraceChecker,
+    ZONAL_NODES,
     UnderResolvedError,
     ZonalGrid,
     ball_interior_gram,
@@ -22,6 +24,7 @@ from gjms6.traces import (
     critical_check,
     display_terms,
     flat_bubble_lp_norm,
+    gauss_legendre,
     hemisphere_interior_coeffs,
     hemisphere_interior_gram,
     hemisphere_interior_nodes,
@@ -141,6 +144,45 @@ def test_gegenbauer_tables_match_the_row_loop():
     assert np.array_equal(grid.C, C)
     for k in (0, 17, nodes - 1):
         assert grid.angle_factors(float(grid.t[k])) == list(C[:, k] / grid.C1)
+
+
+def test_gauss_legendre_rule_is_shared_by_node_count(monkeypatch):
+    """One read-only rule per node count, bit for bit numpy's, serves the
+    zonal grids of every dimension."""
+    x, w = gauss_legendre(48)
+    rx, rw = np.polynomial.legendre.leggauss(48)
+    assert x.tobytes() == rx.tobytes() and w.tobytes() == rw.tobytes()
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda *args: calls.append(args) or leggauss(*args))
+    gauss_legendre.cache_clear()
+    first = ZonalGrid(5, 8)
+    assert calls == [(ZONAL_NODES,)]
+    second = ZonalGrid(9, 8)
+    assert calls == [(ZONAL_NODES,)]
+    assert first.theta.tobytes() == second.theta.tobytes()
+
+
+def test_zonal_norms_match_the_closed_form_up_to_the_cli_cap():
+    """The quadrature norms of the Gegenbauer table equal
+    vol(S^(n-1)) pi 2^(1-2a) Gamma(l+2a) / (l! (l+a) Gamma(a)^2), a = (n-1)/2,
+    within 1e-12 up to l = ZONAL_NODES // 2, the largest --lmax that the
+    CLI's trace checks accept; above about l = 138 they do not."""
+    mp.mp.dps = 30
+    lmax = ZONAL_NODES // 2
+    for n in range(5, 10):
+        grid = ZonalGrid(n, lmax)
+        a = mp.mpf(n - 1) / 2
+        vol_minor = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+        for ell in range(lmax + 1):
+            want = (vol_minor * mp.pi * mp.mpf(2) ** (1 - 2 * a) * mp.gamma(ell + 2 * a)
+                    / (mp.factorial(ell) * (ell + a) * mp.gamma(a) ** 2))
+            assert abs(grid.norms[ell] - want) <= 1e-12 * want, (n, ell)
 
 
 def test_zonal_grid_is_built_once_per_key(monkeypatch):
@@ -315,13 +357,13 @@ def test_interior_gram_is_fully_keyed(monkeypatch):
         w[0] = 0.0
 
     calls = []
-    solve = traces.mode_solve
-    monkeypatch.setattr(traces, "mode_solve", lambda *args: calls.append(args) or solve(*args))
+    extend = traces.unit_extensions
+    monkeypatch.setattr(traces, "unit_extensions", lambda *args: calls.append(args) or extend(*args))
     for geom in (ball(7), hemisphere(7)):
         first = corollary_check(geom, GRAM_COEFFS, lmax=8)
-        assert len(calls) == 9  # three unit solves at each of the degrees 0, 1, 2
+        assert len(calls) == 3  # one set of unit extensions at each of the degrees 0, 1, 2
         assert corollary_check(geom, GRAM_COEFFS, lmax=8) == first
-        assert len(calls) == 9
+        assert len(calls) == 3
         calls.clear()
 
     # half-space data are evaluated on the ball and read its entries
