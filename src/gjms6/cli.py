@@ -3,6 +3,8 @@
 Usage: gjms6 SUITE [--geometry G] [--n N] [--lmax L] [--grid N] [--tol T]
        [--seed S] [--out PATH] [--csv WHAT:PATH]
 with SUITE one of covariance, symmetry, dtn, trace, critical, all.
+The dtn suite checks the identities at l <= min(--lmax, 6) and
+self-adjointness at l <= min(--lmax, 4); --grid is at most 256.
 Exit status is 1 if any check fails, and 2 for a configuration that cannot
 be checked: bad options, data under-resolved at --lmax, or a degree whose
 Dirichlet system trips the conditioning guard.
@@ -34,6 +36,10 @@ GEOMETRIES = {
 }
 
 SUITES = ("covariance", "symmetry", "dtn", "trace", "critical", "all")
+
+# dtn runs its identities and self-adjointness pairings at l <= min(--lmax, cap)
+DTN_IDENTITY_LMAX = 6
+DTN_SELFADJOINT_LMAX = 4
 
 
 class ConfigError(ValueError):
@@ -101,10 +107,10 @@ def run_dtn(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float):
     if geom.kind is GeometryKind.UPPER_HALF_SPACE:
         report.extend_records(dtn_verify(geom, n, None), "dtn-identities")
         return
-    for ell in range(min(lmax, 6) + 1):
+    for ell in range(min(lmax, DTN_IDENTITY_LMAX) + 1):
         report.extend_records(dtn_verify(geom, n, ell, tol=tol), "dtn-identities")
     for j in (1, 3, 5):
-        report.extend_records(dtn_selfadjointness(geom, n, j, range(min(lmax, 4) + 1)),
+        report.extend_records(dtn_selfadjointness(geom, n, j, range(min(lmax, DTN_SELFADJOINT_LMAX) + 1)),
                               "dtn-selfadjointness")
 
 
@@ -198,8 +204,9 @@ def run_suite(args) -> CheckReport:
     # hold to 1e-12 up to this degree; every n >= 5 runs one of them in "all"
     if args.suite in ("trace", "critical", "all") and args.lmax > ZONAL_NODES // 2:
         raise ConfigError(f"the trace checks need --lmax <= {ZONAL_NODES // 2}")
-    if args.grid < 2:
-        raise ConfigError("quadrature size must be at least 2")
+    # leggauss builds a grid x grid matrix; the zonal grids use ZONAL_NODES
+    if not 2 <= args.grid <= ZONAL_NODES:
+        raise ConfigError(f"quadrature size must be between 2 and {ZONAL_NODES}")
     if args.suite == "critical" and args.n != 5:
         raise ConfigError("the critical suite requires n = 5")
     if args.suite in ("trace",) and args.n < 6:
@@ -239,8 +246,10 @@ def main(argv=None) -> int:
     ap.add_argument("suite", choices=SUITES)
     ap.add_argument("--geometry", choices=sorted(GEOMETRIES), default="ball")
     ap.add_argument("--n", type=int, default=7, help="boundary dimension (>= 5)")
-    ap.add_argument("--lmax", type=int, default=32, help="harmonic-degree cap")
-    ap.add_argument("--grid", type=int, default=64, help="Gauss-Legendre nodes of the hemisphere interior quadrature")
+    ap.add_argument("--lmax", type=int, default=32,
+                    help=f"harmonic-degree cap (dtn: identities at l <= {DTN_IDENTITY_LMAX}, "
+                         f"self-adjointness at l <= {DTN_SELFADJOINT_LMAX})")
+    ap.add_argument("--grid", type=int, default=64, help=f"Gauss-Legendre nodes of the hemisphere interior quadrature (2..{ZONAL_NODES})")
     ap.add_argument("--tol", type=float, default=1e-6, help="numeric tolerance")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=str, default=None, help="JSON report path")

@@ -7,8 +7,8 @@ reads through the one ``boundary.separated_stencil`` of its model.  The flat
 half space is the separated model with boundary eigenvalue lam = t^2 at
 frequency t, its basis the jets of y^m e^(-t y); the ball uses the
 triharmonic basis r^(l+2m); the hemisphere the hypergeometric factor kernels,
-whose jets start from a closed-form equator derivative; the geodesic
-compactification of hyperbolic space the scattering-series jets.  On the half
+elementary in closed form with exact rational data (``HemisphereFactor``);
+the geodesic compactification of hyperbolic space the scattering-series jets.  On the half
 space, ball and hemisphere the three basis jets give a 3x3 Dirichlet matrix,
 and ``_coefficients`` is the one solve of that system, with the one
 ``COND_GUARD`` check of a float system.  ``_solve_modes`` superposes the
@@ -25,9 +25,9 @@ hemisphere factor jets (``factor_jet``), the geodesic Poisson branches
 are built once: ``mode_basis`` holds the basis jets and the Dirichlet matrix
 of the ball and the hemisphere, and each hemisphere factor and each geodesic
 Poisson branch are memoized.  The interior pairings of ``traces`` evaluate
-the three hemisphere factor kernels of a degree on their quadrature nodes in
-one Horner pass (``kernel_values``) and superpose the unit profiles of that
-degree from those values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
+the three hemisphere factor kernels of a degree on their quadrature nodes
+(``kernel_values``) and superpose the unit profiles of that degree from
+those values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from .boundary import apply_B
-from .fractional import d_gamma, rising, round_multiplier, sphere_eigenvalue
+from .fractional import d_gamma, round_multiplier, sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry, ball, halfspace, hemisphere, hyperbolic_geodesic
 from .gjms import factorization_shifts
 from .polys import Poly, sum_all
@@ -273,20 +273,21 @@ def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
 # round hemisphere
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class HemisphereFactor:
     """Regular solution v of one second-order factor on the hemisphere,
     scaled to v0 = 1 at the equator, where its z-derivative is the exact
-    ``dv0`` (z = cos(colatitude)).  Values off the equator come from the
-    float power series in x = (1 - z)/2 of v (``coeffs``) and of dv/dz
-    (``dcoeffs``).  Compared and hashed by identity, as the factors are
-    memoized and the arrays define no truth value."""
+    ``dv0`` (z = cos(colatitude)).  In closed form, with m = l + (n-1)/2 and
+    x = (1 - z)/2,
+        v = (1 + z)^(-m) p(x),    dv/dz = (1 + z)^(-m-1) r(x),
+    where ``p`` and ``r`` are the exact coefficients of polynomials of
+    degree at most 2, p(1/2) = 1 and r(1/2) = dv0."""
 
     n: int
     ell: int
     shift: Fraction
-    coeffs: np.ndarray
-    dcoeffs: np.ndarray
+    p: tuple
+    r: tuple
     dv0: Fraction
     v0 = 1.0
 
@@ -299,19 +300,18 @@ class HemisphereFactor:
 def kernel_values(factors, theta) -> tuple:
     """(chi, dchi): chi = sin^l(theta) v(cos theta) and its theta-derivative
     for each factor kernel of one degree l, stacked along a first axis in
-    the order of ``factors``.  The series of v and dv/dz of all the kernels,
-    zero-padded to one length, are summed in one Horner pass; leading zeros
-    leave Horner's rule unchanged, so each kernel's values are those of its
-    own series bit for bit."""
-    ell = factors[0].ell
+    the order of ``factors``.  The kernels of a degree share the factor
+    (1 + z)^(-m), computed once; each kernel's polynomials p and r are
+    evaluated by Horner's rule (``np.polyval``, highest power first), so its
+    values do not depend on the other factors passed with it."""
+    n, ell = factors[0].n, factors[0].ell
     theta = np.asarray(theta, dtype=float)
     s, cth = np.sin(theta), np.cos(theta)
-    series = [c for fac in factors for c in (fac.coeffs, fac.dcoeffs)]
-    C = np.zeros((max(len(c) for c in series), len(series)))
-    for j, c in enumerate(series):
-        C[: len(c), j] = c
-    values = np.polynomial.polynomial.polyval((1.0 - cth) / 2.0, C, tensor=True)
-    v, dv = values[0::2], values[1::2]
+    x = (1.0 - cth) / 2.0
+    w = (1.0 + cth) ** -(ell + (n - 1) / 2)
+    dw = w / (1.0 + cth)
+    v = np.array([w * np.polyval([float(c) for c in f.p[::-1]], x) for f in factors])
+    dv = np.array([dw * np.polyval([float(c) for c in f.r[::-1]], x) for f in factors])
     chi = s**ell * v
     dchi = (ell * s ** (ell - 1) * cth * v if ell else 0.0) - s ** (ell + 1) * dv
     return chi, dchi
@@ -327,36 +327,32 @@ def hemisphere_factor_solve(n: int, ell: int, shift) -> HemisphereFactor:
     x = (1-z)/2 the hypergeometric equation, whose solution regular at the
     pole x = 0 is 2F1(A, B; C; x) with A, B = l + n/2 +- sqrt(n^2/4 - shift)
     and C = l + (n+1)/2 (DLMF 15.10).  For the factorization shift c_k the
-    square root is k - 1/2, so C = (A + B + 1)/2, and Gauss's second summation
-    theorem (DLMF 15.4.28) gives F and, through DLMF 15.5.1, its derivative
-    at the equator x = 1/2.  With a = A/2 the Gamma functions cancel to
-        dv0 = -2 (a - k + 1/2)_k / (a - k + 1)_(k-1),
-    the z-derivative at the equator of the kernel scaled to 1 there.  Off
-    the equator v is the float Taylor series: A, B and C, hence every
-    coefficient, are nonnegative, and the hemisphere is 0 <= x <= 1/2, so it
-    is summed without cancellation, cut where a term at x = 1/2 falls below
-    1e-18 of the partial sum.  Other shifts raise ValueError.  Memoized on
-    (n, ell, shift).
+    square root is k - 1/2, so C - A = 1 - k, C - B = k and
+    C - A - B = -m with m = l + (n-1)/2.  Euler's transformation
+    (DLMF 15.8.1) then gives
+        2F1(A, B; C; x) = (1 - x)^(-m) 2F1(1 - k, k; C; x),
+    whose second factor is a polynomial of degree k - 1 with coefficients
+    (1-k)_j (k)_j / ((C)_j j!).  With 1 - x = (1 + z)/2, the kernel scaled
+    to 1 at the equator x = 1/2 is v = (1 + z)^(-m) p(x), p that polynomial
+    divided by its value at 1/2, and dv/dz = (1 + z)^(-m-1) r(x) with
+    r = -m p - (1 - x) p', exact, so dv/dz is 0 where v is constant
+    (n = 5, l = 0, k = 3).  The exact equator derivative is dv0 = r(1/2).
+    Other shifts raise ValueError.  Memoized on (n, ell, shift).
     """
     shifts = factorization_shifts(n)
     if shift not in shifts:
         raise ValueError(f"shift {shift} is not a factorization shift of n = {n}")
     k = shifts.index(shift) + 1
-    A = ell + Q(n, 2) + k - Q(1, 2)
-    a = A / 2
-    dv0 = -2 * rising(a - k + Q(1, 2), k) / rising(a - k + 1, k - 1)
-    A, B, C = float(A), float(A - 2 * k + 1), ell + (n + 1) / 2
-    # terms of the series at x = 1/2; the coefficients are terms * 2^j
-    terms = [1.0]
-    total = 1.0
-    j = 0
-    while terms[-1] >= 1e-18 * total:
-        terms.append(terms[-1] * (A + j) * (B + j) / ((C + j) * (j + 1) * 2))
-        total += terms[-1]
-        j += 1
-    coeffs = np.ldexp(np.array(terms) / total, np.arange(len(terms)))
-    dcoeffs = -0.5 * np.polynomial.polynomial.polyder(coeffs)
-    return HemisphereFactor(n, ell, Q(shift), coeffs, dcoeffs, dv0)
+    C = ell + Q(n + 1, 2)
+    p = [Q(1)]
+    for j in range(k - 1):
+        p.append(p[-1] * (j + 1 - k) * (k + j) / ((C + j) * (j + 1)))
+    equator = sum(c / 2**j for j, c in enumerate(p))
+    p = [c / equator for c in p] + [Q(0)]
+    m = ell + Q(n - 1, 2)
+    r = tuple((j - m) * p[j] - (j + 1) * p[j + 1] for j in range(k))
+    dv0 = sum(c / 2**j for j, c in enumerate(r))
+    return HemisphereFactor(n, ell, Q(shift), tuple(p[:k]), r, dv0)
 
 
 @dataclass

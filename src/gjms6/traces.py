@@ -11,10 +11,11 @@ Gauss-Legendre quadrature (hemisphere).  The Gram matrices are memoized:
 (n, l, grid_size), so every check after the first at a degree reads nine
 floats.  A cold entry reads the unit-data coefficients of
 ``solver.unit_extensions``, one ``COND_GUARD`` check per degree, and on the
-hemisphere evaluates the three factor kernels in one
-``solver.kernel_values`` pass.  One read-only Gauss-Legendre rule per node
-count (``gauss_legendre``) serves the zonal grids, the hemisphere interior
-nodes and the flat-side norms.  The critical (n = 5)
+hemisphere evaluates the three closed-form factor kernels with one
+``solver.kernel_values`` call.  One read-only Gauss-Legendre rule per node
+count (``gauss_legendre``, numpy's Legendre module loaded with the package)
+serves the zonal grids, the hemisphere interior nodes and the flat-side
+norms.  The critical (n = 5)
 statements need no tables of their own: the subcritical display terms and
 interior coefficients at n = 5, zero terms dropped, are the critical ones,
 so both kinds of check read the same entries.  Flat half-space data are
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+import numpy.polynomial.legendre  # noqa: F401  (loaded with the package, not by the first rule)
 
 from .conformal import round_bubble_center
 from .fractional import DTN_IDENTITIES, gamma_ratio, round_multiplier, sphere_eigenvalue
@@ -230,10 +232,9 @@ class InequalityReport:
 # displayed boundary quadratics: (slotA, slotB, coefficient(n), power of the
 # boundary-Laplacian eigenvalue).  Slots: 0 = f, 1 = phi, 2 = psi.  Some
 # coefficients vanish at particular n (several at the critical n = 5);
-# callers skip those terms.
+# callers skip those terms.  Half-space statements are evaluated on the
+# ball, so only the two round models have a table.
 def display_terms(kind: GeometryKind, n: int):
-    if kind is GeometryKind.UPPER_HALF_SPACE:
-        return [(2, 1, Q(8), 1), (1, 0, Q(16, 3), 2)]
     if kind is GeometryKind.EUCLIDEAN_BALL:
         return [
             (2, 2, Q(n - 9, 2), 0), (2, 1, Q(8), 1), (2, 1, Q(2 * (n**2 - 9)), 0),
@@ -364,17 +365,15 @@ class TraceChecker:
             raise ValueError("the critical top slot takes a logarithmic profile")
         return out
 
-    def slots_from_coeffs(self, coeff_lists, axes=None):
+    def slots_from_coeffs(self, coeff_lists):
+        """Slots of zonal coefficient arrays, all about the first axis."""
+        axis = np.zeros(self.n + 1)
+        axis[0] = 1.0
         out = []
-        for i, cs in enumerate(coeff_lists):
+        for cs in coeff_lists:
             coeffs = np.zeros(self.lmax + 1)
             cs = np.asarray(cs, dtype=float)
             coeffs[: len(cs)] = cs
-            if axes is None:
-                axis = np.zeros(self.n + 1)
-                axis[0] = 1.0
-            else:
-                axis = np.asarray(axes[i], dtype=float)
             out.append(SlotData(coeffs, axis, self.grid.reconstruct(coeffs)))
         return out
 
@@ -473,15 +472,10 @@ def critical_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32,
 
 
 def _run_check(geom, specs_or_slots, critical, lmax, grid_size):
-    eval_geom = geom
-    if geom.kind is GeometryKind.UPPER_HALF_SPACE:
-        eval_geom = ball(geom.n)
+    eval_geom = ball(geom.n) if geom.kind is GeometryKind.UPPER_HALF_SPACE else geom
     checker = TraceChecker(eval_geom, lmax=lmax, grid_size=grid_size)
-    first = specs_or_slots[0]
-    if isinstance(first, ExtremalSpec):
+    if isinstance(specs_or_slots[0], ExtremalSpec):
         slots = checker.slots_from_specs(specs_or_slots, critical)
-    elif isinstance(first, SlotData):
-        slots = specs_or_slots
     else:
         slots = checker.slots_from_coeffs(specs_or_slots)
     return checker.check(slots, critical)

@@ -63,6 +63,7 @@ def test_config_errors(tmp_path, capsys):
         ["critical", "--n", "5", "--lmax", "129"],
         ["all", "--n", "5", "--lmax", "129"],
         ["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "1"],
+        ["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "257"],
         ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "8"],
         ["critical", "--n", "5", "--geometry", "ball", "--lmax", "8"],
         ["dtn", "--grid", "0"],
@@ -72,6 +73,20 @@ def test_config_errors(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error:"), argv
     assert not csv.exists()
+
+
+def test_dtn_degree_caps_are_named(tmp_path):
+    """The dtn suite runs its identities and self-adjointness pairings up to
+    the named caps: a larger --lmax writes the same checks."""
+    from gjms6.cli import DTN_IDENTITY_LMAX, DTN_SELFADJOINT_LMAX
+
+    assert (DTN_IDENTITY_LMAX, DTN_SELFADJOINT_LMAX) == (6, 4)
+    ids = []
+    for lmax in ("6", "100"):
+        out = tmp_path / f"dtn-{lmax}.json"
+        assert main(["dtn", "--n", "7", "--lmax", lmax, "--out", str(out)]) == 0
+        ids.append([c["id"] for c in json.loads(out.read_text())["checks"]])
+    assert ids[0] == ids[1] and len(ids[0]) == 36
 
 
 def test_guard_trips_are_config_errors(monkeypatch, capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gjms6.boundary import apply_B
-from gjms6.fractional import round_multiplier, sphere_eigenvalue
+from gjms6.fractional import rising, round_multiplier, sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.gjms import factorization_shifts, hyperbolic_shifted_factor
 from gjms6.polys import Poly
@@ -172,10 +172,11 @@ def test_hemisphere_solve_achieves_data():
 
 
 def test_hemisphere_factor_against_hypergeometric():
-    """The series factor kernels match 2F1(A, B; C; (1-z)/2), scaled to 1 at
-    the equator, in value and z-derivative across the hemisphere; the
-    closed-form equator derivative dv0 is an exact rational that matches to
-    the working precision of the reference."""
+    """The closed-form factor kernels match 2F1(A, B; C; (1-z)/2), scaled to
+    1 at the equator: ``kernel_values`` gives chi = sin^l(theta) v and its
+    theta-derivative, built from v and dv/dz, across the hemisphere; the
+    equator derivative dv0 is an exact rational that matches to the working
+    precision of the reference."""
     mp.mp.dps = 30
     for n in (5, 7):
         for shift in factorization_shifts(n):
@@ -187,21 +188,39 @@ def test_hemisphere_factor_against_hypergeometric():
                 C = ell + mp.mpf(n + 1) / 2
                 equator = mp.hyp2f1(A, Bp, C, mp.mpf(1) / 2)
                 assert fac.v0 == 1.0
+                assert isinstance(fac.dv0, Q)
+                dv0 = mp.mpf(fac.dv0.numerator) / fac.dv0.denominator
+                dv0_ref = -A * Bp / C * mp.hyp2f1(A + 1, Bp + 1, C + 1, mp.mpf(1) / 2) / 2 / equator
+                assert abs(dv0 - dv0_ref) <= 1e-25 * abs(dv0_ref), (n, shift, ell)
                 for z in (0, 0.25, 0.5, 0.75, 1):
-                    x = (1 - mp.mpf(z)) / 2
+                    th = float(np.arccos(z))
+                    chi, dchi = (float(g[0]) for g in kernel_values([fac], th))
+                    s, c = mp.sin(th), mp.cos(th)
+                    x = (1 - c) / 2
                     v_ref = mp.hyp2f1(A, Bp, C, x) / equator
                     dv_ref = -A * Bp / C * mp.hyp2f1(A + 1, Bp + 1, C + 1, x) / 2 / equator
-                    v, dv = (np.polynomial.polynomial.polyval((1 - z) / 2, c) for c in (fac.coeffs, fac.dcoeffs))
-                    assert abs(v - v_ref) <= 1e-13 * abs(v_ref), (n, shift, ell, z)
-                    assert abs(dv - dv_ref) <= 1e-13 * abs(dv_ref), (n, shift, ell, z)
-                    if z == 0:
-                        assert isinstance(fac.dv0, Q)
-                        dv0 = mp.mpf(fac.dv0.numerator) / fac.dv0.denominator
-                        assert abs(dv0 - dv_ref) <= 1e-25 * abs(dv_ref), (n, shift, ell)
+                    chi_ref = s**ell * v_ref
+                    dchi_ref = (ell * s ** (ell - 1) * c * v_ref if ell else 0) - s ** (ell + 1) * dv_ref
+                    assert abs(chi - chi_ref) <= 1e-13 * abs(chi_ref), (n, shift, ell, z)
+                    assert abs(dchi - dchi_ref) <= 1e-13 * abs(dchi_ref), (n, shift, ell, z)
     assert hemisphere_factor_solve(7, 5, 6).dv0 == Q(-160, 21)
+    assert hemisphere_factor_solve(7, 5, 6).p == (Q(10, 7), Q(-20, 21), Q(4, 21))
     assert len({hemisphere_factor_solve(7, 5, c) for c in factorization_shifts(7)}) == 3
     with pytest.raises(ValueError, match="not a factorization shift"):
         hemisphere_factor_solve(7, 0, Q(-1))
+
+
+def test_hemisphere_dv0_matches_gauss_summation():
+    """The equator derivative read off the Euler-transformed kernel equals
+    the value of Gauss's second summation theorem (DLMF 15.4.28, with
+    15.5.1 for the derivative), -2 (a-k+1/2)_k / (a-k+1)_(k-1) with a = A/2,
+    exactly."""
+    for n in range(5, 10):
+        for k, shift in enumerate(factorization_shifts(n), start=1):
+            for ell in range(65):
+                a = (ell + Q(n, 2) + k - Q(1, 2)) / 2
+                want = -2 * rising(a - k + Q(1, 2), k) / rising(a - k + 1, k - 1)
+                assert hemisphere_factor_solve(n, ell, shift).dv0 == want, (n, ell, k)
 
 
 def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
@@ -255,43 +274,23 @@ def test_unit_extensions_match_unit_mode_solves_bit_for_bit():
                         assert prof.factors is profs[0].factors
 
 
-def horner(c, x):
-    """Horner's rule over the series c at x, one numpy operation per term."""
-    out = c[-1] + x * 0
-    for a in c[-2::-1]:
-        out = a + out * x
-    return out
-
-
-def test_kernel_values_match_each_factor_series_bit_for_bit():
-    """The one Horner pass over the zero-padded series of a degree's three
-    kernels gives each kernel's chi and dchi as Horner's rule over its own
-    series does, bit for bit, on arrays and at a scalar angle."""
+def test_stacked_kernel_values_match_each_factor_bit_for_bit():
+    """The kernels of a degree evaluated together give each kernel's chi and
+    dchi as evaluating it alone does, bit for bit, on arrays and at a scalar
+    angle; the interior Gram route relies on this."""
     theta = np.linspace(0.02, np.pi / 2, 37)
-    s, cth = np.sin(theta), np.cos(theta)
-    x = (1.0 - cth) / 2.0
-    padded = False
-    for n in (5, 7, 9):
+    for n in (5, 6, 7, 9):
         for ell in (0, 1, 5, 32):
             factors = [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)]
-            padded |= len({len(f.coeffs) for f in factors}) > 1
-            chi, dchi = kernel_values(factors, theta)
-            assert chi.shape == dchi.shape == (3, len(theta))
-            for k, fac in enumerate(factors):
-                v, dv = horner(fac.coeffs, x), horner(fac.dcoeffs, x)
-                assert v.tobytes() == np.polynomial.polynomial.polyval(x, fac.coeffs).tobytes()
-                want_chi = s**ell * v
-                want_dchi = (ell * s ** (ell - 1) * cth * v if ell else 0.0) - s ** (ell + 1) * dv
-                assert chi[k].tobytes() == want_chi.tobytes(), (n, ell, k)
-                assert dchi[k].tobytes() == want_dchi.tobytes(), (n, ell, k)
-                one = fac.chi_and_dchi(theta)
-                assert one[0].tobytes() == want_chi.tobytes() and one[1].tobytes() == want_dchi.tobytes()
-                th = 0.7
-                s0, c0 = np.sin(th), np.cos(th)
-                v0, dv0 = horner(fac.coeffs, (1.0 - c0) / 2.0), horner(fac.dcoeffs, (1.0 - c0) / 2.0)
-                want = (s0**ell * v0, (ell * s0 ** (ell - 1) * c0 * v0 if ell else 0.0) - s0 ** (ell + 1) * dv0)
-                assert [float(g) for g in fac.chi_and_dchi(th)] == [float(w) for w in want]
-    assert padded  # the kernels of some degree have series of different lengths
+            assert sorted(len(f.p) for f in factors) == [1, 2, 3]
+            for th in (theta, 0.7):
+                chi, dchi = kernel_values(factors, th)
+                assert chi.shape == dchi.shape == (3,) + np.shape(th)
+                for k, fac in enumerate(factors):
+                    alone = [g[0] for g in kernel_values([fac], th)]
+                    for one in (alone, fac.chi_and_dchi(th)):
+                        assert chi[k].tobytes() == one[0].tobytes(), (n, ell, k)
+                        assert dchi[k].tobytes() == one[1].tobytes(), (n, ell, k)
 
 
 def test_hemisphere_mode_solve_applies_mode_guard_after_warm_solve(monkeypatch):

@@ -1,6 +1,8 @@
 """Sharp trace inequalities: constants, equality families, positivity."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import mpmath as mp
@@ -166,6 +168,15 @@ def test_gauss_legendre_rule_is_shared_by_node_count(monkeypatch):
     second = ZonalGrid(9, 8)
     assert calls == [(ZONAL_NODES,)]
     assert first.theta.tobytes() == second.theta.tobytes()
+
+
+def test_legendre_module_loads_with_the_package():
+    """numpy.polynomial.legendre is imported with gjms6, so the first
+    Gauss-Legendre rule of a run does not pay for loading it."""
+    code = "import sys\nimport gjms6\nprint('numpy.polynomial.legendre' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
 
 
 def test_zonal_norms_match_the_closed_form_up_to_the_cli_cap():
