@@ -18,7 +18,8 @@ same assembly derives once per model, run on symbols:
   weights, polynomial in the degree k, on the homogeneous pieces of u, lap u
   and lap^2 u, followed by one reduction modulo the unit sphere.
 
-``apply_B`` evaluates them.  Zeroth-order blocks carry the factor (n-5)/2
+``apply_B`` evaluates them, a separated row once per (model, j, lam)
+(``separated_weights``).  Zeroth-order blocks carry the factor (n-5)/2
 and vanish identically in the critical dimension n = 5.
 
 ``field_ops`` is the only place that picks the primitive kit for a field
@@ -484,6 +485,16 @@ def separated_stencil(geom: ModelGeometry) -> tuple:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=None, typed=True)
+def separated_weights(geom: ModelGeometry, j: int, lam) -> tuple:
+    """Row j of ``separated_stencil`` evaluated at the eigenvalue lam: the
+    pairs (k, w_k) with B_j(u) = sum_k w_k c_k on a separated mode with jet
+    coefficients c_k.  Memoized on (geom, j, lam) with the type of lam in
+    the key, so an exact lam and a float lam of equal value (4, Fraction(4),
+    4.0) have weights of their own."""
+    return tuple((k, sum(c * lam**p for p, c in poly)) for k, poly in separated_stencil(geom)[j])
+
+
 class _BallDegreeOps(BoundaryOps):
     """The ball primitives on one homogeneous piece u_k of a polynomial, as
     symbols: a field is a Poly in (k, D) whose term k^a D^m stands for
@@ -584,8 +595,8 @@ def apply_B(j, geom: ModelGeometry, u):
         if chi.ord < j:
             raise TruncationError(f"B{j} needs a profile jet of order {j}, got order {chi.ord}")
         out = 0
-        for k, poly in separated_stencil(geom)[j]:
-            out = out + sum(c * u.lam**p for p, c in poly) * chi.coeffs[k]
+        for k, w in separated_weights(geom, j, u.lam):
+            out = out + w * chi.coeffs[k]
         return out
     if isinstance(u, Poly):
         if u.d != geom.n + 1:

@@ -149,7 +149,7 @@ def normalize_jet(geom: ModelGeometry, order: int = 5) -> BoundaryJet:
         c0 = rel.terms.get((0,), Q(0))
         if c1 == 0:
             raise ArithmeticError("normalization system unexpectedly degenerate")
-        known.append(-c0 / c1)
+        known.append(-Q(c0) / c1)
     return BoundaryJet(coeffs=known, order=order)
 
 

@@ -1,13 +1,20 @@
 """Exact rational polynomial calculus.
 
-Sparse multivariate polynomials over ``fractions.Fraction`` and exact moment
+Sparse multivariate polynomials over the rationals and exact moment
 integration over unit spheres and balls.  Everything in this module is pure
-value arithmetic; results are exact.  A ``Poly`` result may share a zero
-operand: ``p + 0`` is ``p`` and ``p * 0`` is that zero, so no code may
-mutate a polynomial.  The Euler operator, the Laplacian and the reduction
-modulo the unit sphere are one pass over the terms each, in closed form; the
-powers (1 - |x'|^2)^k that the reduction substitutes for x_last^(2k) are
-memoized per (d, k) and shared by every caller.  Single-frequency modes on
+value arithmetic; results are exact.  A coefficient is stored as an ``int``
+when the constructors or a scalar factor see an integral value (``_coeff``)
+and as a ``Fraction`` otherwise, since an int operation costs a small part
+of a Fraction one, which pays for a gcd; sums and products keep the type
+Python's arithmetic gives them, so an integral value may also be held as a
+Fraction.  Both forms compare, hash and print alike.  Two ints divide to a
+float, so a division of coefficients goes through Fraction (``Q(c) / d``).
+A ``Poly`` result may share a zero operand: ``p + 0`` is ``p`` and ``p * 0``
+is that zero, so no code may mutate a polynomial.  The Euler operator, the
+Laplacian and the reduction modulo the unit sphere are one pass over the
+terms each, in closed form; the powers (1 - |x'|^2)^k that the reduction
+substitutes for x_last^(2k) are memoized per (d, k) and shared by every
+caller.  Single-frequency modes on
 the flat half space are separated modes (``reps.SeparatedMode``) with Poly
 jet coefficients, not a field type of their own.
 """
@@ -23,16 +30,19 @@ from typing import Iterable, Mapping
 Q = Fraction
 
 
-def _coeff(c) -> Fraction:
+def _coeff(c):
+    """A rational coefficient as stored in a Poly: an int when integral,
+    otherwise a Fraction."""
     if isinstance(c, Fraction):
-        return c
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"expected a rational coefficient, got {type(c).__name__}")
 
 
 class Poly:
-    """Sparse polynomial in ``d`` variables with Fraction coefficients.
+    """Sparse polynomial in ``d`` variables with int or Fraction
+    coefficients.
 
     ``terms`` maps exponent tuples of length ``d`` to nonzero coefficients.
     Instances are immutable: a result may be one of its operands, so
@@ -41,7 +51,7 @@ class Poly:
 
     __slots__ = ("d", "terms")
 
-    def __init__(self, d: int, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, d: int, terms: Mapping[tuple, int | Fraction] | None = None):
         self.d = d
         t = {}
         if terms:
@@ -64,7 +74,7 @@ class Poly:
     def var(cls, d: int, i: int, power: int = 1) -> "Poly":
         e = [0] * d
         e[i] = power
-        return cls(d, {tuple(e): Q(1)})
+        return cls(d, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, d: int, exps: Iterable[int], c=1) -> "Poly":

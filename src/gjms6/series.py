@@ -84,7 +84,7 @@ def series_inverse(s: Series) -> Series:
     """Multiplicative inverse of a series with invertible constant term."""
     o = s.ord
     a0 = s.coeffs[0]
-    inv0 = Q(1) / a0 if isinstance(a0, Fraction) else 1.0 / a0
+    inv0 = Q(1) / a0 if isinstance(a0, (int, Fraction)) else 1.0 / a0
     out = [inv0] + [0] * o
     for k in range(1, o + 1):
         acc = 0

@@ -8,23 +8,25 @@ half space is the separated model with boundary eigenvalue lam = t^2 at
 frequency t, its basis the jets of y^m e^(-t y); the ball uses the
 triharmonic basis r^(l+2m); the hemisphere the hypergeometric factor kernels,
 elementary in closed form with exact rational data (``HemisphereFactor``);
-the geodesic compactification of hyperbolic space the scattering-series jets.  On the half
-space, ball and hemisphere the three basis jets give a 3x3 Dirichlet matrix,
-and ``_coefficients`` is the one solve of that system, with the one
-``COND_GUARD`` check of a float system.  ``_solve_modes`` superposes the
-basis and reads back the achieved triple for the per-mode solvers;
-``unit_extensions`` needs the coefficients alone, those of unit data in each
-slot, under one guard check per degree.  The geodesic slot solutions
-reproduce their data by construction, so that model superposes them
-directly.
+the geodesic compactification of hyperbolic space the scattering-series jets
+of unit data in each slot, which reproduce their data, so its matrix is the
+identity.  On every model the three basis jets give a 3x3 Dirichlet matrix,
+and ``_coefficients`` is the one solve of that system, exact in Fractions or
+with the one ``COND_GUARD`` check of a float system.  ``_solve_modes``
+superposes the basis and reads back the achieved triple for the per-mode
+solvers; ``unit_extensions`` needs the coefficients alone, those of unit data
+in each slot, under one guard check per degree.
 
 The collar table ``reps.collar_coefficients`` is read by the stencil, the
 hemisphere factor jets (``factor_jet``), the geodesic Poisson branches
 (``poisson_branch_series``) and geodesic L6
 (``gjms.hyperbolic_shifted_factor``).  Data that depend on (model, l) alone
 are built once: ``mode_basis`` holds the basis jets and the Dirichlet matrix
-of the ball and the hemisphere, and each hemisphere factor and each geodesic
-Poisson branch are memoized.  The interior pairings of ``traces`` evaluate
+of the ball, the hemisphere and the geodesic model, and each hemisphere
+factor and each geodesic Poisson branch are memoized.  The branch recurrence
+runs on integer numerators over one common denominator and builds one
+Fraction per coefficient at the end, since every Fraction operation pays
+for a gcd.  The interior pairings of ``traces`` evaluate
 the three hemisphere factor kernels of a degree on their quadrature nodes
 (``kernel_values``) and superpose the unit profiles of that degree from
 those values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
@@ -134,10 +136,13 @@ def _coefficients(M, rhs_list, exact: bool) -> list:
     """Basis coefficients alpha with M alpha = rhs for each right-hand side,
     column m of M being B0..B2 of the basis jet m.
 
-    Exact when ``exact``; otherwise M and the right-hand sides are taken to
-    floats, and M must be within ``COND_GUARD``: one check, however many
-    right-hand sides share it."""
-    if not exact:
+    Exact when ``exact``, with M taken to Fractions (an int pivot would
+    divide int entries to floats); otherwise M and the right-hand sides are
+    taken to floats, and M must be within ``COND_GUARD``: one check, however
+    many right-hand sides share it."""
+    if exact:
+        M = [[Q(x) for x in row] for row in M]
+    else:
         M = [[float(x) for x in row] for row in M]
         cond = np.linalg.cond(M)
         if cond > COND_GUARD:
@@ -214,8 +219,10 @@ def mode_basis(geom: ModelGeometry, ell: int) -> tuple:
     immutable tuples.  The ball takes the regular triharmonic basis
     r^l, r^(l+2), r^(l+4), exact; the hemisphere the three factor kernels,
     as floats, each jet solved by ``factor_jet`` in the collar table from
-    chi = 1 and the closed-form dv0 at the equator.  Memoized on (geom, l),
-    so callers share the jets and must not mutate them."""
+    chi = 1 and the closed-form dv0 at the equator; the geodesic model the
+    exact extensions of unit data in each slot (``geodesic_mode_extension``),
+    which reproduce their data, so its M is the identity.  Memoized on
+    (geom, l), so callers share the jets and must not mutate them."""
     n = geom.n
     if geom.kind is GeometryKind.EUCLIDEAN_BALL:
         basis = tuple(RadialProfile(n, ell, {m: Q(1)}).to_separated(JET_ORDER) for m in range(3))
@@ -228,8 +235,11 @@ def mode_basis(geom: ModelGeometry, ell: int) -> tuple:
         # z = cos(theta) decreases with theta, so chi'(0) = -dv0
         basis = tuple(SeparatedMode(n, lam, factor_jet(A, B, lam, float(f.shift), 1.0, -float(f.dv0), JET_ORDER))
                       for f in facs)
+    elif geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
+        units = ([Q(int(j == slot)) for j in range(3)] for slot in range(3))
+        basis = tuple(geodesic_mode_extension(n, ell, BoundaryTriple(*u)) for u in units)
     else:
-        raise ValueError("the basis memo holds the ball and the hemisphere")
+        raise ValueError("the basis memo holds the round-boundary models")
     return basis, tuple(tuple(apply_B(j, geom, m) for m in basis) for j in range(3))
 
 
@@ -449,29 +459,48 @@ def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F
         lam sum_i B_i c_(k-2-i) - sum_i A_i (a+k-1-i) c_(k-1-i),
     chi(k) = -(a+k)(a+k-n) - s(n-s), so the c_k are solved in one pass; at a
     resonant order (chi(k) = 0) the obstruction is asserted to vanish and the
-    coefficient set to zero.  Memoized on its arguments, so callers share the
-    series and must not mutate it.
+    coefficient set to zero.  The pass is in integers: A, B are scaled by
+    the lcm L of their denominators, a and s by the lcm d of theirs, and the
+    c_k are carried as numerators over one denominator, rescaled at each
+    order and reduced by their common gcd; one Fraction is built per
+    coefficient at the end.  Memoized on its arguments, so callers share the series and must not
+    mutate it.
     """
     s_param = Q(s_param)
     lam = sphere_eigenvalue(n, ell)
-    a = (Q(n) - s_param) if which == "F" else s_param
+    a = (n - s_param) if which == "F" else s_param
     A, B, _, _ = collar_coefficients(GeometryKind.HYPERBOLIC_GEODESIC, n, order)
-    A, B = A.coeffs, B.coeffs
-    c = [Q(1)]
+    # A_i = Ai/L, B_i = Bi/L, a = a2/d, s = s2/d, c_k = N_k/D, chi(k) =
+    # X_k/d^2, and the rest of order k is R_k/(L d D)
+    L = math.lcm(*(x.denominator for x in A.coeffs + B.coeffs))
+    Ai = [int(x * L) for x in A.coeffs]
+    Bi = [int(x * L) for x in B.coeffs]
+    d = math.lcm(a.denominator, s_param.denominator)
+    a2, s2 = int(a * d), int(s_param * d)
+    N, D = [1], 1
     for k in range(1, order + 1):
-        rest = Q(0)
+        R = 0
         for i in range(k - 1):
-            rest += lam * B[i] * c[k - 2 - i]
+            R += Bi[i] * N[k - 2 - i]
+        R *= d * lam
         for i in range(k):
-            rest -= A[i] * (a + k - 1 - i) * c[k - 1 - i]
-        chi = -(a + k) * (a + k - n) - s_param * (n - s_param)
-        if chi == 0:
-            if rest != 0:
+            R -= Ai[i] * (a2 + d * (k - 1 - i)) * N[k - 1 - i]
+        X = -(a2 + d * k) * (a2 + d * (k - n)) - s2 * (d * n - s2)
+        if X == 0:
+            if R != 0:
                 raise ArithmeticError("resonant obstruction does not vanish")
-            c.append(Q(0))
-        else:
-            c.append(-rest / chi)
-    return Series(c, order)
+            N.append(0)
+            continue
+        if X < 0:
+            X, R = -X, -R
+        # c_k = -rest/chi = -R d/(L D X), over the common denominator L D X
+        N = [x * L * X for x in N] + [-R * d]
+        D *= L * X
+        g = math.gcd(D, *N)
+        if g > 1:
+            N = [x // g for x in N]
+            D //= g
+    return Series([Q(x, D) for x in N], order)
 
 
 def geodesic_mode_extension(n: int, ell: int, data: BoundaryTriple, order: int = JET_ORDER,
@@ -513,10 +542,12 @@ def geodesic_mode_extension(n: int, ell: int, data: BoundaryTriple, order: int =
 
 
 def geodesic_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
+    """Solve the geodesic extension per mode against the unit-slot jets of
+    ``mode_basis``; the profile is the superposed jet itself."""
     g = hyperbolic_geodesic(n)
-    mode = geodesic_mode_extension(n, ell, data)
-    achieved = BoundaryTriple(*(apply_B(j, g, mode) for j in range(3)))
-    return SolveResult(mode, mode, achieved, _residual_norms(achieved, data), data.exact)
+    basis, M = mode_basis(g, ell)
+    _, mode, *rest = _solve_modes(g, M, basis, data)
+    return SolveResult(mode, mode, *rest)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ KNOWN = {
     "gjms6.boundary.ball_poly_stencil",
     "gjms6.boundary.model_coefficients",
     "gjms6.boundary.separated_stencil",
+    "gjms6.boundary.separated_weights",
     "gjms6.conformal._engine",
     "gjms6.polys.sphere_relation_power",
     "gjms6.reps.collar_coefficients",
@@ -68,3 +69,33 @@ def test_reports_are_the_same_cold_and_warm(argv, tmp_path):
     assert main(argv + ["--out", str(tmp_path / "warm.json")]) == 0
     assert any(fn.cache_info().currsize for fn in package_memos().values())
     assert (tmp_path / "cold.json").read_bytes() == (tmp_path / "warm.json").read_bytes()
+
+
+def test_stencil_weights_are_keyed_on_the_type_of_lam():
+    """An exact and a float eigenvalue of equal value (4 and 4.0 hash and
+    compare equal) keep weights of their own: a float solve reads the same
+    bits whether or not an exact solve of the same frequency came first."""
+    from fractions import Fraction
+
+    import numpy as np
+
+    from gjms6.boundary import separated_weights
+    from gjms6.solver import BoundaryTriple, halfspace_solve
+
+    data = BoundaryTriple(0.2, 0.5, 0.3)
+
+    def bits(res):
+        return (np.array(res.profile).tobytes(), np.array(res.mode.profile.coeffs, dtype=float).tobytes(),
+                np.array(res.achieved.aslist()).tobytes())
+
+    # at t = 2 the exact and float weights happen to give the same bits;
+    # at t = 5 they do not, so a memo shared across types shows there
+    for t in (2, 5):
+        separated_weights.cache_clear()
+        cold = bits(halfspace_solve(float(t), data))
+        separated_weights.cache_clear()
+        exact = halfspace_solve(Fraction(t), BoundaryTriple(*(Fraction(x) for x in (1, -2, 3))))
+        assert exact.exact
+        warm = bits(halfspace_solve(float(t), data))
+        assert warm == cold, t
+        assert separated_weights.cache_info().currsize == 6

@@ -434,3 +434,105 @@ def test_geodesic_solve_is_the_same_cold_and_warm():
         assert cold.exact and warm.exact
         assert cold.profile.profile.coeffs == warm.profile.profile.coeffs
         assert all(type(c) is Q for c in warm.profile.profile.coeffs)
+
+
+def reference_poisson_branch(n, ell, s_param, order, which):
+    """The branch recurrence in Fraction arithmetic, one coefficient at a
+    time, as the solver computed it before its integer form."""
+    from gjms6.geometry import GeometryKind
+    from gjms6.reps import collar_coefficients
+
+    s_param = Q(s_param)
+    lam = sphere_eigenvalue(n, ell)
+    a = (Q(n) - s_param) if which == "F" else s_param
+    A, B, _, _ = collar_coefficients(GeometryKind.HYPERBOLIC_GEODESIC, n, order)
+    A, B = A.coeffs, B.coeffs
+    c = [Q(1)]
+    for k in range(1, order + 1):
+        rest = Q(0)
+        for i in range(k - 1):
+            rest += lam * B[i] * c[k - 2 - i]
+        for i in range(k):
+            rest -= A[i] * (a + k - 1 - i) * c[k - 1 - i]
+        chi = -(a + k) * (a + k - n) - s_param * (n - s_param)
+        if chi == 0:
+            if rest != 0:
+                raise ArithmeticError("resonant obstruction does not vanish")
+            c.append(Q(0))
+        else:
+            c.append(-rest / chi)
+    return c
+
+
+def test_poisson_branch_integer_recurrence_matches_the_fraction_reference():
+    poisson_branch_series.cache_clear()
+    count = 0
+    for n in range(5, 10):
+        for ell in range(12):
+            for order in (6, 8, 9):
+                for gamma in (Q(5, 2), Q(3, 2), Q(1, 2)):
+                    for which in "FG":
+                        s = Q(n, 2) + gamma
+                        got = poisson_branch_series(n, ell, s, order, which).coeffs
+                        assert got == reference_poisson_branch(n, ell, s, order, which), (n, ell, order, s, which)
+                        assert all(type(c) is Q for c in got)
+                        count += 1
+    assert count == 1080
+    # denominators other than 2 in s
+    for s in (Q(7, 3), Q(11, 4), Q(5, 6), Q(29, 10)):
+        for which in "FG":
+            assert poisson_branch_series(7, 2, s, 8, which).coeffs == reference_poisson_branch(7, 2, s, 8, which)
+    poisson_branch_series.cache_clear()
+
+
+def test_poisson_branch_resonance_guard_fires_where_the_reference_does():
+    """Over every half-integer s in (0, 2n) the integer recurrence raises on
+    exactly the (n, l, 2s, branch) set where the reference finds a nonzero
+    resonant obstruction, and agrees with it everywhere else."""
+    poisson_branch_series.cache_clear()
+    raised, raised_ref, total = set(), set(), 0
+    for n in range(5, 10):
+        for ell in range(4):
+            for two_s in range(1, 4 * n):
+                for which in "FG":
+                    key, s = (n, ell, two_s, which), Q(two_s, 2)
+                    total += 1
+                    try:
+                        want = reference_poisson_branch(n, ell, s, 8, which)
+                    except ArithmeticError:
+                        raised_ref.add(key)
+                        want = None
+                    try:
+                        got = poisson_branch_series(n, ell, s, 8, which).coeffs
+                    except ArithmeticError:
+                        raised.add(key)
+                        got = None
+                    assert got == want, key
+    assert total == 1080
+    assert len(raised_ref) == 132
+    assert raised == raised_ref
+    poisson_branch_series.cache_clear()
+
+
+def test_geodesic_basis_matrix_is_the_identity():
+    one, zero = Q(1), Q(0)
+    for n in range(5, 10):
+        for ell in range(9):
+            basis, M = mode_basis(hyperbolic_geodesic(n), ell)
+            assert M == tuple(tuple(one if j == m else zero for m in range(3)) for j in range(3)), (n, ell)
+            assert len(basis) == 3
+
+
+def test_geodesic_solve_superposes_the_extension():
+    import random
+
+    rng = random.Random(20)
+    for n in range(5, 10):
+        for ell in range(7):
+            data = BoundaryTriple(*(Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)))
+            res = geodesic_mode_solve(n, ell, data)
+            want = geodesic_mode_extension(n, ell, data)
+            assert res.exact and res.profile is res.mode
+            assert res.mode.lam == want.lam and res.mode.profile.ord == want.profile.ord
+            assert res.mode.profile.coeffs == want.profile.coeffs, (n, ell)
+            assert res.achieved == data and all(x == 0 for x in res.residual_norms)
