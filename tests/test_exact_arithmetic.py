@@ -2,6 +2,7 @@
 division of two ints (which gives a float) reaches an exact path."""
 
 import json
+import random
 import re
 from fractions import Fraction as Q
 
@@ -37,8 +38,6 @@ def test_exact_solves_read_back_fractions():
 
 
 def test_integral_poly_coefficients_are_ints():
-    import random
-
     for d in (1, 4, 8):
         for i in range(d):
             assert all(type(c) is int for c in Poly.var(d, i).terms.values())
