@@ -1,6 +1,16 @@
 """Verification library for the sixth-order GJMS operator, its conformally
 covariant boundary operators, the induced Dirichlet-to-Neumann operators,
-and the sharp Sobolev trace inequalities on the model geometries."""
+and the sharp Sobolev trace inequalities on the model geometries.
+
+The package has two layers.  The exact layer, every module imported here,
+checks covariance, the energy form and the DtN identities in rational
+arithmetic and imports no numpy.  The float layer is ``traces``, the sharp
+trace inequalities (import it as ``gjms6.traces``; it imports numpy), and
+the float functions of ``solver`` (the float Dirichlet solve, the
+hemisphere profiles and ``kernel_values``) and
+``energy.dirichlet_eigen_lower``, which import numpy when they run.  So a
+run pays for numpy only once a float path does.
+"""
 
 from .geometry import (
     GeometryKind,
@@ -27,7 +37,6 @@ from .boundary import (
 from .conformal import (
     BoundaryJet,
     VariationProbe,
-    cayley_transport_function,
     critical_T_shift,
     finite_covariance_residual,
     infinitesimal_covariance_residual,
@@ -55,15 +64,6 @@ from .energy import (
     q6_form,
     symmetry_residual,
     trace_lower_bound_check,
-)
-from .traces import (
-    ExtremalSpec,
-    InequalityReport,
-    SharpConstant,
-    corollary_check,
-    critical_check,
-    sharp_constant,
-    sphere_sobolev_check,
 )
 from .report import CheckReport, emit_csv
 

@@ -17,14 +17,11 @@ import random
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import geometry
-from .geometry import GeometryKind, ModelGeometry
+from .geometry import ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError
 from .polys import random_poly
 from .report import CheckReport, emit_csv
 from .solver import DegenerateModeError
-from .traces import ZONAL_NODES, UnderResolvedError
 
 Q = Fraction
 
@@ -116,6 +113,8 @@ def run_dtn(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float):
 
 def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,
               grid: int, tol: float, seed: int):
+    import numpy as np
+
     from .traces import ExtremalSpec, corollary_check
 
     rng = np.random.default_rng(seed)
@@ -155,6 +154,8 @@ def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,
 
 def run_critical(report: CheckReport, geom: ModelGeometry, lmax: int, grid: int,
                  tol: float, seed: int):
+    import numpy as np
+
     from .solver import BoundaryTriple, hemisphere_factored_residual, hemisphere_mode_solve
     from .traces import ExtremalSpec, critical_check
 

@@ -2,9 +2,8 @@
 
 Finite covariance via truncated normal jets with tracked conformal-factor
 weights, infinitesimal covariance via dual numbers, the critical-dimension
-shift law for the zeroth-order coefficients, boundary-jet normalization of
-the conformal factor, and Moebius transport of boundary data between the
-model geometries.
+shift law for the zeroth-order coefficients, and boundary-jet
+normalization of the conformal factor, all in exact arithmetic.
 """
 from __future__ import annotations
 
@@ -151,82 +150,3 @@ def normalize_jet(geom: ModelGeometry, order: int = 5) -> BoundaryJet:
             raise ArithmeticError("normalization system unexpectedly degenerate")
         known.append(-Q(c0) / c1)
     return BoundaryJet(coeffs=known, order=order)
-
-
-# ---------------------------------------------------------------------------
-# Moebius transport between model boundaries
-# ---------------------------------------------------------------------------
-
-def stereo_to_sphere(x):
-    """R^n -> S^n (unit sphere in R^(n+1)), inverse stereographic projection
-    from the south pole: x maps to ((2x, 1-|x|^2))/(1+|x|^2)."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    r2 = float(np.dot(x, x))
-    return np.append(2.0 * x, 1.0 - r2) / (1.0 + r2)
-
-
-def sphere_to_stereo(X):
-    """S^n -> R^n, stereographic projection from the south pole."""
-    import numpy as np
-
-    X = np.asarray(X, dtype=float)
-    return X[:-1] / (1.0 + X[-1])
-
-
-def conformal_factor_flat(x) -> float:
-    """Omega with round = Omega^2 * flat under stereographic projection."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    return 2.0 / (1.0 + float(np.dot(x, x)))
-
-
-def cayley_transport_function(f_round, weight, to: str = "flat"):
-    """Transport a boundary density of the given conformal weight between the
-    round sphere and flat space: f_flat(x) = Omega(x)^w f_round(X(x)).
-
-    ``f_round`` takes a point of S^n in R^(n+1); the returned callable takes
-    a point of R^n (and conversely for to="round").
-    """
-    w = float(weight)
-    if to == "flat":
-        def f_flat(x):
-            return conformal_factor_flat(x) ** w * f_round(stereo_to_sphere(x))
-
-        return f_flat
-    if to == "round":
-        f_flat = f_round  # argument is flat data in this direction
-
-        def f_round_out(X):
-            x = sphere_to_stereo(X)
-            return f_flat(x) / conformal_factor_flat(x) ** w
-
-        return f_round_out
-    raise ValueError("direction must be 'flat' or 'round'")
-
-
-def flat_bubble_params(xi, amp=1.0):
-    """Round bubble (1 + X.xi)^(-w) on S^n as the flat bubble
-    a (eps + |x - x0|^2)^(-w): returns (a_factor_base, eps, x0) where the flat
-    amplitude is amp * (2/(eps+1+|x0|^2))^(-w) ... expressed via
-    m = 1 - xi_(n+1) = 2/(1 + eps + |x0|^2)."""
-    import numpy as np
-
-    xi = np.asarray(xi, dtype=float)
-    m = 1.0 - xi[-1]
-    x0 = -xi[:-1] / m
-    eps = (1.0 - float(np.dot(xi, xi))) / m**2
-    return m, eps, x0
-
-
-def round_bubble_center(eps: float, x0, n: int):
-    """Flat bubble (eps + |x-x0|^2)^(-w) corresponds to the round bubble with
-    center xi in the open unit ball: inverse of flat_bubble_params."""
-    import numpy as np
-
-    x0 = np.asarray(x0, dtype=float)
-    m = 2.0 / (1.0 + eps + float(np.dot(x0, x0)))
-    xi = np.append(-m * x0, 1.0 - m)
-    return xi

@@ -11,8 +11,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .boundary import apply_B
 from .fractional import DTN_IDENTITIES, round_multiplier
 from .geometry import GeometryKind, ModelGeometry
@@ -125,6 +123,7 @@ def dirichlet_eigen_lower(n: int, lmax: int = 8, basis_size: int = 6) -> Dirichl
     result must be positive; a nonpositive value would falsify the spectral
     hypothesis of the trace theorem.
     """
+    import numpy as np
     import scipy.linalg
 
     worst = None

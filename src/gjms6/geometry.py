@@ -4,12 +4,25 @@ Each model is a compactification of hyperbolic space: flat upper half space,
 the flat closed unit ball, the round upper hemisphere, and hyperbolic space
 with its geodesic compactification over a round conformal infinity.  Their
 boundary curvature scalars live in one table,
-``boundary.model_curvature_inputs``.
+``boundary.model_curvature_inputs``.  The zonal node count and the
+under-resolved error of the trace checks are defined here too, so that the
+command line can bound ``--lmax`` and ``--grid`` and report such data
+without loading the float layer (``traces``, numpy).
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+
+# Gauss-Legendre nodes of the zonal grids of ``traces``; the trace checks
+# resolve degrees up to ZONAL_NODES // 2 on them.
+ZONAL_NODES = 256
+
+
+class UnderResolvedError(ValueError):
+    """Boundary data whose zonal tail exceeds ``traces.TAIL_GUARD`` at the
+    chosen lmax: a configuration that cannot be checked, not a failed check."""
 
 
 class GeometryKind(enum.Enum):

@@ -33,6 +33,9 @@ those values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model; callers that extend one boundary harmonic go through it.
+Only the float functions import numpy, when they run: the float branch of
+``_coefficients``, the hemisphere branch of ``_native_profiles`` and
+``kernel_values``; the exact solves never load it.
 """
 from __future__ import annotations
 
@@ -40,8 +43,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .boundary import apply_B
 from .fractional import d_gamma, round_multiplier, sphere_eigenvalue
@@ -143,6 +144,8 @@ def _coefficients(M, rhs_list, exact: bool) -> list:
     if exact:
         M = [[Q(x) for x in row] for row in M]
     else:
+        import numpy as np
+
         M = [[float(x) for x in row] for row in M]
         cond = np.linalg.cond(M)
         if cond > COND_GUARD:
@@ -154,11 +157,15 @@ def _coefficients(M, rhs_list, exact: bool) -> list:
 def _solve_modes(geom: ModelGeometry, M, basis, data: BoundaryTriple) -> tuple:
     """Solve M alpha = data (``_coefficients``), exactly when M and the data
     are rational, superpose the basis and read back the achieved triple.
-    Returns the coefficients, the superposed jet, the achieved triple, the
-    residual norms and the exactness flag."""
+    An exact superposition skips the basis jets whose coefficient is 0 (the
+    geodesic solves of unit data keep one of three), keeping one term if all
+    are 0; a float one keeps every term, since dropping 0.0 * b can change
+    the sign of a zero.  Returns the coefficients, the superposed jet, the
+    achieved triple, the residual norms and the exactness flag."""
     exact = data.exact and all(isinstance(x, (int, Fraction)) for row in M for x in row)
     [coef] = _coefficients(M, [data.aslist()], exact)
-    mode = sum_all([b * c for b, c in zip(basis, coef)])
+    terms = [b * c for b, c in zip(basis, coef) if not exact or c != 0]
+    mode = sum_all(terms or [basis[0] * coef[0]])
     achieved = BoundaryTriple(*(apply_B(j, geom, mode) for j in range(3)))
     return coef, mode, achieved, _residual_norms(achieved, data), exact
 
@@ -256,6 +263,8 @@ def _native_profiles(geom: ModelGeometry, ell: int, coefs) -> list:
     n = geom.n
     if geom.kind is GeometryKind.EUCLIDEAN_BALL:
         return [RadialProfile(n, ell, dict(enumerate(c))) for c in coefs]
+    import numpy as np
+
     factors = [hemisphere_factor_solve(n, ell, shift) for shift in factorization_shifts(n)]
     return [HemisphereProfile(n, ell, factors, np.array(c)) for c in coefs]
 
@@ -314,6 +323,8 @@ def kernel_values(factors, theta) -> tuple:
     (1 + z)^(-m), computed once; each kernel's polynomials p and r are
     evaluated by Horner's rule (``np.polyval``, highest power first), so its
     values do not depend on the other factors passed with it."""
+    import numpy as np
+
     n, ell = factors[0].n, factors[0].ell
     theta = np.asarray(theta, dtype=float)
     s, cth = np.sin(theta), np.cos(theta)
@@ -373,7 +384,7 @@ class HemisphereProfile:
     n: int
     ell: int
     factors: list
-    alphas: np.ndarray
+    alphas: "numpy.ndarray"
 
     def separated(self) -> SeparatedMode:
         """The profile as the boundary jet ``apply_B`` reads: the memoized

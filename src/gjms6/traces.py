@@ -13,7 +13,7 @@ floats.  A cold entry reads the unit-data coefficients of
 ``solver.unit_extensions``, one ``COND_GUARD`` check per degree, and on the
 hemisphere evaluates the three closed-form factor kernels with one
 ``solver.kernel_values`` call.  One read-only Gauss-Legendre rule per node
-count (``gauss_legendre``, numpy's Legendre module loaded with the package)
+count (``gauss_legendre``, numpy's Legendre module loaded with this module)
 serves the zonal grids, the hemisphere interior nodes and the flat-side
 norms.  The critical (n = 5)
 statements need no tables of their own: the subcritical display terms and
@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import numpy.polynomial.legendre  # noqa: F401  (loaded with the package, not by the first rule)
+import numpy.polynomial.legendre  # noqa: F401  (loaded with this module, not by the first rule)
 
-from .conformal import round_bubble_center
 from .fractional import DTN_IDENTITIES, gamma_ratio, round_multiplier, sphere_eigenvalue
-from .geometry import GeometryKind, ModelGeometry, ball, hemisphere
+from .geometry import ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError, ball, hemisphere
 from .polys import vol_sphere
 from .reps import radial_pair_integral
 from .solver import BoundaryTriple, kernel_values, unit_extensions
@@ -74,9 +73,6 @@ def sharp_constant(n: int, gamma) -> SharpConstant:
 # ---------------------------------------------------------------------------
 # zonal analysis on the boundary sphere
 # ---------------------------------------------------------------------------
-
-ZONAL_NODES = 256
-
 
 @functools.lru_cache(maxsize=None)
 def gauss_legendre(nodes: int) -> tuple:
@@ -174,6 +170,15 @@ def zonal_grid(n: int, lmax: int, nodes: int) -> ZonalGrid:
 # extremal families
 # ---------------------------------------------------------------------------
 
+def round_bubble_center(eps: float, x0):
+    """Center xi, in the open unit ball, of the round bubble (1 + X.xi)^(-w)
+    that the flat bubble (eps + |x-x0|^2)^(-w) becomes under inverse
+    stereographic projection from the south pole."""
+    x0 = np.asarray(x0, dtype=float)
+    m = 2.0 / (1.0 + eps + float(np.dot(x0, x0)))
+    return np.append(-m * x0, 1.0 - m)
+
+
 @dataclass(frozen=True)
 class ExtremalSpec:
     """A sharp-equality boundary profile.
@@ -190,7 +195,7 @@ class ExtremalSpec:
 
     @staticmethod
     def from_flat(kind: str, eps: float, x0, n: int, amplitude: float = 1.0) -> "ExtremalSpec":
-        xi = round_bubble_center(eps, x0, n)
+        xi = round_bubble_center(eps, x0)
         return ExtremalSpec(kind, tuple(xi), amplitude)
 
     def axis(self) -> np.ndarray:
@@ -271,11 +276,6 @@ SLOT_GAMMAS = (Q(5, 2), Q(3, 2), Q(1, 2))
 # Largest ``ZonalGrid.tail_fraction`` (the weight of the last three zonal
 # coefficients) of boundary data that still counts as resolved at lmax.
 TAIL_GUARD = 1e-7
-
-
-class UnderResolvedError(ValueError):
-    """Boundary data whose zonal tail exceeds ``TAIL_GUARD`` at the chosen
-    lmax: a configuration that cannot be checked, not a failed check."""
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,25 @@ def test_reports_are_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_exact_suites_leave_numpy_unloaded():
+    """import gjms6 and the suites that compute nothing in floats (covariance,
+    symmetry, and dtn on the ball, half space and geodesic model) never load
+    numpy; only the float layer does."""
+    code = (
+        "import sys\n"
+        "import gjms6\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from gjms6.cli import main\n"
+        "runs = [['covariance', '--n', '5'], ['symmetry', '--n', '7']]\n"
+        "runs += [['dtn', '--n', '7', '--geometry', g] for g in ('ball', 'halfspace', 'hyperbolic')]\n"
+        "print([main(argv) for argv in runs])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "False"]
+
+
 def test_covariance_suite_small():
     import gjms6.cli as cli
 

@@ -12,20 +12,15 @@ from gjms6.cli import main
 from gjms6.confcalc import DualKit, DualPoly, JetCtx
 from gjms6.conformal import (
     VariationProbe,
-    cayley_transport_function,
-    conformal_factor_flat,
     critical_T_shift,
     finite_covariance_residual,
-    flat_bubble_params,
     infinitesimal_covariance_residual,
     normalize_jet,
-    round_bubble_center,
-    sphere_to_stereo,
-    stereo_to_sphere,
 )
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import Poly, random_poly
 from gjms6.series import TruncationError
+from gjms6.traces import round_bubble_center
 
 
 def test_infinitesimal_trivial_weight_zero_order():
@@ -526,6 +521,55 @@ def test_normalize_jet_annihilates():
             assert apply_B(j, geom, mode) == 0, (geom.kind, j)
 
 
+# ---------------------------------------------------------------------------
+# Moebius transport between the round sphere and flat space: float
+# references for ``traces.round_bubble_center``, itself checked below
+# ---------------------------------------------------------------------------
+
+def stereo_to_sphere(x):
+    """R^n -> S^n (unit sphere in R^(n+1)), inverse stereographic projection
+    from the south pole: x maps to (2x, 1-|x|^2)/(1+|x|^2)."""
+    x = np.asarray(x, dtype=float)
+    r2 = float(np.dot(x, x))
+    return np.append(2.0 * x, 1.0 - r2) / (1.0 + r2)
+
+
+def sphere_to_stereo(X):
+    """S^n -> R^n, stereographic projection from the south pole."""
+    X = np.asarray(X, dtype=float)
+    return X[:-1] / (1.0 + X[-1])
+
+
+def conformal_factor_flat(x) -> float:
+    """Omega with round = Omega^2 * flat under stereographic projection."""
+    x = np.asarray(x, dtype=float)
+    return 2.0 / (1.0 + float(np.dot(x, x)))
+
+
+def cayley_transport_function(f, weight, to: str = "flat"):
+    """Transport a boundary density of the given conformal weight between the
+    round sphere and flat space, f_flat(x) = Omega(x)^w f_round(X(x)): from
+    ``f`` on S^n in R^(n+1) to a function on R^n (to="flat"), or back
+    (to="round")."""
+    w = float(weight)
+    if to == "flat":
+        return lambda x: conformal_factor_flat(x) ** w * f(stereo_to_sphere(x))
+    if to == "round":
+        return lambda X: f(sphere_to_stereo(X)) / conformal_factor_flat(sphere_to_stereo(X)) ** w
+    raise ValueError("direction must be 'flat' or 'round'")
+
+
+def flat_bubble_params(xi):
+    """The round bubble (1 + X.xi)^(-w) as a multiple of the flat bubble
+    (eps + |x - x0|^2)^(-w): returns (m, eps, x0) with m = 1 - xi_(n+1) =
+    2/(1 + eps + |x0|^2); the inverse of ``round_bubble_center``."""
+    xi = np.asarray(xi, dtype=float)
+    m = 1.0 - xi[-1]
+    x0 = -xi[:-1] / m
+    eps = (1.0 - float(np.dot(xi, xi))) / m**2
+    return m, eps, x0
+
+
 def test_cayley_constant_transport():
     n = 7
     f_flat = cayley_transport_function(lambda X: 1.0, Q(n - 5, 2), to="flat")
@@ -568,7 +612,7 @@ def test_bubble_parameter_roundtrip():
     rng = np.random.default_rng(1)
     x0 = rng.normal(size=n) * 0.2
     eps = 0.8
-    xi = round_bubble_center(eps, x0, n)
+    xi = round_bubble_center(eps, x0)
     assert np.linalg.norm(xi) < 1.0
     m, eps2, x02 = flat_bubble_params(xi)
     assert abs(eps2 - eps) < 1e-12

@@ -171,9 +171,9 @@ def test_gauss_legendre_rule_is_shared_by_node_count(monkeypatch):
 
 
 def test_legendre_module_loads_with_the_package():
-    """numpy.polynomial.legendre is imported with gjms6, so the first
+    """numpy.polynomial.legendre is imported with gjms6.traces, so the first
     Gauss-Legendre rule of a run does not pay for loading it."""
-    code = "import sys\nimport gjms6\nprint('numpy.polynomial.legendre' in sys.modules)\n"
+    code = "import sys\nimport gjms6.traces\nprint('numpy.polynomial.legendre' in sys.modules)\n"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "True"
