@@ -35,12 +35,10 @@ from .boundary import (
     normal_form_operators,
 )
 from .conformal import (
-    BoundaryJet,
     VariationProbe,
     critical_T_shift,
     finite_covariance_residual,
     infinitesimal_covariance_residual,
-    normalize_jet,
 )
 from .solver import (
     BoundaryTriple,

@@ -36,7 +36,9 @@ from .geometry import GeometryKind, ModelGeometry
 from .polys import Poly, degree_weighted, laplacian, reduce_mod_sphere, sum_all
 from .series import Series, TruncationError
 
-Q = Fraction
+# Every Q(...) here takes a small integer expression in n, so the operator
+# constants are built once per dimension and then read from this memo.
+Q = functools.lru_cache(maxsize=None, typed=True)(Fraction)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,17 @@ conformal exponent s.  Two coefficient rings drive the same tensor code:
   at a chosen truncation order.
 
 ``ConformallyFlat`` holds the calculus of e^(2s) * euclidean, written once
-and instantiated for the ambient space and for the boundary.  The flat
-operators on the other side of a covariance residual are ``apply_B`` on the
-half space: its kit, ``reps.HalfspacePolyOps``, acts on both rings through
-``diff`` and ``drop_last``, the same two methods it uses on ``Poly``.
+and instantiated for the ambient space and for the boundary.  It forms no
+Christoffel symbol: for e^(2s) * flat, Gamma^k_ij = delta^k_i s_j +
+delta^k_j s_i - delta_ij s_k, so a covariant derivative is a partial one
+plus a closed-form correction in ds.  Symmetric two-tensors (the Schouten
+tensor, Hessians) are stored on i <= j, each entry shared with (j, i), and
+contracted there.  Each kit builds a factor e^(m s) once per (side, m),
+ambient or boundary, in a dict of its own, so it lives as long as its kit.
+The flat operators on the other side of a covariance residual are
+``apply_B`` on the half space: its kit, ``reps.HalfspacePolyOps``, acts on
+both rings through ``diff`` and ``drop_last``, the same two methods it uses
+on ``Poly``.
 
 The rings are zero-aware, as ``Poly`` is: a ring result may share a zero
 operand, so ``x + 0`` is ``x``, ``x * 0`` is that zero and ``0.diff(i)`` is
@@ -22,20 +29,19 @@ that zero, for ``DualPoly`` and ``WxPoly`` alike; a ``Jet`` shares its
 coefficients with its operands, and a ``JetCtx`` hands out one empty
 ``WxPoly``.  The zero test is structural (``not p.terms``), so every result
 stays exact, and no code may mutate a ring element (``terms``, ``wmap`` or
-``coeffs``).
+``coeffs``), least of all a memoized factor.  Scalars are recognized by
+their exact type first (``type(x) in SCALARS``), since ``isinstance``
+against ``Fraction`` runs ``ABCMeta.__instancecheck__``.
 
 Ambient coordinates are x0..x(n-1) on the boundary and y last.
 """
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 
-from .boundary import BoundaryOps, CurvatureInputs, apply_boundary_operator, coefficient_scalars
-from .polys import Poly, sum_all
+from .boundary import BoundaryOps, CurvatureInputs, Q, apply_boundary_operator, coefficient_scalars
+from .polys import SCALARS, Poly, sum_all
 from .series import TruncationError
-
-Q = Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +60,7 @@ class DualPoly:
     def _co(self, other):
         if type(other) is DualPoly:
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) in SCALARS or isinstance(other, SCALARS):
             d = self.a.d
             return DualPoly(Poly.const(d, other), Poly.zero(d))
         return NotImplemented
@@ -88,7 +94,7 @@ class DualPoly:
     def __mul__(self, other):
         a1, b1 = self.a, self.b
         if type(other) is not DualPoly:
-            if isinstance(other, (int, Fraction)):
+            if type(other) in SCALARS or isinstance(other, SCALARS):
                 if not (a1.terms or b1.terms):
                     return self
                 return DualPoly(a1 * other, b1 * other)
@@ -122,24 +128,51 @@ class DualPoly:
         return self.a.iszero() and self.b.iszero()
 
 
-class DualKit:
-    """Coefficient kit for first conformal variations: s = eps * sigma."""
+class _FactorKit:
+    """What the two kits share: sigma, an ambient polynomial in n + 1
+    variables, and one memo of the factors e^(m s), ambient and boundary.
+    The memo is a dict of the instance keyed on (side, Q(m)) (m = 2 and Q(2)
+    share an entry), so it lives as long as its kit and two kits share
+    nothing.  Every caller gets the same factor, so none may mutate it."""
 
     def __init__(self, n: int, sigma: Poly):
         if sigma.d != n + 1:
             raise ValueError("sigma must be an ambient polynomial in n+1 variables")
         self.n = n
         self.sigma = sigma
+        self._factors: dict = {}
+
+    def _factor(self, side: str, m, build):
+        f = self._factors.get((side, m))
+        if f is None:
+            m = Q(m)
+            f = self._factors[side, m] = build(m)
+        return f
+
+    def exp_ambient(self, m):
+        """e^(m s) on the ambient space, built once per m."""
+        return self._factor("ambient", m, self._ambient_factor)
+
+    def exp_boundary(self, m):
+        """e^(m s) restricted to the boundary, built once per m."""
+        return self._factor("boundary", m, self._boundary_factor)
+
+
+class DualKit(_FactorKit):
+    """Coefficient kit for first conformal variations: s = eps * sigma."""
+
+    def __init__(self, n: int, sigma: Poly):
+        super().__init__(n, sigma)
         self.sigma0 = sigma.drop_last()
 
     def sigma_elem(self):
         return DualPoly(Poly.zero(self.n + 1), self.sigma)
 
-    def exp_ambient(self, m):
-        return DualPoly(Poly.const(self.n + 1, 1), Q(m) * self.sigma)
+    def _ambient_factor(self, m):
+        return DualPoly(Poly.const(self.n + 1, 1), m * self.sigma)
 
-    def exp_boundary(self, m):
-        return DualPoly(Poly.const(self.n, 1), Q(m) * self.sigma0)
+    def _boundary_factor(self, m):
+        return DualPoly(Poly.const(self.n, 1), m * self.sigma0)
 
     def zero_boundary(self):
         return DualPoly(Poly.zero(self.n), Poly.zero(self.n))
@@ -164,7 +197,7 @@ class WxPoly:
     def _co(self, other):
         if isinstance(other, WxPoly):
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) in SCALARS or isinstance(other, SCALARS):
             return WxPoly(self.ctx, {Q(0): Poly.const(self.ctx.n, other)})
         if isinstance(other, Poly):
             return WxPoly(self.ctx, {Q(0): other})
@@ -192,7 +225,7 @@ class WxPoly:
         return _wx(self.ctx, {w: -p for w, p in self.wmap.items()})
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
+        if type(other) is not WxPoly and (type(other) in _UNWEIGHTED or isinstance(other, _UNWEIGHTED)):
             if not self.wmap:
                 return self
             if not (other.terms if type(other) is Poly else other):
@@ -227,6 +260,10 @@ class WxPoly:
 
     def iszero(self) -> bool:
         return all(p.iszero() for p in self.wmap.values())
+
+
+# the unweighted operands a WxPoly multiplies weight by weight
+_UNWEIGHTED = (*SCALARS, Poly)
 
 
 def _accumulate(out: dict, items) -> dict:
@@ -270,7 +307,7 @@ class Jet:
     def _co(self, other):
         if isinstance(other, Jet):
             return other
-        if isinstance(other, (int, Fraction)):
+        if type(other) in SCALARS or isinstance(other, SCALARS):
             c0 = WxPoly(self.ctx, {Q(0): Poly.const(self.ctx.n, other)})
             return Jet(self.ctx, [c0], self.ord)
         return NotImplemented
@@ -289,7 +326,7 @@ class Jet:
         return Jet(self.ctx, [-c for c in self.coeffs], self.ord)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Jet and (type(other) in SCALARS or isinstance(other, SCALARS)):
             return Jet(self.ctx, [c * other for c in self.coeffs], self.ord)
         if not isinstance(other, Jet):
             return NotImplemented
@@ -323,21 +360,17 @@ class Jet:
         return all(c.iszero() for c in self.coeffs)
 
 
-class JetCtx:
+class JetCtx(_FactorKit):
     """Shared data for normal jets over a fixed ambient polynomial sigma."""
 
     def __init__(self, n: int, sigma: Poly, order: int):
-        if sigma.d != n + 1:
-            raise ValueError("sigma must be an ambient polynomial in n+1 variables")
+        super().__init__(n, sigma)
         if order < 1:
             raise ValueError("jet order must be at least 1")
-        self.n = n
         self.order = order
-        self.sigma = sigma
         self.sigma_jet = self._normal_taylor(sigma, order)
         self.sigma0 = self.sigma_jet[0]
         self.sigma0_partials = [self.sigma0.diff(i) for i in range(n)]
-        self._exp_cache: dict = {}
         self._zero = _wx(self, {})
 
     @staticmethod
@@ -355,8 +388,8 @@ class JetCtx:
         """The one empty WxPoly of this context, shared by every caller."""
         return self._zero
 
-    def exp_boundary(self, m) -> WxPoly:
-        return WxPoly(self, {Q(m): Poly.const(self.n, 1)})
+    def _boundary_factor(self, m) -> WxPoly:
+        return WxPoly(self, {m: Poly.const(self.n, 1)})
 
     def embed(self, p: Poly) -> Jet:
         cs = self._normal_taylor(p, self.order)
@@ -368,12 +401,9 @@ class JetCtx:
     def sigma_elem(self) -> Jet:
         return self.embed(self.sigma)
 
-    def exp_ambient(self, m) -> Jet:
+    def _ambient_factor(self, m) -> Jet:
         """e^(m*sigma) as a jet: weight m on e^(sigma0) times the exact
         exponential series of m*(sigma - sigma0), nilpotent in y."""
-        m = Q(m)
-        if m in self._exp_cache:
-            return self._exp_cache[m]
         tail = Jet(self, [WxPoly(self, {Q(0): (m * c)}) for c in
                           ([Poly.zero(self.n)] + self.sigma_jet[1:])], self.order)
         out = term = Jet(self, [self.exp_boundary(0)], self.order)
@@ -382,9 +412,8 @@ class JetCtx:
             term = term * tail
             fact *= k
             out = out + Q(1, fact) * term
-        out = Jet(self, [self.exp_boundary(m) * c for c in out.coeffs], self.order)
-        self._exp_cache[m] = out
-        return out
+        e = self.exp_boundary(m)
+        return Jet(self, [e * c for c in out.coeffs], self.order)
 
 
 # ---------------------------------------------------------------------------
@@ -395,56 +424,60 @@ class ConformallyFlat:
     """Calculus of the metric e^(2s) * euclidean in ``dim`` variables.
 
     ``s`` is a ring element (dual number or jet, ambient or restricted to the
-    boundary) and ``exp(m)`` gives the factor e^(m s) in the same ring.
-    Tensor components are coordinate components; scalars carry their metric
-    factors.  The engine builds one instance for the ambient space and one
-    for the boundary.
+    boundary) and ``exp(m)`` gives the factor e^(m s) in the same ring, from
+    the one factor memo of the kit.  Tensor components are coordinate
+    components; scalars carry their metric factors.  The engine builds one
+    instance for the ambient space and one for the boundary.
+
+    The Christoffel symbols of e^(2s) * flat are
+    Gamma^k_ij = delta^k_i s_j + delta^k_j s_i - delta_ij s_k, so they enter
+    only in closed form: Hess_ij F = F_ij - s_i F_j - s_j F_i
+    + delta_ij <ds, dF>.  The Schouten tensor and the Hessians are symmetric:
+    they are built on i <= j, each entry shared with (j, i) (ring elements
+    are immutable), and ``contract`` reads them on i <= j.
     """
 
     def __init__(self, s, dim: int, exp):
         self.dim = dim
         self.exp = exp
-        si = [s.diff(i) for i in range(dim)]
-        sij = [[si[i].diff(j) for j in range(dim)] for i in range(dim)]
-        self.si = si
-        grad2 = sum_all([si[i] * si[i] for i in range(dim)])
-        # Schouten components (no weight factors)
-        P = [[-sij[i][j] + si[i] * si[j] for j in range(dim)] for i in range(dim)]
+        self.si = si = [s.diff(i) for i in range(dim)]
+        sq = [x * x for x in si]
+        grad2 = sum_all(sq)
+        half_grad2 = Q(1, 2) * grad2
+        # Schouten components (no weight factors): s_i s_j - s_ij - delta_ij |ds|^2 / 2
+        P = [[None] * dim for _ in range(dim)]
+        lap_s = []
         for i in range(dim):
-            P[i][i] = P[i][i] - Q(1, 2) * grad2
+            sii = si[i].diff(i)
+            lap_s.append(sii)
+            P[i][i] = sq[i] - sii - half_grad2
+            for j in range(i + 1, dim):
+                P[i][j] = P[j][i] = si[i] * si[j] - si[i].diff(j)
         self.P = P
-        self.J = exp(-2) * (-sum_all([sij[i][i] for i in range(dim)]) - Q(dim - 2, 2) * grad2)
+        self.J = exp(-2) * (-sum_all(lap_s) - Q(dim - 2, 2) * grad2)
 
-    def gamma(self, k, i, j):
-        """Christoffel symbol Gamma^k_ij, or None where it vanishes."""
-        out = None
-        if k == i:
-            out = self.si[j]
-        if k == j:
-            out = self.si[i] if out is None else out + self.si[i]
-        if i == j:
-            out = -self.si[k] if out is None else out - self.si[k]
-        return out
-
-    def hess_entry(self, Fi, i, j):
-        """Covariant Hessian component (i, j) from the gradient components
-        ``Fi`` of the function."""
-        h = Fi[i].diff(j)
-        for k in range(self.dim):
-            g = self.gamma(k, i, j)
-            if g is not None:
-                h = h - g * Fi[k]
-        return h
+    def _grad(self, F):
+        """The partials F_k of F and the products s_k F_k."""
+        Fk = [F.diff(k) for k in range(self.dim)]
+        return Fk, [s * f for s, f in zip(self.si, Fk)]
 
     def hess(self, F):
-        """Covariant Hessian components (lower indices)."""
-        dim = self.dim
-        Fi = [F.diff(i) for i in range(dim)]
+        """Covariant Hessian components (lower indices), with <ds, dF>
+        formed once."""
+        dim, si = self.dim, self.si
+        Fk, sF = self._grad(F)
+        dsdF = sum_all(sF)
         out = [[None] * dim for _ in range(dim)]
         for i in range(dim):
-            for j in range(i, dim):
-                out[i][j] = out[j][i] = self.hess_entry(Fi, i, j)
+            out[i][i] = Fk[i].diff(i) - 2 * sF[i] + dsdF
+            for j in range(i + 1, dim):
+                out[i][j] = out[j][i] = Fk[i].diff(j) - si[i] * Fk[j] - si[j] * Fk[i]
         return out
+
+    def hess_diag(self, F, i: int):
+        """The one Hessian entry Hess_ii F = F_ii - 2 s_i F_i + <ds, dF>."""
+        Fk, sF = self._grad(F)
+        return Fk[i].diff(i) - 2 * sF[i] + sum_all(sF)
 
     def div(self, alpha):
         """Divergence of the one-form with components alpha."""
@@ -462,15 +495,21 @@ class ConformallyFlat:
         return self.exp(-2) * sum_all([a.diff(i) * w.diff(i) for i in range(self.dim)])
 
     def contract(self, A, B):
-        """Full contraction of two symmetric two-tensors."""
+        """Full contraction of two symmetric two-tensors, read on i <= j:
+        sum_i A_ii B_ii + 2 sum_(i<j) A_ij B_ij.  Every caller passes
+        symmetric tensors: P with P, P with Hess H, P with Hess u, and
+        Hess H with Hess w."""
         dim = self.dim
-        return self.exp(-4) * sum_all([A[i][j] * B[i][j] for i in range(dim) for j in range(dim)])
+        diag = sum_all([A[i][i] * B[i][i] for i in range(dim)])
+        off = sum_all([A[i][j] * B[i][j] for i in range(dim) for j in range(i + 1, dim)])
+        return self.exp(-4) * (diag + 2 * off)
 
     def P_grad(self, w):
         """Components of the one-form P(grad w)."""
-        dim = self.dim
-        return [self.exp(-2) * sum_all([self.P[i][k] * w.diff(k) for k in range(dim)])
-                for i in range(dim)]
+        dim, P = self.dim, self.P
+        wk = [w.diff(k) for k in range(dim)]
+        e = self.exp(-2)
+        return [e * sum_all([P[i][k] * wk[k] for k in range(dim)]) for i in range(dim)]
 
 
 # ---------------------------------------------------------------------------
@@ -501,14 +540,12 @@ class HalfspaceConformalEngine(BoundaryOps):
         return -(self.bdy.exp(-1) * F.diff(self.nu).drop_last())
 
     def cov_P_nnn(self):
-        """(nabla P)(eta-direction; eta, eta) flat component at index y."""
-        amb, nu = self.amb, self.nu
-        h = amb.P[nu][nu].diff(nu)
-        for m in range(amb.dim):
-            g = amb.gamma(m, nu, nu)
-            if g is not None:
-                h = h - 2 * (g * amb.P[m][nu])
-        return h
+        """(nabla P)(eta-direction; eta, eta) flat component at index y:
+        d_y P_yy - 2 sum_m Gamma^m_yy P_my with Gamma^m_yy = 2 delta^m_y s_y - s_m,
+        that is d_y P_yy + 2 (sum_(m != y) s_m P_my - s_y P_yy); y is the
+        last index."""
+        nu, si, Py = self.nu, self.amb.si, self.amb.P[self.nu]
+        return Py[nu].diff(nu) + 2 * (sum_all([si[m] * Py[m] for m in range(nu)]) - si[nu] * Py[nu])
 
     # -- curvature record -------------------------------------------------
     @functools.cached_property
@@ -585,9 +622,7 @@ class HalfspaceConformalEngine(BoundaryOps):
         return self.amb.lap(u)
 
     def hess_nn(self, u):
-        nu, amb = self.nu, self.amb
-        Fi = [u.diff(i) for i in range(amb.dim)]
-        return self.bdy.exp(-2) * amb.hess_entry(Fi, nu, nu).drop_last()
+        return self.bdy.exp(-2) * self.amb.hess_diag(u, self.nu).drop_last()
 
     def lapbar(self, w):
         return self.bdy.lap(w)

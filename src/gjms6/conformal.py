@@ -1,9 +1,9 @@
 """Conformal covariance machinery.
 
 Finite covariance via truncated normal jets with tracked conformal-factor
-weights, infinitesimal covariance via dual numbers, the critical-dimension
-shift law for the zeroth-order coefficients, and boundary-jet
-normalization of the conformal factor, all in exact arithmetic.
+weights, infinitesimal covariance via dual numbers, and the
+critical-dimension shift law for the zeroth-order coefficients, all in
+exact arithmetic.
 """
 from __future__ import annotations
 
@@ -11,11 +11,10 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import apply_B, model_coefficients
+from .boundary import apply_B
 from .confcalc import DualKit, HalfspaceConformalEngine, JetCtx
 from .geometry import GeometryKind, ModelGeometry
 from .polys import Poly
-from .reps import SeparatedMode, collar_coefficients
 
 Q = Fraction
 
@@ -29,15 +28,6 @@ class VariationProbe:
     of weight (n-5)/2."""
 
     sigma: Poly
-
-
-@dataclass
-class BoundaryJet:
-    """Normal jet of a function along the boundary: coefficients are the
-    eta-direction derivatives (eta^k u)|_M up to the stated order."""
-
-    coeffs: list
-    order: int
 
 
 def _require_halfspace(geom: ModelGeometry):
@@ -109,44 +99,3 @@ def critical_T_shift(j: int, sigma: Poly, geom: ModelGeometry):
     lhs = ctx.exp_boundary(j) * engine.t_scalar(j)
     bj_sigma = apply_B(j, geom, sigma)  # flat T_j vanishes on the half space
     return lhs - ctx.embed_boundary(bj_sigma)
-
-
-# ---------------------------------------------------------------------------
-# boundary-jet normalization of the conformal factor
-# ---------------------------------------------------------------------------
-
-def normalize_jet(geom: ModelGeometry, order: int = 5) -> BoundaryJet:
-    """Normal jet of the conformal factor that normalizes the metric at the
-    boundary.
-
-    For n > 5 solves B_0(u) = 1 and B_j(u) = 0, j = 1..order; in the critical
-    dimension solves B_0(u) = 0 and T_j + B_j(u) = 0.  The system is
-    triangular in the normal derivatives, so the jet is exact.  Coefficients
-    are the eta-direction derivatives at the zero-frequency boundary mode.
-    """
-    n = geom.n
-    scalars = model_coefficients(geom)[1]
-    # eta = eta_sign * d/dtau in the collar parametrization
-    _, _, eta_sign, _ = collar_coefficients(geom.kind, n, 2)
-    known = [Q(1) if n > 5 else Q(0)]  # eta^0 u
-    for j in range(1, order + 1):
-        x = Poly.var(1, 0)
-        derivs = []
-        for k in range(order + 3):
-            if k < len(known):
-                derivs.append(eta_sign**k * known[k])
-            elif k == j:
-                derivs.append(eta_sign**k * x)
-            else:
-                derivs.append(Q(0))
-        mode = SeparatedMode.from_derivs(n, 0, derivs, order + 2)
-        val = apply_B(j, geom, mode)
-        target = Poly.zero(1) if n > 5 else Poly.const(1, -scalars[f"T{j}"])
-        rel = val - target if isinstance(val, Poly) else Poly.const(1, val) - target
-        # rel = c1 * x + c0 must vanish
-        c1 = rel.terms.get((1,), Q(0))
-        c0 = rel.terms.get((0,), Q(0))
-        if c1 == 0:
-            raise ArithmeticError("normalization system unexpectedly degenerate")
-        known.append(-Q(c0) / c1)
-    return BoundaryJet(coeffs=known, order=order)

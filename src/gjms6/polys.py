@@ -29,11 +29,19 @@ from typing import Iterable, Mapping
 
 Q = Fraction
 
+# the exact scalar types; a dispatch tests ``type(x) in SCALARS`` before
+# ``isinstance(x, SCALARS)``, which for a non-int runs
+# ``ABCMeta.__instancecheck__`` (the metaclass of Fraction)
+SCALARS = (int, Fraction)
+
 
 def _coeff(c):
     """A rational coefficient as stored in a Poly: an int when integral,
     otherwise a Fraction."""
-    if isinstance(c, Fraction):
+    t = type(c)
+    if t is int:
+        return c
+    if t is Fraction or isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
         return int(c)
@@ -124,7 +132,7 @@ class Poly:
 
     def __mul__(self, other):
         if type(other) is not Poly:
-            if not isinstance(other, (int, Fraction)):
+            if not (type(other) in SCALARS or isinstance(other, SCALARS)):
                 return NotImplemented
             if not self.terms:
                 return self

@@ -1,24 +1,29 @@
-"""Covariance residuals, the critical shift law, jets, Moebius transport."""
+"""Covariance residuals, the critical shift law, jets, the primitives and
+factor memo of the conformal engine, the normalizing jet, Moebius
+transport."""
 
+import gc
 import random
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction as Q
 
 import numpy as np
 import pytest
 
 from gjms6 import confcalc, conformal
-from gjms6.boundary import apply_B
+from gjms6.boundary import apply_B, model_coefficients
 from gjms6.cli import main
-from gjms6.confcalc import DualKit, DualPoly, JetCtx
+from gjms6.confcalc import DualKit, DualPoly, HalfspaceConformalEngine, JetCtx
 from gjms6.conformal import (
     VariationProbe,
     critical_T_shift,
     finite_covariance_residual,
     infinitesimal_covariance_residual,
-    normalize_jet,
 )
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
-from gjms6.polys import Poly, random_poly
+from gjms6.polys import Poly, random_poly, sum_all
+from gjms6.reps import SeparatedMode, collar_coefficients
 from gjms6.series import TruncationError
 from gjms6.traces import round_bubble_center
 
@@ -202,13 +207,17 @@ def _dense_jet_mul(ctx, x, y):
 
 
 def _dual_elements(rng, n):
+    """Ambient dual numbers, the kit's memoized factors among them; returns
+    the kit too, so a test can check that the memo still hands out the
+    operands it snapshotted."""
     d = n + 1
     kit = DualKit(n, random_poly(rng, d, 2, 2) + Poly.var(d, 0))
     zero = DualPoly(Poly.zero(d), Poly.zero(d))
-    return [
+    return kit, [
         zero, kit.embed(random_poly(rng, d, 2, 3)), DualPoly(Poly.zero(d), random_poly(rng, d, 2, 3)),
         DualPoly(random_poly(rng, d, 2, 3), random_poly(rng, d, 2, 3)), kit.sigma_elem(),
-        kit.exp_ambient(Q(-3, 2)), DualPoly(Poly.const(d, 2), Poly.zero(d)), zero,
+        kit.exp_ambient(Q(-3, 2)), kit.exp_ambient(2), kit.exp_ambient(0),
+        DualPoly(Poly.const(d, 2), Poly.zero(d)), zero,
     ]
 
 
@@ -234,8 +243,8 @@ def _jet_elements(rng, ctx):
     wx = _wx_elements(rng, ctx)
     return [
         confcalc.Jet(ctx, [], ctx.order), ctx.embed(random_poly(rng, d, 2, 3)), ctx.embed(Poly.const(d, 3)),
-        ctx.exp_ambient(Q(1, 2)), confcalc.Jet(ctx, [wx[0], wx[2], wx[0], wx[3]], ctx.order),
-        confcalc.Jet(ctx, [wx[1], wx[0], wx[4]], ctx.order - 1),
+        ctx.exp_ambient(Q(1, 2)), ctx.exp_ambient(-2), confcalc.Jet(ctx, [wx[0], wx[2], wx[0], wx[3]], ctx.order),
+        confcalc.Jet(ctx, [wx[1], wx[0], wx[4], ctx.exp_boundary(-1)], ctx.order - 1),
     ]
 
 
@@ -243,7 +252,7 @@ def _jet_elements(rng, ctx):
 def test_dual_ring_laws_with_zero_operands(seed):
     rng = random.Random(seed)
     n = 5
-    xs = _dual_elements(rng, n)
+    kit, xs = _dual_elements(rng, n)
     before = [_snapshot(x) for x in xs]
     for x in xs:
         for y in xs:
@@ -260,6 +269,8 @@ def test_dual_ring_laws_with_zero_operands(seed):
         assert zero * x is zero and x * zero is zero
     assert zero.diff(0) is zero and -zero is zero and zero * 5 is zero
     assert [_snapshot(x) for x in xs] == before
+    # the memo still hands out the factors snapshotted above
+    assert all(kit.exp_ambient(m) is x for m, x in zip((Q(-3, 2), 2, 0), xs[5:8]))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -311,6 +322,10 @@ def test_jet_ring_laws_with_zero_operands(seed):
         assert all(a is b for a, b in zip((x + zero).coeffs, x.coeffs))
         assert all(c is empty for c in (zero * x).coeffs + (x * zero).coeffs + zero.diff(0).coeffs)
     assert [_snapshot(x) for x in xs] == before
+    # the memo still hands out the factors snapshotted above, the boundary
+    # ones inside the last jet included
+    assert ctx.exp_ambient(Q(1, 2)) is xs[3] and ctx.exp_ambient(-2) is xs[4]
+    assert ctx.exp_boundary(1) is xs[-1].coeffs[2] and ctx.exp_boundary(-1) is xs[-1].coeffs[3]
 
 
 @pytest.fixture
@@ -457,6 +472,171 @@ def test_hess_nn_is_the_normal_entry_of_the_hessian(n):
         assert not got.iszero()
 
 
+# ---------------------------------------------------------------------------
+# the closed-form primitives against the Christoffel-sum references
+# ---------------------------------------------------------------------------
+
+def christoffel(cf, k, i, j):
+    """Gamma^k_ij = delta^k_i s_j + delta^k_j s_i - delta_ij s_k of
+    e^(2s) * flat, summed term by term, or None where it vanishes."""
+    out = None
+    if k == i:
+        out = cf.si[j]
+    if k == j:
+        out = cf.si[i] if out is None else out + cf.si[i]
+    if i == j:
+        out = -cf.si[k] if out is None else out - cf.si[k]
+    return out
+
+
+def hess_entry_reference(cf, Fi, i, j):
+    """Hess_ij F = F_ij - sum_k Gamma^k_ij F_k from the gradient components Fi."""
+    h = Fi[i].diff(j)
+    for k in range(cf.dim):
+        g = christoffel(cf, k, i, j)
+        if g is not None:
+            h = h - g * Fi[k]
+    return h
+
+
+def hess_reference(cf, F):
+    """Every entry of the covariant Hessian, (i, j) and (j, i) built apart."""
+    Fi = [F.diff(i) for i in range(cf.dim)]
+    return [[hess_entry_reference(cf, Fi, i, j) for j in range(cf.dim)] for i in range(cf.dim)]
+
+
+def contract_reference(cf, A, B):
+    """The contraction over the full square of indices."""
+    dim = cf.dim
+    return cf.exp(-4) * sum_all([A[i][j] * B[i][j] for i in range(dim) for j in range(dim)])
+
+
+def P_grad_reference(cf, w):
+    """P(grad w), with w.diff(k) and exp(-2) taken again for each row."""
+    dim = cf.dim
+    return [cf.exp(-2) * sum_all([cf.P[i][k] * w.diff(k) for k in range(dim)]) for i in range(dim)]
+
+
+def schouten_reference(s, dim):
+    """The Schouten components over the full square and J / e^(-2s)."""
+    si = [s.diff(i) for i in range(dim)]
+    sij = [[si[i].diff(j) for j in range(dim)] for i in range(dim)]
+    grad2 = sum_all([si[i] * si[i] for i in range(dim)])
+    P = [[-sij[i][j] + si[i] * si[j] for j in range(dim)] for i in range(dim)]
+    for i in range(dim):
+        P[i][i] = P[i][i] - Q(1, 2) * grad2
+    return P, -sum_all([sij[i][i] for i in range(dim)]) - Q(dim - 2, 2) * grad2
+
+
+def cov_P_nnn_reference(eng):
+    amb, nu = eng.amb, eng.nu
+    h = amb.P[nu][nu].diff(nu)
+    for m in range(amb.dim):
+        g = christoffel(amb, m, nu, nu)
+        if g is not None:
+            h = h - 2 * (g * amb.P[m][nu])
+    return h
+
+
+def _same(x, y):
+    return _snapshot(x) == _snapshot(y)
+
+
+def _same_tensor(A, B):
+    return len(A) == len(B) and all(_same(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+@pytest.mark.parametrize("ring", ["dual", "jet6"])
+@pytest.mark.parametrize("n", [5, 7])
+def test_closed_form_primitives_match_the_christoffel_references(n, ring):
+    """hess, hess_nn, cov_P_nnn, contract, P_grad and the Schouten tensor of
+    the engine equal, exactly, their references over every index pair, for a
+    random sigma of degree <= 3 with a normal part."""
+    rng = random.Random(90 + n)
+    d = n + 1
+    x0, x1, y = Poly.var(d, 0), Poly.var(d, 1), Poly.var(d, d - 1)
+    sigma = random_poly(rng, d, 3, 3) + x0 * y * y + x0 * x1 * y + y**3
+    u = random_poly(rng, d, 3, 3) + x1 * y * y + x0 * x0 * y + x0 * x1
+    kit = DualKit(n, sigma) if ring == "dual" else JetCtx(n, sigma, 6)
+    eng = HalfspaceConformalEngine(kit)
+    amb, bdy, nu = eng.amb, eng.bdy, eng.nu
+    v = kit.embed(u)
+    w = v.drop_last()
+    s = kit.sigma_elem()
+    for cf, s_cf in ((amb, s), (bdy, s.drop_last())):
+        P, J = schouten_reference(s_cf, cf.dim)
+        assert _same_tensor(cf.P, P)
+        assert _same(cf.J, cf.exp(-2) * J)
+    hv, hw = amb.hess(v), bdy.hess(w)
+    assert _same_tensor(hv, hess_reference(amb, v))
+    assert _same_tensor(hw, hess_reference(bdy, w))
+    assert _same_tensor(eng.bhessH, hess_reference(bdy, eng.H))
+    Fi = [v.diff(i) for i in range(amb.dim)]
+    got = eng.hess_nn(v)
+    assert _same(got, bdy.exp(-2) * hess_entry_reference(amb, Fi, nu, nu).drop_last())
+    assert _same(eng.cov_P_nnn(), cov_P_nnn_reference(eng))
+    pairs = ((amb, amb.P, amb.P), (amb, amb.P, hv), (bdy, bdy.P, bdy.P), (bdy, bdy.P, eng.bhessH),
+             (bdy, eng.bhessH, hw))
+    for cf, A, B in pairs:
+        assert _same(cf.contract(A, B), contract_reference(cf, A, B))
+    for cf, f in ((amb, v), (bdy, w), (bdy, eng.H)):
+        assert all(_same(a, b) for a, b in zip(cf.P_grad(f), P_grad_reference(cf, f)))
+    # the checks compare nonzero values
+    assert not (got.iszero() or eng.cov_P_nnn().iszero() or amb.contract(amb.P, hv).iszero())
+    assert not bdy.contract(eng.bhessH, hw).iszero()
+
+
+# ---------------------------------------------------------------------------
+# one conformal-factor memo per kit
+# ---------------------------------------------------------------------------
+
+def _kits(n, sigma, other):
+    return [DualKit(n, sigma), DualKit(n, other), JetCtx(n, sigma, 6), JetCtx(n, sigma, 7), JetCtx(n, other, 6)]
+
+
+def test_each_kit_builds_a_factor_once():
+    """e^(m s) is built once per (side, m): m = 2 and Q(2) share it, the
+    ambient and boundary factors of one m are apart, and the memo holds the
+    value a fresh kit builds."""
+    n, d = 5, 6
+    x0, x1, y = Poly.var(d, 0), Poly.var(d, 1), Poly.var(d, d - 1)
+    sigma, other = x0 * y + x1 * x1, y * y
+    for kit, fresh in zip(_kits(n, sigma, other), _kits(n, sigma, other)):
+        assert kit.exp_boundary(2) is kit.exp_boundary(Q(2))
+        assert kit.exp_ambient(Q(-3, 2)) is kit.exp_ambient(Q(-3, 2))
+        assert kit.exp_ambient(2) is not kit.exp_boundary(2)
+        # a jet's ambient factor reads the boundary factors of 0 and m
+        assert {("boundary", 2), ("ambient", Q(-3, 2)), ("ambient", 2)} <= set(kit._factors)
+        assert len(kit._factors) == (3 if isinstance(kit, DualKit) else 5)
+        assert all(type(m) is Q for _, m in kit._factors)
+        for m in (2, Q(-3, 2)):
+            assert _same(kit.exp_ambient(m), fresh.exp_ambient(m))
+        assert _same(kit.exp_boundary(2), fresh.exp_boundary(2))
+
+
+def test_kits_share_no_factor():
+    """Kits of a different sigma or jet order share no factor object, and a
+    kit with its factors is freed once nothing else refers to it (the memo
+    is a dict of the instance, not a class-level cache keyed on it)."""
+    n, d = 5, 6
+    x0, x1, y = Poly.var(d, 0), Poly.var(d, 1), Poly.var(d, d - 1)
+    sigma = x0 * y + x1 * x1
+    kits = _kits(n, sigma, sigma + y * y)
+    ids = [{id(f) for m in (0, 1, Q(-1, 2)) for f in (kit.exp_ambient(m), kit.exp_boundary(m))} for kit in kits]
+    for a in range(len(kits)):
+        assert len(ids[a]) == 6
+        for b in range(a):
+            assert not ids[a] & ids[b]
+    # a different sigma gives a different ambient factor
+    assert not _same(kits[0].exp_ambient(1), kits[1].exp_ambient(1))
+    assert not _same(kits[2].exp_ambient(1), kits[4].exp_ambient(1))
+    assert kits[2].exp_ambient(1).ord == 6 and kits[3].exp_ambient(1).ord == 7
+    refs = [weakref.ref(kit) for kit in kits]
+    del kits
+    gc.collect()
+    assert all(r() is None for r in refs)
+
+
 def test_engine_curvature_of_sigma_y():
     """The engine's curvature record for e^(2 sigma) * flat on the half space:
     flat for sigma = 0; for sigma = y, P-hat = dy x dy - g/2, so
@@ -493,6 +673,57 @@ def test_critical_shift_random():
             assert critical_T_shift(j, sigma, g).iszero()
 
 
+# ---------------------------------------------------------------------------
+# boundary-jet normalization of the conformal factor: a reference helper
+# that no claim of the package uses
+# ---------------------------------------------------------------------------
+
+@dataclass
+class BoundaryJet:
+    """Normal jet of a function along the boundary: coefficients are the
+    eta-direction derivatives (eta^k u)|_M up to the stated order."""
+
+    coeffs: list
+    order: int
+
+
+def normalize_jet(geom, order: int = 5) -> BoundaryJet:
+    """Normal jet of the conformal factor that normalizes the metric at the
+    boundary.
+
+    For n > 5 solves B_0(u) = 1 and B_j(u) = 0, j = 1..order; in the critical
+    dimension solves B_0(u) = 0 and T_j + B_j(u) = 0.  The system is
+    triangular in the normal derivatives, so the jet is exact.  Coefficients
+    are the eta-direction derivatives at the zero-frequency boundary mode.
+    """
+    n = geom.n
+    scalars = model_coefficients(geom)[1]
+    # eta = eta_sign * d/dtau in the collar parametrization
+    _, _, eta_sign, _ = collar_coefficients(geom.kind, n, 2)
+    known = [Q(1) if n > 5 else Q(0)]  # eta^0 u
+    for j in range(1, order + 1):
+        x = Poly.var(1, 0)
+        derivs = []
+        for k in range(order + 3):
+            if k < len(known):
+                derivs.append(eta_sign**k * known[k])
+            elif k == j:
+                derivs.append(eta_sign**k * x)
+            else:
+                derivs.append(Q(0))
+        mode = SeparatedMode.from_derivs(n, 0, derivs, order + 2)
+        val = apply_B(j, geom, mode)
+        target = Poly.zero(1) if n > 5 else Poly.const(1, -scalars[f"T{j}"])
+        rel = val - target if isinstance(val, Poly) else Poly.const(1, val) - target
+        # rel = c1 * x + c0 must vanish
+        c1 = rel.terms.get((1,), Q(0))
+        c0 = rel.terms.get((0,), Q(0))
+        if c1 == 0:
+            raise ArithmeticError("normalization system unexpectedly degenerate")
+        known.append(-Q(c0) / c1)
+    return BoundaryJet(coeffs=known, order=order)
+
+
 def test_normalize_jet_models():
     jet = normalize_jet(halfspace(7))
     assert jet.coeffs == [1, 0, 0, 0, 0, 0]
@@ -507,9 +738,6 @@ def test_normalize_jet_models():
 
 def test_normalize_jet_annihilates():
     """Substituting the jet back annihilates the higher boundary operators."""
-    from gjms6.boundary import apply_B
-    from gjms6.reps import SeparatedMode, collar_coefficients
-
     for geom in (ball(7), hemisphere(8), hyperbolic_geodesic(9)):
         n = geom.n
         jet = normalize_jet(geom)

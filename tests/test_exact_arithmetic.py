@@ -10,11 +10,11 @@ import pytest
 
 from gjms6.boundary import apply_B
 from gjms6.cli import main
-from gjms6.conformal import normalize_jet
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import Poly, random_poly
 from gjms6.series import Series, series_inverse
 from gjms6.solver import BoundaryTriple, _coefficients, mode_solve
+from test_conformal import normalize_jet
 
 MODELS = (halfspace, ball, hemisphere, hyperbolic_geodesic)
 

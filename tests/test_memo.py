@@ -52,6 +52,21 @@ def test_walk_finds_every_known_memo():
     assert KNOWN <= found and len(found) >= 10
 
 
+def test_operator_constants_are_one_memo_the_walk_finds():
+    """``boundary`` and ``confcalc`` build their operator constants through
+    one memo of Fraction, found by the walk; it gives the Fraction that
+    Fraction itself gives, one object per typed argument tuple."""
+    from fractions import Fraction
+
+    from gjms6 import boundary, confcalc
+
+    Q = boundary.Q
+    assert confcalc.Q is Q and Q in package_memos().values()
+    for n in (5, 6, 7):
+        assert Q(3 * n - 11, 2 * n) == Fraction(3 * n - 11, 2 * n) and type(Q(3 * n - 11, 2 * n)) is Fraction
+    assert Q(4, 2) is Q(4, 2) and Q(2) == 2 and type(Q(2)) is Fraction
+
+
 def clear_all():
     for fn in package_memos().values():
         fn.cache_clear()
