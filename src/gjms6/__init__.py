@@ -32,7 +32,7 @@ from .gjms import apply_L6, factorization_shifts, q6_constant_curvature, t4_acti
 from .boundary import (
     BoundaryOperatorId,
     apply_B,
-    normal_form_operators,
+    normal_form_terms,
 )
 from .conformal import (
     VariationProbe,
@@ -54,7 +54,6 @@ from .fractional import (
     dtn_verify,
     multiplier,
     round_multiplier,
-    scattering_T2_T4,
 )
 from .energy import (
     dirichlet_eigen_lower,

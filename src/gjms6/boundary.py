@@ -25,6 +25,9 @@ and vanish identically in the critical dimension n = 5.
 ``field_ops`` is the only place that picks the primitive kit for a field
 representation on a model geometry, and ``leading_part`` holds the only table
 from primitive names to kit calls, for the fields that have a kit.
+``LEADING_TERMS`` is the one table of the universal leading parts;
+``normal_form_terms`` adds the curvature terms of the operators of a metric
+conformally normalized at the boundary.
 """
 from __future__ import annotations
 
@@ -615,75 +618,7 @@ def apply_B(j, geom: ModelGeometry, u):
 
 
 # ---------------------------------------------------------------------------
-# normal-form tables
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalFormOperators:
-    """The simplified boundary operators valid when the metric is conformally
-    normalized at the boundary (H = 0, P(eta,eta) = Jbar/3, eta J = 0, ...).
-
-    Terms are keyed by primitive name with Fraction coefficients; curvature
-    factors appearing in a term are part of the key.  Flat boundary data
-    collapses everything to the leading differential parts.
-    """
-
-    n: int
-
-    def table(self, j: int) -> dict:
-        n = self.n
-        if j == 0:
-            return {"u": Q(1)}
-        if j == 1:
-            return {"eta": Q(1)}
-        if j == 2:
-            return {"lap": Q(1), "lapbar": Q(-4, 3)}
-        if j == 3:
-            return {"eta_lap": Q(1), "lapbar_eta": Q(-4), "Jb*eta": Q(4 * (n - 1), 3)}
-        if j == 4:
-            return {
-                "lap2": Q(-1),
-                "lapbar_lap": Q(-4),
-                "lapbar2": Q(8),
-                "divPbar": Q(8),
-                "Jb*lap": Q(2 * (5 * n - 13), 3),
-                "Jb*lapbar": Q(-8 * (2 * n - 5), 3),
-                "pair_dJb": Q(-4 * (n - 1), 3),
-            }
-        if j == 5:
-            return {
-                "eta_lap2": Q(1),
-                "lapbar_eta_lap": Q(4, 3),
-                "lapbar2_eta": Q(8, 3),
-                "Jb*eta_lap": Q(-2 * (3 * n - 7), 3),
-                "Jb*lapbar_eta": Q(-16 * (2 * n - 5), 9),
-                "divPbar_eta": Q(16),
-                "eta_P_hess": Q(8),
-                "hessJnn*eta": Q(-(n - 9)),
-                "pair_dJb_eta": Q(-4 * (13 * n - 55), 9),
-                "lapbarJb*eta": Q(-8 * (4 * n - 19), 9),
-                "Pbar2*eta": Q(-8 * (n - 4)),
-                "Jb^2*eta": Q(8 * (2 * n**2 - 10 * n + 5), 9),
-            }
-        raise ValueError("boundary operator index must lie in 0..5")
-
-    def apply_flat(self, j: int, u):
-        """Evaluate on the flat upper half space, where the curvature factors
-        vanish and the table reduces to its differential part, which is
-        ``LEADING_TERMS[j]``."""
-        from .geometry import halfspace
-
-        return leading_part(j, halfspace(self.n), u)
-
-
-def normal_form_operators(n: int) -> NormalFormOperators:
-    if n < 5:
-        raise ValueError("n >= 5 required")
-    return NormalFormOperators(n)
-
-
-# ---------------------------------------------------------------------------
-# leading symbol bookkeeping
+# leading symbol bookkeeping and normal forms
 # ---------------------------------------------------------------------------
 
 LEADING_TERMS = {
@@ -694,6 +629,40 @@ LEADING_TERMS = {
     4: {"lap2": Q(-1), "lapbar_lap": Q(-4), "lapbar2": Q(8)},
     5: {"eta_lap2": Q(1), "lapbar_eta_lap": Q(4, 3), "lapbar2_eta": Q(8, 3)},
 }
+
+
+def normal_form_terms(n: int, j: int) -> dict:
+    """The order-j operator when the metric is conformally normalized at the
+    boundary (H = 0, P(eta,eta) = Jbar/3, eta J = 0, ...): ``LEADING_TERMS[j]``
+    and the curvature terms, keyed by primitive name with Fraction
+    coefficients; curvature factors in a term are part of its key.  On the
+    flat half space the curvature terms vanish and the operator is
+    ``leading_part``."""
+    if n < 5:
+        raise ValueError("n >= 5 required")
+    if j not in LEADING_TERMS:
+        raise ValueError("boundary operator index must lie in 0..5")
+    curvature = {
+        3: {"Jb*eta": Q(4 * (n - 1), 3)},
+        4: {
+            "divPbar": Q(8),
+            "Jb*lap": Q(2 * (5 * n - 13), 3),
+            "Jb*lapbar": Q(-8 * (2 * n - 5), 3),
+            "pair_dJb": Q(-4 * (n - 1), 3),
+        },
+        5: {
+            "Jb*eta_lap": Q(-2 * (3 * n - 7), 3),
+            "Jb*lapbar_eta": Q(-16 * (2 * n - 5), 9),
+            "divPbar_eta": Q(16),
+            "eta_P_hess": Q(8),
+            "hessJnn*eta": Q(-(n - 9)),
+            "pair_dJb_eta": Q(-4 * (13 * n - 55), 9),
+            "lapbarJb*eta": Q(-8 * (4 * n - 19), 9),
+            "Pbar2*eta": Q(-8 * (n - 4)),
+            "Jb^2*eta": Q(8 * (2 * n**2 - 10 * n + 5), 9),
+        },
+    }
+    return {**LEADING_TERMS[j], **curvature.get(j, {})}
 
 
 def leading_part(j: int, geom: ModelGeometry, u):

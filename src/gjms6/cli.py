@@ -102,13 +102,12 @@ def run_dtn(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float):
 
     n = geom.n
     if geom.kind is GeometryKind.UPPER_HALF_SPACE:
-        report.extend_records(dtn_verify(geom, n, None), "dtn-identities")
+        report.checks.extend(dtn_verify(geom, n, None))
         return
     for ell in range(min(lmax, DTN_IDENTITY_LMAX) + 1):
-        report.extend_records(dtn_verify(geom, n, ell, tol=tol), "dtn-identities")
+        report.checks.extend(dtn_verify(geom, n, ell, tol=tol))
     for j in (1, 3, 5):
-        report.extend_records(dtn_selfadjointness(geom, n, j, range(min(lmax, DTN_SELFADJOINT_LMAX) + 1)),
-                              "dtn-selfadjointness")
+        report.checks.extend(dtn_selfadjointness(geom, n, j, range(min(lmax, DTN_SELFADJOINT_LMAX) + 1)))
 
 
 def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,

@@ -6,6 +6,12 @@ multiplier is the intertwining eigenvalue Gamma(l + n/2 + gamma) /
 Gamma(l + n/2 - gamma); the flat multiplier is t^(2*gamma).  Both are exact:
 the Gamma ratio is a rising factorial of integer length 2*gamma, so all
 square-root-of-pi factors cancel.
+
+``multiplier``, ``L2_mode``, ``L4_mode`` and ``scattering_T2``/``T4`` take a
+``ModelGeometry``: its mode is a harmonic degree on a round boundary and a
+frequency on the flat one, and Jbar and |Pbar|^2 are read from the one
+curvature table, ``boundary.model_coefficients``.  The DtN checks return
+``report.CheckEntry`` rows with their tag.
 """
 from __future__ import annotations
 
@@ -13,8 +19,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from .boundary import apply_B, model_coefficients
 from .geometry import GeometryKind, ModelGeometry
-from .report import passes
+from .report import CheckEntry
 
 Q = Fraction
 
@@ -69,17 +76,16 @@ def flat_multiplier(gamma, t):
     return float(t) ** float(two_gamma)
 
 
-def multiplier(boundary: str, n: int, gamma, mode):
-    """Dispatch on boundary kind: "round" takes a harmonic degree, "flat" a
-    frequency.  gamma must lie in (0, n/2)."""
+def multiplier(geom: ModelGeometry, gamma, mode):
+    """The order-2*gamma multiplier on the boundary of ``geom`` at a harmonic
+    degree (round boundary) or a frequency (flat).  gamma must lie in
+    (0, n/2)."""
     gamma = Q(gamma)
-    if not 0 < gamma < Q(n, 2):
+    if not 0 < gamma < Q(geom.n, 2):
         raise ValueError(f"gamma must lie in (0, n/2), got {gamma}")
-    if boundary == "round":
-        return round_multiplier(n, gamma, mode)
-    if boundary == "flat":
+    if geom.kind is GeometryKind.UPPER_HALF_SPACE:
         return flat_multiplier(gamma, mode)
-    raise ValueError(f"unknown boundary {boundary!r}")
+    return round_multiplier(geom.n, gamma, mode)
 
 
 def d_gamma(gamma) -> Fraction:
@@ -99,63 +105,51 @@ def d_gamma(gamma) -> Fraction:
 # expansion coefficients of the Poisson operator
 # ---------------------------------------------------------------------------
 
-def _jbar(boundary: str, n: int) -> Fraction:
-    return Q(n, 2) if boundary == "round" else Q(0)
+def _eigenvalue(geom: ModelGeometry, mode):
+    """-lapbar on a mode: l(l+n-1) at degree l on a round boundary, t^2 at
+    frequency t on the flat one."""
+    if geom.kind is GeometryKind.UPPER_HALF_SPACE:
+        return mode**2
+    return sphere_eigenvalue(geom.n, mode)
 
 
-def _pbar_norm_sq(boundary: str, n: int) -> Fraction:
-    return Q(n, 4) if boundary == "round" else Q(0)
-
-
-def L2_mode(s, n: int, boundary: str, mode) -> Fraction:
+def L2_mode(s, geom: ModelGeometry, mode) -> Fraction:
     """Per-mode value of -lapbar + s*Jbar."""
-    s = Q(s)
-    if boundary == "round":
-        return sphere_eigenvalue(n, mode) + s * _jbar(boundary, n)
-    return Q(mode) ** 2 if isinstance(mode, (int, Fraction)) else mode**2
+    return _eigenvalue(geom, mode) + Q(s) * model_coefficients(geom)[0].Jb
 
 
-def L4_mode(s, n: int, boundary: str, mode) -> Fraction:
+def L4_mode(s, geom: ModelGeometry, mode) -> Fraction:
     """Per-mode value of divbar((2 Pbar - Jbar gbar) dbar) + Jbar lapbar - s |Pbar|^2.
 
-    On the round boundary 2 Pbar - Jbar gbar = (1 - n/2) gbar, so the whole
-    operator is the scalar -(eigenvalue) - s n/4; on the flat boundary it
-    vanishes.
+    Both model boundaries are Einstein, Pbar = (Jbar/n) gbar, so the whole
+    operator is the scalar -(2 Jbar/n) (eigenvalue) - s |Pbar|^2.
     """
-    s = Q(s)
-    if boundary == "round":
-        lam = sphere_eigenvalue(n, mode)
-        return (Q(1) - Q(n, 2)) * (-lam) + _jbar(boundary, n) * (-lam) - s * _pbar_norm_sq(boundary, n)
-    return Q(0)
+    C = model_coefficients(geom)[0]
+    return -2 * C.Jb / geom.n * _eigenvalue(geom, mode) - Q(s) * C.Pbar2
 
 
 class ScatteringPoleError(ValueError):
     pass
 
 
-def scattering_T2(n: int, s, boundary: str, mode) -> Fraction:
+def scattering_T2(geom: ModelGeometry, s, mode) -> Fraction:
     """Second-order expansion coefficient of the Poisson solution."""
-    s = Q(s)
+    n, s = geom.n, Q(s)
     if 2 * s - n - 2 == 0:
         raise ScatteringPoleError("pole at 2s = n + 2")
-    return -L2_mode(n - s, n, boundary, mode) / (2 * (2 * s - n - 2))
+    return -L2_mode(n - s, geom, mode) / (2 * (2 * s - n - 2))
 
 
-def scattering_T4(n: int, s, boundary: str, mode) -> Fraction:
+def scattering_T4(geom: ModelGeometry, s, mode) -> Fraction:
     """Fourth-order expansion coefficient of the Poisson solution."""
-    s = Q(s)
+    n, s = geom.n, Q(s)
     if 2 * s - n - 2 == 0:
         raise ScatteringPoleError("pole at 2s = n + 2")
     if 2 * s - n - 4 == 0:
         raise ScatteringPoleError("pole at 2s = n + 4")
-    inner = L2_mode(n - s + 2, n, boundary, mode) * L2_mode(n - s, n, boundary, mode)
-    inner = inner / (2 * s - n - 2) + L4_mode(n - s, n, boundary, mode)
+    inner = L2_mode(n - s + 2, geom, mode) * L2_mode(n - s, geom, mode)
+    inner = inner / (2 * s - n - 2) + L4_mode(n - s, geom, mode)
     return inner / (8 * (2 * s - n - 4))
-
-
-def scattering_T2_T4(n: int, s, boundary: str, mode):
-    """Both expansion coefficients; raises ScatteringPoleError at the poles."""
-    return scattering_T2(n, s, boundary, mode), scattering_T4(n, s, boundary, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +184,6 @@ class DtNOperator:
 
     def multiplier_from_solve(self, ell: int):
         """Solve-then-apply route; exact on the ball and geodesic model."""
-        from .boundary import apply_B
         from .solver import BoundaryTriple, mode_solve
 
         _, slot, read = DTN_IDENTITIES[self.j]
@@ -203,18 +196,6 @@ class DtNOperator:
         return DTN_IDENTITIES[self.j].front * round_multiplier(self.geom.n, Q(self.j, 2), ell)
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    residual: float
-    tolerance: float
-    exact: bool
-
-    @property
-    def passed(self) -> bool:
-        return passes(self.residual, self.tolerance, self.exact)
-
-
 def dtn_verify_halfspace_symbolic():
     """The three identities on the general decaying triharmonic mode, as
     polynomial identities in the data coefficients and the frequency.
@@ -223,7 +204,6 @@ def dtn_verify_halfspace_symbolic():
     B3 - 3 t B2, B4 - 8 t^3 B1, B5 - (8/3) t^5 B0, in the order of
     ``DTN_IDENTITIES``.
     """
-    from .boundary import apply_B
     from .geometry import halfspace
     from .polys import Poly
     from .solver import halfspace_symbolic_mode
@@ -241,16 +221,16 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
     On the half space the check is the symbolic polynomial identity; on the
     round-boundary models the extension with the given (possibly mixed)
     data is solved and the three identities checked directly.
-    Returns a list of CheckRecord.  ``n`` must equal ``geom.n``.
+    Returns a list of ``CheckEntry`` tagged "dtn-identities".  ``n`` must
+    equal ``geom.n``.
     """
     _check_dimension(geom, n)
     if geom.kind is GeometryKind.UPPER_HALF_SPACE:
         res = dtn_verify_halfspace_symbolic()
         return [
-            CheckRecord(f"dtn-halfspace-order-{j}", Q(0) if r.iszero() else Q(1), 0.0, True)
+            CheckEntry(f"dtn-halfspace-order-{j}", "dtn-identities", Q(0) if r.iszero() else Q(1), 0.0, True)
             for j, r in zip(DTN_IDENTITIES, res)
         ]
-    from .boundary import apply_B
     from .solver import BoundaryTriple, mode_solve
 
     ell = mode if isinstance(mode, int) else mode.ell
@@ -265,8 +245,9 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
         resid = lhs - rhs
         scale = max(abs(float(rhs)), 1.0)
         out.append(
-            CheckRecord(
+            CheckEntry(
                 f"dtn-{geom.kind.value}-order-{j}-ell-{ell}",
+                "dtn-identities",
                 resid if res.exact else abs(float(resid)) / scale,
                 0.0 if res.exact else tol,
                 res.exact,
@@ -281,7 +262,8 @@ def dtn_selfadjointness(geom: ModelGeometry, n: int, j: int, modes, tol: float =
     Per-mode multipliers are real (exact rationals); cross-degree pairings
     vanish by orthogonality, so symmetry reduces to the reality of the
     diagonal.  The solve-then-apply route must reproduce the multipliers.
-    ``n`` must equal ``geom.n``.
+    Returns a list of ``CheckEntry`` tagged "dtn-selfadjointness".  ``n``
+    must equal ``geom.n``.
     """
     _check_dimension(geom, n)
     op = DtNOperator(j, geom)
@@ -294,8 +276,9 @@ def dtn_selfadjointness(geom: ModelGeometry, n: int, j: int, modes, tol: float =
         else:
             resid, exact = abs(float(got) - float(want)) / max(abs(float(want)), 1.0), False
         out.append(
-            CheckRecord(
+            CheckEntry(
                 f"dtn-selfadjoint-{geom.kind.value}-j{j}-ell{ell}",
+                "dtn-selfadjointness",
                 resid,
                 0.0 if exact else tol,
                 exact,

@@ -20,14 +20,6 @@ def _residual_str(value) -> str:
     return format(float(value), ".17e")
 
 
-def passes(residual, tolerance: float, exact: bool) -> bool:
-    """The one pass rule: an exact check passes iff its residual is 0, a
-    float check iff |residual| <= tolerance."""
-    if exact:
-        return residual == 0
-    return abs(float(residual)) <= tolerance
-
-
 @dataclass
 class CheckEntry:
     id: str
@@ -37,8 +29,16 @@ class CheckEntry:
     exact: bool
 
     @property
+    def passed(self) -> bool:
+        """The one pass rule: an exact check passes iff its residual is 0, a
+        float check iff |residual| <= tolerance."""
+        if self.exact:
+            return self.residual == 0
+        return abs(float(self.residual)) <= self.tolerance
+
+    @property
     def status(self) -> str:
-        return "pass" if passes(self.residual, self.tolerance, self.exact) else "fail"
+        return "pass" if self.passed else "fail"
 
     def as_json(self) -> dict:
         # runtime_ms is written as 0.0 so reports are byte-identical across runs
@@ -63,17 +63,13 @@ class CheckReport:
     def add(self, id: str, tag: str, residual, tolerance: float, exact: bool):
         self.checks.append(CheckEntry(id, tag, residual, tolerance, exact))
 
-    def extend_records(self, records, tag: str):
-        for r in records:
-            self.add(r.name, tag, r.residual, r.tolerance, r.exact)
-
     @property
     def n_pass(self) -> int:
-        return sum(1 for c in self.checks if c.status == "pass")
+        return sum(1 for c in self.checks if c.passed)
 
     @property
     def n_fail(self) -> int:
-        return sum(1 for c in self.checks if c.status == "fail")
+        return len(self.checks) - self.n_pass
 
     @property
     def ok(self) -> bool:
@@ -99,7 +95,7 @@ class CheckReport:
 
     def print_lines(self):
         for c in self.checks:
-            marker = "PASS" if c.status == "pass" else "FAIL"
+            marker = "PASS" if c.passed else "FAIL"
             kind = "exact" if c.exact else f"tol {c.tolerance:.1e}"
             print(f"[{marker}] {c.id}  residual={_residual_str(c.residual)}  ({kind})")
         print(f"summary: {self.n_pass} passed, {self.n_fail} failed")

@@ -132,7 +132,7 @@ def collar_coefficients(kind: GeometryKind, n: int, order: int):
 class SeparatedOps(BoundaryOps):
     """Boundary-operator primitives on SeparatedMode fields."""
 
-    def __init__(self, geom: ModelGeometry, lam, order: int = 10):
+    def __init__(self, geom: ModelGeometry, lam, order: int):
         self.geom = geom
         self.n = geom.n
         self.lam = lam

@@ -22,12 +22,12 @@ hemisphere factor jets (``factor_jet``), the geodesic Poisson branches
 (``poisson_branch_series``) and geodesic L6
 (``gjms.hyperbolic_shifted_factor``).  Data that depend on (model, l) alone
 are built once: ``mode_basis`` holds the basis jets and the Dirichlet matrix
-of the ball, the hemisphere and the geodesic model, and each hemisphere
-factor and each geodesic Poisson branch are memoized.  The branch recurrence
-runs on integer numerators over one common denominator and builds one
-Fraction per coefficient at the end, since every Fraction operation pays
-for a gcd.  The interior pairings of ``traces`` evaluate
-the three hemisphere factor kernels of a degree on their quadrature nodes
+of the ball, the hemisphere and the geodesic model (so the geodesic Poisson
+branches run once per degree), and each hemisphere factor is memoized.  The
+branch recurrence runs on integer numerators over one common denominator and
+builds one Fraction per coefficient at the end, since every Fraction
+operation pays for a gcd.  The interior pairings of ``traces`` evaluate the
+three hemisphere factor kernels of a degree on their quadrature nodes
 (``kernel_values``) and superpose the unit profiles of that degree from
 those values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
 
@@ -58,9 +58,10 @@ Q = Fraction
 # (B5 reads five normal derivatives).
 JET_ORDER = 8
 
-# Largest condition number a float Dirichlet system may have.  Real traffic
-# stays far below it: about 1e7 on the ball (n = 5..9, l <= 64) and 2e9 on
-# the hemisphere (n = 5, 7, l <= 32).
+# Largest condition number a float Dirichlet system may have.  The CLI admits
+# l <= 128 (ZONAL_NODES // 2).  The ball stays below it there, at most 1.43e8
+# (n = 5..9); the hemisphere matrix grows to 2.1e9 at l <= 32 and first passes
+# it at l = 99, 99, 98, 98, 97 for n = 5..9, where a run exits with status 2.
 COND_GUARD = 1e12
 
 # The half space carries no curvature, so its boundary operators are the same
@@ -458,7 +459,6 @@ def hemisphere_factored_residual(prof: HemisphereProfile, thetas) -> float:
 # geodesic compactification of hyperbolic space
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
 def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F") -> Series:
     """Normalized branch series of the mode Poisson equation on hyperbolic
     space with round infinity.
@@ -474,8 +474,8 @@ def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F
     the lcm L of their denominators, a and s by the lcm d of theirs, and the
     c_k are carried as numerators over one denominator, rescaled at each
     order and reduced by their common gcd; one Fraction is built per
-    coefficient at the end.  Memoized on its arguments, so callers share the series and must not
-    mutate it.
+    coefficient at the end.  Not memoized: ``mode_basis`` holds the geodesic
+    jets built from the branches, six per (n, l).
     """
     s_param = Q(s_param)
     lam = sphere_eigenvalue(n, ell)

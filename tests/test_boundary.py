@@ -17,7 +17,7 @@ from gjms6.boundary import (
     coefficient_scalars,
     leading_part,
     model_coefficients,
-    normal_form_operators,
+    normal_form_terms,
     separated_stencil,
 )
 from gjms6.fractional import rising, sphere_eigenvalue
@@ -422,19 +422,22 @@ def test_separated_stencil_is_derived_on_first_use():
     assert out.returncode == 0, out.stderr
 
 
-def test_normal_form_operators():
-    nf = normal_form_operators(7)
-    assert nf.table(3)["Jb*eta"] == 8  # 4(n-1)/3 at n = 7
-    assert nf.table(5)["Pbar2*eta"] == -24  # -8(n-4) at n = 7
-    # flat collapse: the tables reduce to the half-space operators
+def test_normal_form_terms():
+    assert normal_form_terms(7, 3)["Jb*eta"] == 8  # 4(n-1)/3 at n = 7
+    assert normal_form_terms(7, 5)["Pbar2*eta"] == -24  # -8(n-4) at n = 7
+    # flat collapse: without curvature the operators are their leading parts
     n = 7
     d = n + 1
     u = Poly.var(d, 0, 2) * Poly.var(d, d - 1) + Poly.var(d, d - 1, 3)
     g = halfspace(n)
     for j in range(6):
-        assert (nf.apply_flat(j, u) - apply_B(j, g, u)).iszero()
+        assert (leading_part(j, g, u) - apply_B(j, g, u)).iszero()
         # the differential part of each table is the universal leading part
-        assert {k: nf.table(j)[k] for k in LEADING_TERMS[j]} == LEADING_TERMS[j]
+        terms = normal_form_terms(n, j)
+        assert {k: terms[k] for k in LEADING_TERMS[j]} == LEADING_TERMS[j]
+    for n, j in ((4, 3), (7, 6)):
+        with pytest.raises(ValueError):
+            normal_form_terms(n, j)
 
 
 def test_leading_symbol():

@@ -129,6 +129,20 @@ def test_guard_trips_are_config_errors(monkeypatch, capsys):
         assert err.rstrip().endswith("lower --lmax"), argv
 
 
+@pytest.mark.parametrize("argv", [
+    ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "100"],
+    ["critical", "--n", "5", "--geometry", "hemisphere", "--lmax", "100"],
+])
+def test_guard_trips_on_real_hemisphere_degrees(argv):
+    """With the guard as shipped, the float hemisphere matrix passes it
+    below the --lmax cap of 128 (first at l = 98 for n = 7, l = 99 for
+    n = 5), and the run ends with status 2."""
+    out = run_cli(argv)
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("configuration error: mode matrix condition"), out.stderr
+    assert out.stderr.rstrip().endswith("lower --lmax"), out.stderr
+
+
 @pytest.mark.parametrize("suite,geometry,n", [
     pytest.param("dtn", "ball", "7", id="ball-7"),
     pytest.param("dtn", "halfspace", "7", id="halfspace-7"),

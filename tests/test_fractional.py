@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from gjms6.fractional import (
+    L4_mode,
     ScatteringPoleError,
     d_gamma,
     dtn_selfadjointness,
@@ -13,7 +14,6 @@ from gjms6.fractional import (
     multiplier,
     round_multiplier,
     scattering_T2,
-    scattering_T2_T4,
     scattering_T4,
     sphere_eigenvalue,
 )
@@ -22,14 +22,14 @@ from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 
 def test_multiplier_examples():
     # conformal-Laplacian cross-check at order two
-    assert multiplier("round", 7, 1, 0) == Q(35, 4)
+    assert multiplier(ball(7), 1, 0) == Q(35, 4)
     assert Q(35, 4) == Q(7 * 5, 4)
-    assert multiplier("round", 7, Q(5, 2), 0) == 120
-    assert multiplier("flat", 7, Q(1, 2), 2) == 2
+    assert multiplier(hemisphere(7), Q(5, 2), 0) == 120
+    assert multiplier(halfspace(7), Q(1, 2), 2) == 2
     with pytest.raises(ValueError):
-        multiplier("round", 7, Q(7, 2), 0)
+        multiplier(ball(7), Q(7, 2), 0)
     with pytest.raises(ValueError):
-        multiplier("round", 7, 4, 0)
+        multiplier(ball(7), 4, 0)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -58,16 +58,19 @@ def test_d_gamma_values():
 
 def test_scattering_examples():
     # round boundary, zero mode
-    assert scattering_T2(7, 6, "round", 0) == Q(-7, 12)
+    assert scattering_T2(ball(7), 6, 0) == Q(-7, 12)
     # flat boundary keeps the frequency symbolic form
-    t2 = scattering_T2(7, Q(13, 2), "flat", Q(3))
+    t2 = scattering_T2(halfspace(7), Q(13, 2), Q(3))
     assert t2 == -Q(9) / (2 * (13 - 9))
     with pytest.raises(ScatteringPoleError):
-        scattering_T2(7, Q(9, 2), "round", 0)
+        scattering_T2(ball(7), Q(9, 2), 0)
     with pytest.raises(ScatteringPoleError):
-        scattering_T4(7, Q(11, 2), "round", 0)
-    both = scattering_T2_T4(7, 6, "round", 1)
-    assert both[0] == -(sphere_eigenvalue(7, 1) + Q(7, 2)) / 6
+        scattering_T4(ball(7), Q(11, 2), 0)
+    assert scattering_T2(hyperbolic_geodesic(7), 6, 1) == -(sphere_eigenvalue(7, 1) + Q(7, 2)) / 6
+    # L4 on the round boundary is -(eigenvalue) - s n/4, and it vanishes on the flat one
+    for geom in (ball(7), hemisphere(7), hyperbolic_geodesic(7)):
+        assert L4_mode(Q(3, 2), geom, 2) == -sphere_eigenvalue(7, 2) - Q(3, 2) * Q(7, 4)
+    assert L4_mode(Q(3, 2), halfspace(7), Q(5)) == 0
 
 
 def test_dtn_verify_all_models():

@@ -22,7 +22,6 @@ KNOWN = {
     "gjms6.reps.collar_coefficients",
     "gjms6.solver.hemisphere_factor_solve",
     "gjms6.solver.mode_basis",
-    "gjms6.solver.poisson_branch_series",
     "gjms6.traces.ball_interior_gram",
     "gjms6.traces.gauss_legendre",
     "gjms6.traces.hemisphere_interior_gram",

@@ -389,7 +389,6 @@ def test_poisson_branches_are_annihilated_by_the_operator():
 
 def test_poisson_branch_series_applies_no_operator(monkeypatch):
     poisson_branch_series(7, 3, Q(6), 8, "F")  # warm the collar table
-    poisson_branch_series.cache_clear()
 
     def refuse(*args):
         raise AssertionError("series arithmetic in the branch recurrence")
@@ -408,27 +407,47 @@ def test_poisson_branch_matches_expansion_coefficients():
             s = Q(n, 2) + gamma
             F = poisson_branch_series(n, ell, s, 6, "F")
             assert F.coeffs[1] == 0 and F.coeffs[3] == 0
-            assert F.coeffs[2] == scattering_T2(n, s, "round", ell)
+            assert F.coeffs[2] == scattering_T2(hyperbolic_geodesic(n), s, ell)
             if 2 * s - n - 4 != 0:
-                assert F.coeffs[4] == scattering_T4(n, s, "round", ell)
+                assert F.coeffs[4] == scattering_T4(hyperbolic_geodesic(n), s, ell)
 
 
-def test_poisson_branch_memo_keys_every_argument():
+def test_poisson_branch_series_depends_on_every_argument():
     n, ell = 7, 3
-    poisson_branch_series.cache_clear()
     keys = [(s, order, which) for s in (Q(6), Q(5)) for order in (6, 8) for which in ("F", "G")]
     branches = [poisson_branch_series(n, ell, s, order, which) for s, order, which in keys]
-    assert poisson_branch_series.cache_info().currsize == len(keys)
     for (s, order, which), b in zip(keys, branches):
         assert b.ord == order
-        assert poisson_branch_series(n, ell, s, order, which) is b
     assert len({tuple(b.coeffs) for b in branches}) == len(keys)
+
+
+def test_geodesic_basis_memo_holds_the_branches(monkeypatch):
+    """A cold geodesic basis runs the branch recurrence six times, two
+    branches per unit slot; a warm one reads the memo and runs it none."""
+    import gjms6.solver as solver
+
+    calls = []
+    branch = solver.poisson_branch_series
+
+    def counted(*args):
+        calls.append(args)
+        return branch(*args)
+
+    monkeypatch.setattr(solver, "poisson_branch_series", counted)
+    for n, ell in ((5, 2), (7, 3)):
+        g = hyperbolic_geodesic(n)
+        mode_basis.cache_clear()
+        mode_basis(g, ell)
+        assert len(calls) == 6 and len(set(calls)) == 6
+        calls.clear()
+        mode_basis(g, ell)
+        assert calls == []
 
 
 def test_geodesic_solve_is_the_same_cold_and_warm():
     data = BoundaryTriple(Q(2), Q(-1, 3), Q(5, 7))
     for ell in range(7):
-        poisson_branch_series.cache_clear()
+        mode_basis.cache_clear()
         cold = geodesic_mode_solve(7, ell, data)
         warm = geodesic_mode_solve(7, ell, data)
         assert cold.exact and warm.exact
@@ -465,7 +484,6 @@ def reference_poisson_branch(n, ell, s_param, order, which):
 
 
 def test_poisson_branch_integer_recurrence_matches_the_fraction_reference():
-    poisson_branch_series.cache_clear()
     count = 0
     for n in range(5, 10):
         for ell in range(12):
@@ -482,14 +500,12 @@ def test_poisson_branch_integer_recurrence_matches_the_fraction_reference():
     for s in (Q(7, 3), Q(11, 4), Q(5, 6), Q(29, 10)):
         for which in "FG":
             assert poisson_branch_series(7, 2, s, 8, which).coeffs == reference_poisson_branch(7, 2, s, 8, which)
-    poisson_branch_series.cache_clear()
 
 
 def test_poisson_branch_resonance_guard_fires_where_the_reference_does():
     """Over every half-integer s in (0, 2n) the integer recurrence raises on
     exactly the (n, l, 2s, branch) set where the reference finds a nonzero
     resonant obstruction, and agrees with it everywhere else."""
-    poisson_branch_series.cache_clear()
     raised, raised_ref, total = set(), set(), 0
     for n in range(5, 10):
         for ell in range(4):
@@ -511,7 +527,6 @@ def test_poisson_branch_resonance_guard_fires_where_the_reference_does():
     assert total == 1080
     assert len(raised_ref) == 132
     assert raised == raised_ref
-    poisson_branch_series.cache_clear()
 
 
 def test_geodesic_basis_matrix_is_the_identity():
