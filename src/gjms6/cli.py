@@ -1,10 +1,12 @@
 """Command-line entry point: run verification suites and emit reports.
 
-Usage: gjms6 SUITE [--geometry G] [--n N] [--lmax L] [--grid N] [--tol T]
-       [--seed S] [--out PATH] [--csv WHAT:PATH]
+Usage: gjms6 SUITE [--geometry G] [--n N] [--lmax L] [--tol T] [--seed S]
+       [--out PATH] [--csv WHAT:PATH]
 with SUITE one of covariance, symmetry, dtn, trace, critical, all.
 The dtn suite checks the identities at l <= min(--lmax, 6) and
-self-adjointness at l <= min(--lmax, 4); --grid is at most 256.
+self-adjointness at l <= min(--lmax, 4); trace and critical take --lmax at
+most 128 and run fixed quadrature rules (the report config names the
+64-point hemisphere rule as "grid").
 Exit status is 1 if any check fails, and 2 for a configuration that cannot
 be checked: bad options, data under-resolved at --lmax, or a degree whose
 Dirichlet system trips the conditioning guard.
@@ -18,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import geometry
-from .geometry import ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError
+from .geometry import HEMISPHERE_NODES, ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError
 from .polys import random_poly
 from .report import CheckReport, emit_csv
 from .solver import DegenerateModeError
@@ -110,16 +112,16 @@ def run_dtn(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float):
         report.checks.extend(dtn_selfadjointness(geom, n, j, range(min(lmax, DTN_SELFADJOINT_LMAX) + 1)))
 
 
-def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,
-              grid: int, tol: float, seed: int):
+def run_trace(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float, seed: int):
     import numpy as np
 
     from .traces import ExtremalSpec, corollary_check
 
+    n = geom.n
     rng = np.random.default_rng(seed)
     dim_center = n + 1
     centered = [ExtremalSpec("power", (0.0,) * dim_center, 1.0) for _ in range(3)]
-    rep = corollary_check(geom, centered, lmax=lmax, grid_size=grid)
+    rep = corollary_check(geom, centered, lmax=lmax)
     report.add("trace-centered-extremals", "sharp-trace-equality", rep.relative_gap, tol, False)
     offc = [
         ExtremalSpec("power", tuple([0.3] + [0.0] * n), 1.0),
@@ -132,12 +134,12 @@ def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,
             ExtremalSpec.from_flat("power", 1.5, [0.0] * n, n, 0.8),
             ExtremalSpec.from_flat("power", 0.7, [-0.1, 0.1] + [0.0] * (n - 2), n, 1.2),
         ]
-    rep = corollary_check(geom, offc, lmax=lmax, grid_size=grid)
+    rep = corollary_check(geom, offc, lmax=lmax)
     report.add("trace-offcenter-extremals", "sharp-trace-equality", rep.relative_gap, tol, False)
     gaps = []
     for k in range(5):
         coeffs = [rng.normal(size=6) * 0.5 ** np.arange(6) for _ in range(3)]
-        r = corollary_check(geom, coeffs, lmax=lmax, grid_size=grid)
+        r = corollary_check(geom, coeffs, lmax=lmax)
         gaps.append((k, r.gap))
         report.add(f"trace-positive-gap-{k}", "sharp-trace-inequality",
                    0.0 if r.gap > 0 else -1.0, 0.5, False)
@@ -146,13 +148,12 @@ def run_trace(report: CheckReport, geom: ModelGeometry, n: int, lmax: int,
     rows = []
     for eps in (0.5, 1.0, 2.0):
         specs = [ExtremalSpec.from_flat("power", eps, [0.0] * n, n) for _ in range(3)]
-        r = corollary_check(geometry.ball(n), specs, lmax=lmax, grid_size=grid)
+        r = corollary_check(geometry.ball(n), specs, lmax=lmax)
         rows.append((eps, r.relative_gap))
     report.series["gap_vs_epsilon"] = (("epsilon", "relative_gap"), rows)
 
 
-def run_critical(report: CheckReport, geom: ModelGeometry, lmax: int, grid: int,
-                 tol: float, seed: int):
+def run_critical(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float):
     import numpy as np
 
     from .solver import BoundaryTriple, hemisphere_factored_residual, hemisphere_mode_solve
@@ -164,7 +165,7 @@ def run_critical(report: CheckReport, geom: ModelGeometry, lmax: int, grid: int,
         ExtremalSpec("power", tuple([0.0, 0.25] + [0.0] * (n - 1)), 0.7),
         ExtremalSpec("power", tuple([0.1, -0.2] + [0.0] * (n - 1)), 1.3),
     ]
-    rep = critical_check(geom, specs, lmax=lmax, grid_size=grid)
+    rep = critical_check(geom, specs, lmax=lmax)
     report.add("critical-trace-extremals", "critical-trace-equality", rep.gap, tol, False)
     if geom.kind is GeometryKind.ROUND_HEMISPHERE:
         sol = hemisphere_mode_solve(n, 1, BoundaryTriple(0.2, 0.5, 0.3))
@@ -187,7 +188,7 @@ def build_config(args) -> dict:
         "geometry": args.geometry,
         "n": args.n,
         "lmax": args.lmax,
-        "grid": args.grid,
+        "grid": HEMISPHERE_NODES,
         "tol": args.tol,
         "seed": args.seed,
     }
@@ -204,9 +205,6 @@ def run_suite(args) -> CheckReport:
     # hold to 1e-12 up to this degree; every n >= 5 runs one of them in "all"
     if args.suite in ("trace", "critical", "all") and args.lmax > ZONAL_NODES // 2:
         raise ConfigError(f"the trace checks need --lmax <= {ZONAL_NODES // 2}")
-    # leggauss builds a grid x grid matrix; the zonal grids use ZONAL_NODES
-    if not 2 <= args.grid <= ZONAL_NODES:
-        raise ConfigError(f"quadrature size must be between 2 and {ZONAL_NODES}")
     if args.suite == "critical" and args.n != 5:
         raise ConfigError("the critical suite requires n = 5")
     if args.suite in ("trace",) and args.n < 6:
@@ -221,16 +219,16 @@ def run_suite(args) -> CheckReport:
     if args.suite in ("covariance", "all"):
         run_covariance(report, args.n, args.seed)
     if args.suite in ("symmetry", "all"):
-        run_symmetry(report, args.n if args.n >= 6 else 7, args.seed)
+        run_symmetry(report, args.n, args.seed)
     if args.suite in ("dtn", "all"):
         run_dtn(report, geom, args.lmax, args.tol)
     try:
         if args.suite in ("trace", "all") and args.n >= 6:
             run_trace(report, geom if geom.kind is not GeometryKind.HYPERBOLIC_GEODESIC
-                      else geometry.ball(args.n), args.n, args.lmax, args.grid, args.tol, args.seed)
+                      else geometry.ball(args.n), args.lmax, args.tol, args.seed)
         if args.suite in ("critical", "all") and args.n == 5:
             run_critical(report, geom if geom.kind in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE)
-                         else geometry.ball(5), args.lmax, args.grid, max(args.tol, 1e-5), args.seed)
+                         else geometry.ball(5), args.lmax, max(args.tol, 1e-5))
     except UnderResolvedError as exc:
         # the fixed extremal data of trace and critical need a larger lmax
         raise ConfigError(f"{exc}; raise --lmax") from exc
@@ -249,7 +247,6 @@ def main(argv=None) -> int:
     ap.add_argument("--lmax", type=int, default=32,
                     help=f"harmonic-degree cap (dtn: identities at l <= {DTN_IDENTITY_LMAX}, "
                          f"self-adjointness at l <= {DTN_SELFADJOINT_LMAX})")
-    ap.add_argument("--grid", type=int, default=64, help=f"Gauss-Legendre nodes of the hemisphere interior quadrature (2..{ZONAL_NODES})")
     ap.add_argument("--tol", type=float, default=1e-6, help="numeric tolerance")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", type=str, default=None, help="JSON report path")

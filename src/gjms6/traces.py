@@ -6,16 +6,17 @@ including every displayed boundary cross term.  Boundary functions are
 expanded in Gegenbauer zonal series; interior energies reduce per harmonic
 degree to a quadratic form in the three Dirichlet slots, whose 3x3 Gram
 matrix of unit-extension pairings comes from exact radial integrals (ball) or
-Gauss-Legendre quadrature (hemisphere).  The Gram matrices are memoized:
-``ball_interior_gram`` on (n, l) and ``hemisphere_interior_gram`` on
-(n, l, grid_size), so every check after the first at a degree reads nine
-floats.  A cold entry reads the unit-data coefficients of
-``solver.unit_extensions``, one ``COND_GUARD`` check per degree, and on the
-hemisphere evaluates the three closed-form factor kernels with one
-``solver.kernel_values`` call.  One read-only Gauss-Legendre rule per node
-count (``gauss_legendre``, numpy's Legendre module loaded with this module)
-serves the zonal grids, the hemisphere interior nodes and the flat-side
-norms.  The critical (n = 5)
+Gauss-Legendre quadrature (hemisphere).  The Gram matrices are memoized on
+(n, l), so every check after the first at a degree reads nine floats.  A
+cold entry reads the unit-data coefficients of ``solver.unit_extensions``,
+one ``COND_GUARD`` check per degree, and on the hemisphere evaluates the
+three closed-form factor kernels with one ``solver.kernel_values`` call.
+Both quadrature rules are fixed (``geometry.ZONAL_NODES`` for the zonal
+grids, ``geometry.HEMISPHERE_NODES`` for the hemisphere interior), each one
+read-only ``gauss_legendre`` rule, numpy's Legendre module loaded with this
+module.  Every check passes one resolution guard (``resolution_guard``),
+shares one sharp Lebesgue-norm term (``sharp_term``) and reports through
+``InequalityReport.of``.  The critical (n = 5)
 statements need no tables of their own: the subcritical display terms and
 interior coefficients at n = 5, zero terms dropped, are the critical ones,
 so both kinds of check read the same entries.  Flat half-space data are
@@ -33,7 +34,8 @@ import numpy as np
 import numpy.polynomial.legendre  # noqa: F401  (loaded with this module, not by the first rule)
 
 from .fractional import DTN_IDENTITIES, gamma_ratio, round_multiplier, sphere_eigenvalue
-from .geometry import ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError, ball, hemisphere
+from .geometry import (HEMISPHERE_NODES, ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError,
+                       ball, hemisphere)
 from .polys import vol_sphere
 from .reps import radial_pair_integral
 from .solver import BoundaryTriple, kernel_values, unit_extensions
@@ -75,10 +77,10 @@ def sharp_constant(n: int, gamma) -> SharpConstant:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def gauss_legendre(nodes: int) -> tuple:
+def gauss_legendre(points: int) -> tuple:
     """Gauss-Legendre nodes and weights on [-1, 1], read-only; memoized on
-    the node count, the only input of the rule."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    the number of points, the only input of the rule."""
+    x, w = np.polynomial.legendre.leggauss(points)
     for a in (x, w):
         a.setflags(write=False)
     return x, w
@@ -97,15 +99,15 @@ class ZonalGrid:
     """Quadrature and Gegenbauer tables for zonal functions on S^n.
 
     Integrals use the colatitude substitution, where the weight sin^(n-1) is
-    analytic, so Gauss-Legendre converges spectrally.  The tables are
-    read-only, so ``zonal_grid`` can share one grid among its callers.
+    analytic, so the ZONAL_NODES-point Gauss-Legendre rule converges
+    spectrally.  The tables are read-only, so ``zonal_grid`` can share one
+    grid among its callers.
     """
 
-    def __init__(self, n: int, lmax: int = 32, nodes: int = ZONAL_NODES):
+    def __init__(self, n: int, lmax: int = 32):
         self.n = n
         self.lmax = lmax
-        self.nodes = nodes
-        x, w = gauss_legendre(nodes)
+        x, w = gauss_legendre(ZONAL_NODES)
         self.theta = (x + 1.0) * (math.pi / 2)
         self.wq = w * (math.pi / 2) * np.sin(self.theta) ** (n - 1)
         self.t = np.cos(self.theta)
@@ -161,9 +163,9 @@ class ZonalGrid:
 
 
 @functools.lru_cache(maxsize=None)
-def zonal_grid(n: int, lmax: int, nodes: int) -> ZonalGrid:
-    """The ZonalGrid of (n, lmax, nodes), built once per key."""
-    return ZonalGrid(n, lmax, nodes)
+def zonal_grid(n: int, lmax: int) -> ZonalGrid:
+    """The ZonalGrid of (n, lmax), built once per key."""
+    return ZonalGrid(n, lmax)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +235,13 @@ class InequalityReport:
     relative_gap: float
     breakdown: dict = field(default_factory=dict, compare=False)
 
+    @classmethod
+    def of(cls, lhs: float, rhs: float, **breakdown) -> "InequalityReport":
+        """The report of the two sides, with the gap relative to the larger."""
+        gap = lhs - rhs
+        scale = max(abs(lhs), abs(rhs), 1e-300)
+        return cls(lhs, rhs, gap, gap / scale, breakdown)
+
 
 # displayed boundary quadratics: (slotA, slotB, coefficient(n), power of the
 # boundary-Laplacian eigenvalue).  Slots: 0 = f, 1 = phi, 2 = psi.  Some
@@ -278,6 +287,26 @@ SLOT_GAMMAS = (Q(5, 2), Q(3, 2), Q(1, 2))
 TAIL_GUARD = 1e-7
 
 
+def resolution_guard(grid: ZonalGrid, coeff_arrays) -> None:
+    """Raise ValueError on non-finite zonal coefficients and
+    UnderResolvedError on any array whose tail exceeds TAIL_GUARD."""
+    for coeffs in coeff_arrays:
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("boundary data are not finite")
+        tail = grid.tail_fraction(coeffs)
+        if tail > TAIL_GUARD:
+            raise UnderResolvedError(
+                f"boundary data under-resolved at lmax={grid.lmax} (tail {tail:.2e})"
+            )
+
+
+def sharp_term(grid: ZonalGrid, gamma: Fraction, vals, front) -> float:
+    """front * C(n, gamma) * ||w||_p^2, the sharp side of one slot, at the
+    critical exponent p = 2n/(n - 2 gamma)."""
+    p = 2.0 * grid.n / float(grid.n - 2 * gamma)
+    return float(front) * sharp_constant(grid.n, gamma).value() * grid.lp_norm(vals, p) ** 2
+
+
 # ---------------------------------------------------------------------------
 # interior Gram matrices of the unit extensions
 # ---------------------------------------------------------------------------
@@ -294,29 +323,20 @@ def ball_interior_gram(n: int, ell: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def hemisphere_interior_nodes(n: int, grid_size: int) -> tuple:
-    """Gauss-Legendre colatitudes on (0, pi/2) and their weights times
-    sin^n, read-only; memoized on (n, grid_size)."""
-    x, w = gauss_legendre(grid_size)
-    theta = (x + 1.0) * (math.pi / 4)
-    weights = w * (math.pi / 4) * np.sin(theta) ** n
-    for a in (theta, weights):
-        a.setflags(write=False)
-    return theta, weights
-
-
-@functools.lru_cache(maxsize=None)
-def hemisphere_interior_gram(n: int, ell: int, grid_size: int) -> tuple:
+def hemisphere_interior_gram(n: int, ell: int) -> tuple:
     """G[a][b], the interior seminorm pairing (``hemisphere_interior_coeffs``)
     of the degree-l unit extensions of slots a and b on the hemisphere, by
-    ``grid_size``-node quadrature, as floats.  The three factor kernels are
+    HEMISPHERE_NODES-point Gauss-Legendre quadrature in the colatitude on
+    (0, pi/2), with weight sin^n, as floats.  The three factor kernels are
     evaluated on the nodes in one ``solver.kernel_values`` pass and shared by
     the three unit profiles.  All nine entries are computed: the quadrature
-    is symmetric only up to the last bit.  Memoized on (n, l, grid_size); an
-    entry is stored only once the Dirichlet matrix of the degree passed its
-    one ``COND_GUARD`` check in ``solver.unit_extensions``, since a check
-    that trips raises."""
-    theta, w = hemisphere_interior_nodes(n, grid_size)
+    is symmetric only up to the last bit.  Memoized on (n, l); an entry is
+    stored only once the Dirichlet matrix of the degree passed its one
+    ``COND_GUARD`` check in ``solver.unit_extensions``, since a check that
+    trips raises."""
+    x, w = gauss_legendre(HEMISPHERE_NODES)
+    theta = (x + 1.0) * (math.pi / 4)
+    w = w * (math.pi / 4) * np.sin(theta) ** n
     profs = unit_extensions(hemisphere(n), ell)
     values = kernel_values(profs[0].factors, theta)
     evals = [p.chi_dchi_lapchi_dlapchi(values) for p in profs]
@@ -339,20 +359,17 @@ def hemisphere_interior_gram(n: int, ell: int, grid_size: int) -> tuple:
 
 
 class TraceChecker:
-    """Evaluator for the trace-inequality statements on one geometry;
-    ``grid_size`` Gauss-Legendre nodes carry the hemisphere interior
-    quadrature.  The interior seminorm reads the memoized per-degree Gram
-    matrices: ``ball_interior_gram`` keyed on (n, l), or
-    ``hemisphere_interior_gram`` keyed on (n, l, grid_size)."""
+    """Evaluator for the trace-inequality statements on one geometry.  The
+    interior seminorm reads the per-degree Gram matrices memoized on (n, l):
+    ``ball_interior_gram`` or ``hemisphere_interior_gram``."""
 
-    def __init__(self, geom: ModelGeometry, lmax: int = 32, grid_size: int = 64):
+    def __init__(self, geom: ModelGeometry, lmax: int = 32):
         if geom.kind not in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE):
             raise ValueError("per-mode extensions live on the ball or hemisphere")
         self.geom = geom
         self.n = geom.n
         self.lmax = lmax
-        self.grid_size = grid_size
-        self.grid = zonal_grid(geom.n, lmax, ZONAL_NODES)
+        self.grid = zonal_grid(geom.n, lmax)
 
     # -- data preparation -------------------------------------------------
     def slots_from_specs(self, specs, critical: bool):
@@ -383,12 +400,7 @@ class TraceChecker:
         terms; returns (value, interior, boundary)."""
         n = self.n
         grid = self.grid
-        if self.geom.kind is GeometryKind.EUCLIDEAN_BALL:
-            def gram(ell):
-                return ball_interior_gram(n, ell)
-        else:
-            def gram(ell):
-                return hemisphere_interior_gram(n, ell, self.grid_size)
+        gram = ball_interior_gram if self.geom.kind is GeometryKind.EUCLIDEAN_BALL else hemisphere_interior_gram
         cosangs = [[float(np.dot(slots[a].axis, slots[b].axis)) for b in range(3)] for a in range(3)]
         angles = [[grid.angle_factors(c) for c in row] for row in cosangs]
         interior = 0.0
@@ -396,7 +408,7 @@ class TraceChecker:
             lamfree = [slots[s].coeffs[ell] for s in range(3)]
             if all(abs(c) < 1e-300 for c in lamfree):
                 continue
-            G = gram(ell)
+            G = gram(n, ell)
             for a in range(3):
                 for b in range(3):
                     ca, cb = lamfree[a], lamfree[b]
@@ -428,29 +440,17 @@ class TraceChecker:
                 mean = grid.integral(vals) / grid.vol
                 mass = grid.integral(np.exp(n * (vals - mean))) / grid.vol
                 total += (2 * math.factorial(n - 1) / n) * float(front) * grid.vol * math.log(mass)
-                continue
-            C = sharp_constant(n, gamma)
-            p = 2.0 * n / float(n - 2 * gamma)
-            total += float(front) * C.value() * grid.lp_norm(vals, p) ** 2
+            else:
+                total += sharp_term(grid, gamma, vals, front)
         return total
 
     def check(self, slots, critical: bool = False) -> InequalityReport:
-        for s in slots:
-            tail = self.grid.tail_fraction(s.coeffs)
-            if tail > TAIL_GUARD:
-                raise UnderResolvedError(
-                    f"boundary data under-resolved at lmax={self.lmax} (tail {tail:.2e})"
-                )
+        resolution_guard(self.grid, [s.coeffs for s in slots])
         lhs, interior, boundary = self.lhs_energy(slots)
-        rhs = self.rhs_sharp(slots, critical)
-        gap = lhs - rhs
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        return InequalityReport(lhs, rhs, gap, gap / scale,
-                                {"interior": interior, "boundary": boundary})
+        return InequalityReport.of(lhs, self.rhs_sharp(slots, critical), interior=interior, boundary=boundary)
 
 
-def corollary_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32,
-                    grid_size: int = 64) -> InequalityReport:
+def corollary_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32) -> InequalityReport:
     """Sharp subcritical trace inequality on a model geometry.
 
     ``specs_or_slots`` is either a triple of ExtremalSpec (equality family)
@@ -460,20 +460,19 @@ def corollary_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32,
     """
     if geom.n < 6:
         raise ValueError("the subcritical statements require n >= 6")
-    return _run_check(geom, specs_or_slots, critical=False, lmax=lmax, grid_size=grid_size)
+    return _run_check(geom, specs_or_slots, critical=False, lmax=lmax)
 
 
-def critical_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32,
-                   grid_size: int = 64) -> InequalityReport:
+def critical_check(geom: ModelGeometry, specs_or_slots, lmax: int = 32) -> InequalityReport:
     """Critical (n = 5) exponential-class trace inequality."""
     if geom.n != 5:
         raise ValueError("the critical statements require n = 5")
-    return _run_check(geom, specs_or_slots, critical=True, lmax=lmax, grid_size=grid_size)
+    return _run_check(geom, specs_or_slots, critical=True, lmax=lmax)
 
 
-def _run_check(geom, specs_or_slots, critical, lmax, grid_size):
+def _run_check(geom, specs_or_slots, critical, lmax):
     eval_geom = ball(geom.n) if geom.kind is GeometryKind.UPPER_HALF_SPACE else geom
-    checker = TraceChecker(eval_geom, lmax=lmax, grid_size=grid_size)
+    checker = TraceChecker(eval_geom, lmax=lmax)
     if isinstance(specs_or_slots[0], ExtremalSpec):
         slots = checker.slots_from_specs(specs_or_slots, critical)
     else:
@@ -481,40 +480,16 @@ def _run_check(geom, specs_or_slots, critical, lmax, grid_size):
     return checker.check(slots, critical)
 
 
-def sphere_sobolev_check(n: int, gamma, w_of_t, lmax: int = 32, nodes: int = ZONAL_NODES) -> InequalityReport:
+def sphere_sobolev_check(n: int, gamma, w_of_t, lmax: int = 32) -> InequalityReport:
     """Single-slot sharp Sobolev inequality on the round sphere for zonal w:
     pairing against the order-2*gamma multiplier versus the sharp constant
     times the critical Lebesgue norm."""
     gamma = Q(gamma)
-    grid = zonal_grid(n, lmax, nodes)
+    grid = zonal_grid(n, lmax)
     vals = w_of_t(grid.t) if callable(w_of_t) else np.asarray(w_of_t, dtype=float)
     coeffs = grid.expand(vals)
-    tail = grid.tail_fraction(coeffs)
-    if tail > TAIL_GUARD:
-        raise UnderResolvedError(f"zonal data under-resolved (tail {tail:.2e})")
+    resolution_guard(grid, [coeffs])
     lhs = 0.0
     for ell in range(lmax + 1):
         lhs += float(round_multiplier(n, gamma, ell)) * coeffs[ell] ** 2 * grid.norms[ell]
-    C = sharp_constant(n, gamma)
-    p = 2.0 * n / float(n - 2 * gamma)
-    rhs = C.value() * grid.lp_norm(vals, p) ** 2
-    gap = lhs - rhs
-    scale = max(abs(lhs), abs(rhs), 1e-300)
-    return InequalityReport(lhs, rhs, gap, gap / scale)
-
-
-# ---------------------------------------------------------------------------
-# flat-side norms (stereographic-invariance checks)
-# ---------------------------------------------------------------------------
-
-def flat_bubble_lp_norm(n: int, eps: float, weight, p: float, amplitude: float = 1.0,
-                        nodes: int = 256) -> float:
-    """L^p norm over R^n of amplitude*(eps + |x - x0|^2)^(-weight), exact in
-    the center by translation invariance; radial quadrature via rho = sqrt(eps) tan(phi)."""
-    x, w = gauss_legendre(nodes)
-    phi = (x + 1.0) * (math.pi / 4)
-    wphi = w * (math.pi / 4)
-    rho = math.sqrt(eps) * np.tan(phi)
-    drho = math.sqrt(eps) / np.cos(phi) ** 2
-    integrand = np.abs(amplitude) ** p * (eps + rho**2) ** (-float(weight) * p) * rho ** (n - 1) * drho
-    return (vol_sphere(n - 1) * float(np.sum(wphi * integrand))) ** (1.0 / p)
+    return InequalityReport.of(lhs, sharp_term(grid, gamma, vals, 1))

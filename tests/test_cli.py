@@ -81,17 +81,37 @@ def test_config_errors(tmp_path, capsys):
         ["trace", "--n", "7", "--lmax", "129"],
         ["critical", "--n", "5", "--lmax", "129"],
         ["all", "--n", "5", "--lmax", "129"],
-        ["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "1"],
-        ["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "257"],
         ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "8"],
         ["critical", "--n", "5", "--geometry", "ball", "--lmax", "8"],
-        ["dtn", "--grid", "0"],
         ["dtn", "--csv", "multiplier_table"],
         ["dtn", "--csv", f"nosuch:{csv}"],
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("configuration error:"), argv
     assert not csv.exists()
+    # the quadrature rules are fixed; argparse rejects the old --grid option
+    with pytest.raises(SystemExit) as exc:
+        main(["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "64"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+def test_usage_in_the_docstring_lists_the_parser_options(capsys):
+    """The usage line of the module docstring names exactly the options that
+    the parser accepts, so the docs cannot keep a deleted option."""
+    import re
+
+    import gjms6.cli as cli
+
+    doc_usage = cli.__doc__.split("Usage:", 1)[1].split("\nwith SUITE", 1)[0]
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    help_usage = capsys.readouterr().out.split("\n\n", 1)[0]
+    assert help_usage.startswith("usage: gjms6")
+    options = set(re.findall(r"--[a-z]+", help_usage))
+    assert set(re.findall(r"--[a-z]+", doc_usage)) == options
+    assert "--grid" not in options and "--lmax" in options
 
 
 def test_dtn_degree_caps_are_named(tmp_path):

@@ -25,7 +25,6 @@ KNOWN = {
     "gjms6.traces.ball_interior_gram",
     "gjms6.traces.gauss_legendre",
     "gjms6.traces.hemisphere_interior_gram",
-    "gjms6.traces.hemisphere_interior_nodes",
     "gjms6.traces.zonal_grid",
 }
 

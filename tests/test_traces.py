@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gjms6.fractional import sphere_eigenvalue
-from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
+from gjms6.geometry import HEMISPHERE_NODES, ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import vol_sphere
 from gjms6.reps import radial_pair_integral
 from gjms6.solver import BoundaryTriple, DegenerateModeError, mode_solve
@@ -25,11 +25,9 @@ from gjms6.traces import (
     corollary_check,
     critical_check,
     display_terms,
-    flat_bubble_lp_norm,
     gauss_legendre,
     hemisphere_interior_coeffs,
     hemisphere_interior_gram,
-    hemisphere_interior_nodes,
     sharp_constant,
     sphere_sobolev_check,
     zonal_grid,
@@ -60,7 +58,7 @@ def test_sobolev_bubble_equality():
 
 def test_sobolev_strict_inequality():
     rng = np.random.default_rng(8)
-    grid = ZonalGrid(7, 32, 256)
+    grid = ZonalGrid(7, 32)
     coeffs = rng.normal(size=8) * 0.5 ** np.arange(8)
     vals = coeffs @ grid.C[:8]
     rep = sphere_sobolev_check(7, Q(5, 2), vals)
@@ -70,6 +68,22 @@ def test_sobolev_strict_inequality():
 def test_sobolev_resolution_guard():
     with pytest.raises(ValueError):
         sphere_sobolev_check(7, Q(5, 2), lambda t: (1 + 0.999 * t) ** (-1.0), lmax=8)
+
+
+def test_non_finite_data_fail_the_resolution_guard():
+    """A NaN coefficient has no tail fraction to compare with TAIL_GUARD; the
+    guard raises a plain ValueError (more degrees cannot resolve it) instead
+    of returning an all-NaN report."""
+    vals = np.ones(ZONAL_NODES)
+    vals[3] = np.nan
+    for run in (
+        lambda: corollary_check(ball(7), [[1.0, np.nan], [0.5], [0.2]], lmax=8),
+        lambda: critical_check(hemisphere(5), [[1.0], [0.5, np.nan], [0.2]], lmax=8),
+        lambda: sphere_sobolev_check(7, Q(5, 2), vals),
+    ):
+        with pytest.raises(ValueError, match="not finite") as exc:
+            run()
+        assert not isinstance(exc.value, UnderResolvedError)
 
 
 def centered_specs(n):
@@ -116,6 +130,19 @@ def test_upper_halfspace_transport():
     assert abs(rep.relative_gap) <= 1e-6
 
 
+def flat_bubble_lp_norm(n, eps, weight, p, amplitude):
+    """L^p norm over R^n of amplitude*(eps + |x - x0|^2)^(-weight), exact in
+    the center by translation invariance; 256-point radial quadrature via
+    rho = sqrt(eps) tan(phi)."""
+    x, w = np.polynomial.legendre.leggauss(256)
+    phi = (x + 1.0) * (math.pi / 4)
+    wphi = w * (math.pi / 4)
+    rho = math.sqrt(eps) * np.tan(phi)
+    drho = math.sqrt(eps) / np.cos(phi) ** 2
+    integrand = np.abs(amplitude) ** p * (eps + rho**2) ** (-float(weight) * p) * rho ** (n - 1) * drho
+    return (vol_sphere(n - 1) * float(np.sum(wphi * integrand))) ** (1.0 / p)
+
+
 def test_flat_lp_norm_matches_round():
     """Conformal invariance of the critical Lebesgue norms under transport."""
     n = 7
@@ -123,28 +150,28 @@ def test_flat_lp_norm_matches_round():
     w = Q(n, 2) - gamma  # exponent of the bubble for this slot
     eps, x0 = 1.3, np.array([0.2, -0.1] + [0.0] * (n - 2))
     spec = ExtremalSpec.from_flat("power", eps, x0, n)
-    grid = ZonalGrid(n, 32, 256)
+    grid = ZonalGrid(n, 32)
     vals = spec.values(grid.t, w)
     p = 2.0 * n / float(n - 2 * gamma)
     round_norm = grid.lp_norm(vals, p)
     amp = (1 + eps + float(np.dot(x0, x0))) ** float(w)
-    flat_norm = flat_bubble_lp_norm(n, eps, w, p, amplitude=amp)
+    flat_norm = flat_bubble_lp_norm(n, eps, w, p, amp)
     assert abs(round_norm - flat_norm) <= 1e-9 * flat_norm
 
 
 def test_gegenbauer_tables_match_the_row_loop():
     """The one Gegenbauer recurrence gives the zonal table and the angle
     factors bit for bit as the row-by-row loop does."""
-    n, lmax, nodes = 7, 16, 64
-    grid = ZonalGrid(n, lmax, nodes)
+    n, lmax = 7, 16
+    grid = ZonalGrid(n, lmax)
     alpha = (n - 1) / 2.0
-    C = np.zeros((lmax + 1, nodes))
+    C = np.zeros((lmax + 1, ZONAL_NODES))
     C[0] = 1.0
     C[1] = 2.0 * alpha * grid.t
     for ell in range(2, lmax + 1):
         C[ell] = (2.0 * (ell + alpha - 1) * grid.t * C[ell - 1] - (ell + 2 * alpha - 2) * C[ell - 2]) / ell
     assert np.array_equal(grid.C, C)
-    for k in (0, 17, nodes - 1):
+    for k in (0, 17, ZONAL_NODES - 1):
         assert grid.angle_factors(float(grid.t[k])) == list(C[:, k] / grid.C1)
 
 
@@ -211,7 +238,7 @@ def test_zonal_grid_is_built_once_per_key(monkeypatch):
     second = corollary_check(ball(7), coeffs, lmax=8)
     assert first == second
     assert len(builds) == 1
-    grid = zonal_grid(7, 8, 256)
+    grid = zonal_grid(7, 8)
     with pytest.raises(ValueError):
         grid.C[0, 0] = 0.0
     with pytest.raises(ValueError):
@@ -343,29 +370,25 @@ def test_angle_factors_are_normalized_gegenbauer_values():
     from scipy.special import eval_gegenbauer
 
     n, lmax = 7, 12
-    grid = zonal_grid(n, lmax, 256)
+    grid = zonal_grid(n, lmax)
     for c in (-0.7, 0.0, 0.35, 1.0):
         got = grid.angle_factors(c)
         assert got == [old_angle_factor(grid, ell, c) for ell in range(lmax + 1)]
         want = [eval_gegenbauer(ell, (n - 1) / 2, c) / eval_gegenbauer(ell, (n - 1) / 2, 1.0)
                 for ell in range(lmax + 1)]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
-    assert zonal_grid(n, 0, 256).angle_factors(0.35) == [1.0]
+    assert zonal_grid(n, 0).angle_factors(0.35) == [1.0]
 
 
 def test_interior_gram_is_fully_keyed(monkeypatch):
     import gjms6.traces as traces
 
     clear_grams()
-    for grid_size in (64, 48, 64):
-        hemisphere_interior_gram(5, 2, grid_size)
+    for n, ell in ((5, 2), (6, 2), (5, 3), (5, 2)):
+        hemisphere_interior_gram(n, ell)
     info = hemisphere_interior_gram.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (2, 2, 1)
-    theta, w = hemisphere_interior_nodes(5, 48)
-    with pytest.raises(ValueError):
-        theta[0] = 0.0
-    with pytest.raises(ValueError):
-        w[0] = 0.0
+    assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
+    assert hemisphere_interior_gram(5, 2) != hemisphere_interior_gram(6, 2)
 
     calls = []
     extend = traces.unit_extensions
@@ -385,10 +408,11 @@ def test_interior_gram_is_fully_keyed(monkeypatch):
     assert calls == []
 
 
-def old_hemisphere_pair(n, ell, grid_size, a, b):
-    """The interior pairing as a checker computed it before the memo: its own
-    nodes, a fresh superposition of each unit profile, one quadrature."""
-    x, w = np.polynomial.legendre.leggauss(grid_size)
+def old_hemisphere_gram(n, ell, points):
+    """The interior pairings as a checker computed them before the memo: its
+    own nodes, a fresh superposition of each unit profile, one quadrature per
+    pair."""
+    x, w = np.polynomial.legendre.leggauss(points)
     th = (x + 1.0) * (math.pi / 4)
     w = w * (math.pi / 4) * np.sin(th) ** n
 
@@ -404,16 +428,21 @@ def old_hemisphere_pair(n, ell, grid_size, a, b):
 
     lam = sphere_eigenvalue(n, ell)
     s2 = np.sin(th) ** 2
-    ca, dca, la, dla = evaluate(unit_profile(hemisphere(n), ell, a))
-    cb, dcb, lb, dlb = evaluate(unit_profile(hemisphere(n), ell, b))
     c1, c2, c3, c4 = hemisphere_interior_coeffs(n)
-    integ = (
-        c1 * (dla * dlb + lam * la * lb / s2)
-        + c2 * (la * lb)
-        + c3 * (dca * dcb + lam * ca * cb / s2)
-        + c4 * (ca * cb)
-    )
-    return float(np.sum(w * integ))
+    evals = [evaluate(unit_profile(hemisphere(n), ell, a)) for a in range(3)]
+
+    def pair(evala, evalb):
+        ca, dca, la, dla = evala
+        cb, dcb, lb, dlb = evalb
+        integ = (
+            c1 * (dla * dlb + lam * la * lb / s2)
+            + c2 * (la * lb)
+            + c3 * (dca * dcb + lam * ca * cb / s2)
+            + c4 * (ca * cb)
+        )
+        return float(np.sum(w * integ))
+
+    return [[pair(ea, eb) for eb in evals] for ea in evals]
 
 
 def test_interior_gram_matches_the_per_pair_route_bit_for_bit():
@@ -425,10 +454,19 @@ def test_interior_gram_matches_the_per_pair_route_bit_for_bit():
                 pa, pb = unit_profile(ball(7), ell, a), unit_profile(ball(7), ell, b)
                 assert G[a][b] == float(radial_pair_integral(pa.lap(), pb.lap()))
         for n in (7, 5):
-            G = hemisphere_interior_gram(n, ell, 64)
-            for a in range(3):
-                for b in range(3):
-                    assert G[a][b] == old_hemisphere_pair(n, ell, 64, a, b)
+            assert hemisphere_interior_gram(n, ell) == tuple(map(tuple, old_hemisphere_gram(n, ell, HEMISPHERE_NODES)))
+
+
+def test_hemisphere_rule_is_converged_below_the_guard():
+    """The fixed HEMISPHERE_NODES-point rule gives the Gram matrices of a
+    ZONAL_NODES-point rule within 1e-10 relative to their largest entry,
+    up to degrees near those at which COND_GUARD trips (l = 97..99)."""
+    assert HEMISPHERE_NODES == 64
+    for n in range(5, 10):
+        for ell in (0, 16, 32, 64, 96):
+            got = np.array(hemisphere_interior_gram(n, ell))
+            want = np.array(old_hemisphere_gram(n, ell, ZONAL_NODES))
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (n, ell)
 
 
 # the tables the critical statements used to carry beside the subcritical ones
@@ -457,12 +495,12 @@ def test_critical_statements_share_the_subcritical_tables():
     critical_check(hemisphere(5), GRAM_COEFFS, lmax=8)
     info = hemisphere_interior_gram.cache_info()
     assert (info.currsize, info.misses) == (3, 3)
-    entries = [hemisphere_interior_gram(5, ell, 64) for ell in range(3)]
+    entries = [hemisphere_interior_gram(5, ell) for ell in range(3)]
     checker = TraceChecker(hemisphere(5), lmax=8)
     value, interior, _ = checker.lhs_energy(checker.slots_from_coeffs(GRAM_COEFFS))
     info = hemisphere_interior_gram.cache_info()
     assert (info.currsize, info.misses, info.hits) == (3, 3, 6)
-    assert entries == [hemisphere_interior_gram(5, ell, 64) for ell in range(3)]
+    assert entries == [hemisphere_interior_gram(5, ell) for ell in range(3)]
     assert critical_check(hemisphere(5), GRAM_COEFFS, lmax=8).breakdown["interior"] == interior
 
 
