@@ -469,23 +469,24 @@ def separated_stencil(geom: ModelGeometry) -> tuple:
     the profile jet.
 
     Derived from ``apply_boundary_operator`` with ``SeparatedOps`` on a mode
-    whose Taylor coefficients c0..c5 and eigenvalue lam are Poly symbols.
-    Entry j lists, for each k, the coefficient of c_k as a polynomial in lam,
-    given as ((power, Fraction), ...).  Memoized per model geometry.
+    whose Taylor coefficients c0..c(JET_ORDER) and eigenvalue lam are Poly
+    symbols.  Entry j lists, for each k, the coefficient of c_k as a
+    polynomial in lam, given as ((power, Fraction), ...).  Memoized per model
+    geometry.
     """
-    from .reps import SeparatedMode, SeparatedOps
+    from .reps import JET_ORDER, SeparatedMode, SeparatedOps
 
     n = geom.n
-    syms = [Poly.var(7, i) for i in range(7)]
-    lam = syms[6]
-    mode = SeparatedMode(n, lam, Series(syms[:6], 5))
-    ops = SeparatedOps(geom, lam, order=6)
+    syms = [Poly.var(JET_ORDER + 2, i) for i in range(JET_ORDER + 2)]
+    lam = syms[-1]
+    mode = SeparatedMode(n, lam, Series(syms[:-1], JET_ORDER))
+    ops = SeparatedOps(geom, lam, order=JET_ORDER + 1)
     C, coeffs = model_coefficients(geom)
     out = []
     for j in range(6):
         form: dict = {}
         for e, c in apply_boundary_operator(j, n, C, ops, mode, coeffs).terms.items():
-            form.setdefault(e[:6].index(1), []).append((e[6], c))
+            form.setdefault(e[:-1].index(1), []).append((e[-1], c))
         out.append(tuple((k, tuple(sorted(form[k]))) for k in sorted(form)))
     return tuple(out)
 

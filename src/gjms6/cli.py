@@ -6,10 +6,11 @@ with SUITE one of covariance, symmetry, dtn, trace, critical, all.
 The dtn suite checks the identities at l <= min(--lmax, 6) and
 self-adjointness at l <= min(--lmax, 4); trace and critical take --lmax at
 most 128 and run fixed quadrature rules (the report config names the
-64-point hemisphere rule as "grid").
+64-point hemisphere rule as "grid").  On the hemisphere, critical also checks
+the closed-form factor kernels of every degree l <= --lmax exactly.
 Exit status is 1 if any check fails, and 2 for a configuration that cannot
-be checked: bad options, data under-resolved at --lmax, or a degree whose
-Dirichlet system trips the conditioning guard.
+be checked: bad options (a negative --seed among them), data under-resolved
+at --lmax, or a degree whose Dirichlet system trips the conditioning guard.
 """
 from __future__ import annotations
 
@@ -84,8 +85,8 @@ def run_symmetry(report: CheckReport, n: int, seed: int, pairs: int = 20):
     g = ball(n)
     d = n + 1
     for k in range(pairs):
-        u = random_poly(rng, d, 5, 3)
-        v = random_poly(rng, d, 5, 3)
+        u = random_poly(rng, d, 6, 6)
+        v = random_poly(rng, d, 6, 6)
         res = symmetry_residual(g, u, v)
         report.add(f"energy-symmetry-pair{k}", "energy-form-symmetry", res.q, 0.0, True)
     for k in range(3):
@@ -154,9 +155,11 @@ def run_trace(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float, s
 
 
 def run_critical(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float):
-    import numpy as np
-
-    from .solver import BoundaryTriple, hemisphere_factored_residual, hemisphere_mode_solve
+    """The critical trace equality at n = 5; on the hemisphere also the
+    factorized equation, exactly: the ``equation_residual`` of the three
+    factor kernels of every degree l <= lmax, summed."""
+    from .gjms import factorization_shifts
+    from .solver import hemisphere_factor_solve
     from .traces import ExtremalSpec, critical_check
 
     n = geom.n
@@ -168,9 +171,9 @@ def run_critical(report: CheckReport, geom: ModelGeometry, lmax: int, tol: float
     rep = critical_check(geom, specs, lmax=lmax)
     report.add("critical-trace-extremals", "critical-trace-equality", rep.gap, tol, False)
     if geom.kind is GeometryKind.ROUND_HEMISPHERE:
-        sol = hemisphere_mode_solve(n, 1, BoundaryTriple(0.2, 0.5, 0.3))
-        resid = hemisphere_factored_residual(sol.profile, np.linspace(0.3, 1.5, 7))
-        report.add("critical-factorized-equation", "critical-extremal-equation", resid, 1e-8, False)
+        resid = sum((hemisphere_factor_solve(n, ell, c).equation_residual()
+                     for ell in range(lmax + 1) for c in factorization_shifts(n)), Q(0))
+        report.add("critical-factorized-equation", "critical-extremal-equation", resid, 0.0, True)
 
 
 def run_multiplier_table(report: CheckReport, n: int, lmax: int):
@@ -201,6 +204,8 @@ def run_suite(args) -> CheckReport:
         raise ConfigError("tolerance must be positive and finite")
     if args.lmax < 0:
         raise ConfigError("harmonic-degree cap must be nonnegative")
+    if args.seed < 0:
+        raise ConfigError("seed must be nonnegative")
     # trace and critical expand on the ZONAL_NODES-node grid, whose norms
     # hold to 1e-12 up to this degree; every n >= 5 runs one of them in "all"
     if args.suite in ("trace", "critical", "all") and args.lmax > ZONAL_NODES // 2:
@@ -248,7 +253,7 @@ def main(argv=None) -> int:
                     help=f"harmonic-degree cap (dtn: identities at l <= {DTN_IDENTITY_LMAX}, "
                          f"self-adjointness at l <= {DTN_SELFADJOINT_LMAX})")
     ap.add_argument("--tol", type=float, default=1e-6, help="numeric tolerance")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0, help="random seed (>= 0)")
     ap.add_argument("--out", type=str, default=None, help="JSON report path")
     ap.add_argument("--csv", type=str, default=None, metavar="WHAT:PATH",
                     help="emit a data series (multiplier_table, gap_vs_epsilon, ...)")

@@ -124,7 +124,6 @@ def dirichlet_eigen_lower(n: int, lmax: int = 8, basis_size: int = 6) -> Dirichl
     hypothesis of the trace theorem.
     """
     import numpy as np
-    import scipy.linalg
 
     worst = None
     modes = []
@@ -134,7 +133,10 @@ def dirichlet_eigen_lower(n: int, lmax: int = 8, basis_size: int = 6) -> Dirichl
             [[float(mode_energy_pairing(n, ell, a, b)) for b in basis] for a in basis]
         )
         M = np.array([[float(radial_l2_integral(a, b)) for b in basis] for a in basis])
-        vals = scipy.linalg.eigh(A, M, eigvals_only=True)
+        # the pencil (A, M) reduced with M = L L^T: C = L^-1 A L^-T
+        L = np.linalg.cholesky(M)
+        C = np.linalg.solve(L, np.linalg.solve(L, A).T)
+        vals = np.linalg.eigvalsh((C + C.T) / 2)
         lam_min = float(vals[0])
         modes.append((ell, lam_min))
         worst = lam_min if worst is None else min(worst, lam_min)

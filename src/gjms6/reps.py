@@ -26,6 +26,10 @@ modes e^(-t y)(a + b y + c y^2) are jets of this kind
 (exact), floats (numeric solves), or Poly symbols (operator-identity checks);
 the code is generic over them.
 
+A mode's profile is its Taylor jet in tau at the boundary, built once per
+model basis (the ball's binomial jets by ``RadialProfile.to_separated``) and
+cut at ``JET_ORDER``, the deepest coefficient that the boundary operators read.
+
 This module holds two of the three primitive kits of
 ``boundary.apply_boundary_operator``: ``SeparatedOps`` on every model, from
 which ``boundary.separated_stencil`` is derived, and ``HalfspacePolyOps``,
@@ -38,6 +42,7 @@ here: ``apply_B`` reads them through ``boundary.ball_poly_stencil``.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 
 from .boundary import BoundaryOps
@@ -48,12 +53,19 @@ from .series import Series, sec2_series, series_inverse, tan_series
 
 Q = Fraction
 
+# Order of the boundary jets of the mode bases: c5, the deepest coefficient
+# that B5 reads (``boundary.separated_stencil``).
+JET_ORDER = 5
+
 
 class SeparatedMode:
     """Per-boundary-harmonic field: profile series times a degree-l harmonic.
 
     ``lam`` is the eigenvalue of minus the boundary Laplacian on the harmonic
-    factor (l(l+n-1) on the round boundary); it may be symbolic.
+    factor (l(l+n-1) on the round boundary); it may be symbolic.  ``profile``
+    holds the Taylor coefficients c_k in the collar variable tau, so the k-th
+    normal derivative at the boundary is k! c_k; the mode bases hand
+    ``apply_B`` jets of order ``JET_ORDER``.
     """
 
     __slots__ = ("n", "lam", "profile")
@@ -62,31 +74,6 @@ class SeparatedMode:
         self.n = n
         self.lam = lam
         self.profile = profile
-
-    @classmethod
-    def from_derivs(cls, n: int, lam, derivs, order: int | None = None):
-        """Build from one-sided normal derivatives d^k/dtau^k at the boundary."""
-        derivs = list(derivs)
-        if order is None:
-            order = len(derivs) - 1
-        fact = 1
-        coeffs = []
-        for k in range(order + 1):
-            if k:
-                fact *= k
-            c = derivs[k] if k < len(derivs) else 0
-            coeffs.append(c / fact if isinstance(c, float) else Q(1, fact) * c)
-        return cls(n, lam, Series(coeffs, order))
-
-    def derivs(self, upto: int):
-        """One-sided derivatives (d/dtau)^k, k = 0..upto."""
-        out = []
-        fact = 1
-        for k in range(upto + 1):
-            if k:
-                fact *= k
-            out.append(fact * self.profile.coeffs[k] if k <= self.profile.ord else 0)
-        return out
 
     def _assert_compatible(self, other):
         if self.n != other.n or self.lam != other.lam:
@@ -246,23 +233,12 @@ class RadialProfile:
                 out[m - 1] = out.get(m - 1, 0) + fac * c
         return RadialProfile(n, ell, out)
 
-    def derivs_at_boundary(self, upto: int):
-        """(d/dr)^k of the radial factor at r = 1 via falling factorials."""
-        out = []
-        for k in range(upto + 1):
-            acc = 0
-            for m, c in self.coeffs.items():
-                p = self.ell + 2 * m
-                ff = 1
-                for i in range(k):
-                    ff *= p - i
-                acc = acc + ff * c
-            out.append(acc)
-        return out
-
-    def to_separated(self, order: int = 8) -> SeparatedMode:
-        lam = sphere_eigenvalue(self.n, self.ell)
-        return SeparatedMode.from_derivs(self.n, lam, self.derivs_at_boundary(order), order)
+    def to_separated(self, order: int = JET_ORDER) -> SeparatedMode:
+        """The boundary jet in tau = r - 1: r^p = (1 + tau)^p has the
+        binomial coefficients C(p, k)."""
+        coeffs = [sum((math.comb(self.ell + 2 * m, k) * c for m, c in self.coeffs.items()), Q(0))
+                  for k in range(order + 1)]
+        return SeparatedMode(self.n, sphere_eigenvalue(self.n, self.ell), Series(coeffs, order))
 
     def radial_poly_coeffs(self) -> dict:
         """Powers of r with coefficients: {l + 2m: c_m}."""

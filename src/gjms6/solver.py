@@ -1,41 +1,31 @@
 """Per-boundary-harmonic solvers for the sixth-order extension problem.
 
 Given boundary data for the first three boundary operators, construct the
-operator-harmonic extension on each model geometry.  Every model is
-separated: a mode is a boundary jet, a ``SeparatedMode``, that ``apply_B``
-reads through the one ``boundary.separated_stencil`` of its model.  The flat
-half space is the separated model with boundary eigenvalue lam = t^2 at
-frequency t, its basis the jets of y^m e^(-t y); the ball uses the
-triharmonic basis r^(l+2m); the hemisphere the hypergeometric factor kernels,
-elementary in closed form with exact rational data (``HemisphereFactor``);
-the geodesic compactification of hyperbolic space the scattering-series jets
-of unit data in each slot, which reproduce their data, so its matrix is the
-identity.  On every model the three basis jets give a 3x3 Dirichlet matrix,
-and ``_coefficients`` is the one solve of that system, exact in Fractions or
-with the one ``COND_GUARD`` check of a float system.  ``_solve_modes``
-superposes the basis and reads back the achieved triple for the per-mode
-solvers; ``unit_extensions`` needs the coefficients alone, those of unit data
-in each slot, under one guard check per degree.
+operator-harmonic extension on each model geometry.  A mode is a boundary
+jet, a ``SeparatedMode`` of order ``reps.JET_ORDER``, that ``apply_B`` reads
+through the ``boundary.separated_stencil`` of its model.  Each model derives
+its three basis jets once: the half space (boundary eigenvalue lam = t^2 at
+frequency t) the jets of y^m e^(-t y); the ball the binomial jets of
+r^(l+2m); the hemisphere the jets of its closed-form factor kernels
+(``HemisphereFactor``, whose ``equation_residual`` checks that closed form
+exactly); the geodesic model the scattering-series jets of unit data in each
+slot, so its Dirichlet matrix is the identity.  ``_coefficients`` is the one
+solve of the 3x3 Dirichlet system, exact in Fractions or with the one
+``COND_GUARD`` check of a float system; ``_solve_modes`` superposes the basis
+and reads back the achieved triple, and ``unit_extensions`` needs the
+coefficients alone.
 
-The collar table ``reps.collar_coefficients`` is read by the stencil, the
-hemisphere factor jets (``factor_jet``), the geodesic Poisson branches
-(``poisson_branch_series``) and geodesic L6
-(``gjms.hyperbolic_shifted_factor``).  Data that depend on (model, l) alone
-are built once: ``mode_basis`` holds the basis jets and the Dirichlet matrix
-of the ball, the hemisphere and the geodesic model (so the geodesic Poisson
-branches run once per degree), and each hemisphere factor is memoized.  The
-branch recurrence runs on integer numerators over one common denominator and
-builds one Fraction per coefficient at the end, since every Fraction
+``mode_basis`` holds the basis jets and the Dirichlet matrix per (model, l),
+and each hemisphere factor is memoized.  The geodesic branch recurrence runs
+on integer numerators over one common denominator, since every Fraction
 operation pays for a gcd.  The interior pairings of ``traces`` evaluate the
-three hemisphere factor kernels of a degree on their quadrature nodes
-(``kernel_values``) and superpose the unit profiles of that degree from
-those values (``HemisphereProfile.chi_dchi_lapchi_dlapchi``).
+hemisphere kernels on their quadrature nodes (``kernel_values``) and
+superpose the unit profiles of a degree from those values.
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
-round-boundary model; callers that extend one boundary harmonic go through it.
-Only the float functions import numpy, when they run: the float branch of
-``_coefficients``, the hemisphere branch of ``_native_profiles`` and
-``kernel_values``; the exact solves never load it.
+round-boundary model.  Only the float functions import numpy, when they run:
+the float branch of ``_coefficients``, the hemisphere branch of
+``_native_profiles`` and ``kernel_values``; the exact solves never load it.
 """
 from __future__ import annotations
 
@@ -49,14 +39,10 @@ from .fractional import d_gamma, round_multiplier, sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry, ball, halfspace, hemisphere, hyperbolic_geodesic
 from .gjms import factorization_shifts
 from .polys import Poly, sum_all
-from .reps import RadialProfile, SeparatedMode, collar_coefficients
-from .series import Series, series_inverse
+from .reps import JET_ORDER, RadialProfile, SeparatedMode, collar_coefficients
+from .series import Series
 
 Q = Fraction
-
-# Order of the boundary jets the solvers hand to apply_B
-# (B5 reads five normal derivatives).
-JET_ORDER = 8
 
 # Largest condition number a float Dirichlet system may have.  The CLI admits
 # l <= 128 (ZONAL_NODES // 2).  The ball stays below it there, at most 1.43e8
@@ -224,16 +210,17 @@ def factor_jet(A, B, lam, shift, chi0, dchi0, order: int) -> Series:
 def mode_basis(geom: ModelGeometry, ell: int) -> tuple:
     """(basis, M) of a round model in degree l: the boundary jets of its three
     basis solutions and the Dirichlet matrix M[j][m] = B_j(basis[m]), as
-    immutable tuples.  The ball takes the regular triharmonic basis
-    r^l, r^(l+2), r^(l+4), exact; the hemisphere the three factor kernels,
-    as floats, each jet solved by ``factor_jet`` in the collar table from
-    chi = 1 and the closed-form dv0 at the equator; the geodesic model the
-    exact extensions of unit data in each slot (``geodesic_mode_extension``),
-    which reproduce their data, so its M is the identity.  Memoized on
-    (geom, l), so callers share the jets and must not mutate them."""
+    immutable tuples, every jet of order ``JET_ORDER``.  The ball takes the
+    binomial jets of r^l, r^(l+2), r^(l+4) (``RadialProfile.to_separated``),
+    exact; the hemisphere the three factor kernels, as floats, each jet
+    solved by ``factor_jet`` in the collar table from chi = 1 and the
+    closed-form dv0 at the equator; the geodesic model the exact extensions
+    of unit data in each slot (``geodesic_mode_extension``), which reproduce
+    their data, so its M is the identity.  Memoized on (geom, l), so callers
+    share the jets and must not mutate them."""
     n = geom.n
     if geom.kind is GeometryKind.EUCLIDEAN_BALL:
-        basis = tuple(RadialProfile(n, ell, {m: Q(1)}).to_separated(JET_ORDER) for m in range(3))
+        basis = tuple(RadialProfile(n, ell, {m: Q(1)}).to_separated() for m in range(3))
     elif geom.kind is GeometryKind.ROUND_HEMISPHERE:
         A, B, _, _ = collar_coefficients(geom.kind, n, JET_ORDER)
         A = [float(c) for c in A.coeffs]
@@ -311,10 +298,19 @@ class HemisphereFactor:
     dv0: Fraction
     v0 = 1.0
 
-    def chi_and_dchi(self, theta):
-        """chi = sin^l(theta) v(cos theta) and its theta-derivative."""
-        chi, dchi = kernel_values([self], theta)
-        return chi[0], dchi[0]
+    def equation_residual(self) -> Fraction:
+        """Exact sum of |coefficients| of the two polynomial identities in x
+        that the closed form must satisfy: the derivative relation
+        r + m p + (1 - x) p' = 0, and the factor equation times (1 + z)^(m+1),
+            2x[-(m+1) r - (1-x) r'] - (2l+n+1)(1-2x) r - 2(l(l+n) + shift)(1-x) p = 0.
+        It is 0 iff ``kernel_values`` evaluates a solution of the factor."""
+        x = Poly.var(1, 0)
+        P, R = (sum_all([c * x**j for j, c in enumerate(cs)]) for cs in (self.p, self.r))
+        n, ell, m = self.n, self.ell, self.ell + Q(self.n - 1, 2)
+        first = R + m * P + (1 - x) * P.diff(0)
+        factor = (2 * x * (-(m + 1) * R - (1 - x) * R.diff(0)) - (2 * ell + n + 1) * (1 - 2 * x) * R
+                  - 2 * (ell * (ell + n) + self.shift) * (1 - x) * P)
+        return sum((abs(c) for e in (first, factor) for c in e.terms.values()), Q(0))
 
 
 def kernel_values(factors, theta) -> tuple:
@@ -415,44 +411,6 @@ def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult
     basis, M = mode_basis(g, ell)
     coef, *rest = _solve_modes(g, M, basis, data)
     return SolveResult(_native_profiles(g, ell, [coef])[0], *rest)
-
-
-def hemisphere_factored_residual(prof: HemisphereProfile, thetas) -> float:
-    """Max residual of the factorized sixth-order equation at sample points.
-
-    At each point, local Taylor series of every factor kernel are regenerated
-    by ``factor_jet`` from its own second-order equation (seeded by the
-    kernel values), the three factors are composed in series arithmetic, and
-    the value at the point is read off.  The local series are cut at order 10.
-    """
-    n, ell = prof.n, prof.ell
-    lam = sphere_eigenvalue(n, ell)
-    shifts = [float(c) for c in factorization_shifts(n)]
-    K = 10
-    worst = 0.0
-    for th in thetas:
-        # local series of cot and csc^2 about th, from the derivatives of sin
-        d = (math.sin(th), math.cos(th), -math.sin(th), -math.cos(th))
-        sin_loc = Series([d[k % 4] * (1.0 / math.factorial(k)) for k in range(K + 1)], K)
-        cos_loc = Series([d[(k + 1) % 4] * (1.0 / math.factorial(k)) for k in range(K + 1)], K)
-        inv_sin = series_inverse(sin_loc)
-        A = n * (cos_loc * inv_sin)
-        Bc = inv_sin * inv_sin
-
-        def lap_local(s: Series) -> Series:
-            d1 = s.deriv()
-            return d1.deriv() + A * d1 + (-lam) * (Bc * s)
-
-        jets = []
-        for fac, al in zip(prof.factors, prof.alphas):
-            chi0, dchi0 = (float(x) for x in fac.chi_and_dchi(th))
-            # the factor ODE: chi'' = -n cot chi' + (lam csc^2 + c) chi
-            jets.append(factor_jet(A.coeffs, Bc.coeffs, lam, float(fac.shift), chi0, dchi0, K) * float(al))
-        out = sum_all(jets)
-        for c in shifts:
-            out = -lap_local(out) + c * out
-        worst = max(worst, abs(out.value()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

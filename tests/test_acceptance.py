@@ -18,9 +18,9 @@ from gjms6.conformal import VariationProbe, critical_T_shift, finite_covariance_
 from gjms6.energy import q6_form, symmetry_residual, trace_lower_bound_check
 from gjms6.fractional import round_multiplier
 from gjms6.geometry import ball, halfspace, hemisphere
-from gjms6.gjms import apply_L6, q6_constant_curvature
+from gjms6.gjms import apply_L6, factorization_shifts, q6_constant_curvature
 from gjms6.polys import MomentScalar, Poly, random_poly
-from gjms6.solver import BoundaryTriple, halfspace_symbolic_mode, hemisphere_factored_residual, hemisphere_mode_solve
+from gjms6.solver import halfspace_symbolic_mode, hemisphere_factor_solve
 from gjms6.traces import ExtremalSpec, corollary_check, critical_check
 
 
@@ -160,10 +160,11 @@ def test_criterion_7_critical_lebedev_milin():
     for geom in (ball(n), hemisphere(n), halfspace(n)):
         rep = critical_check(geom, specs, lmax=32)
         ok = ok and abs(rep.gap) <= 1e-5
-    sol = hemisphere_mode_solve(n, 1, BoundaryTriple(0.2, 0.5, 0.3))
-    resid = hemisphere_factored_residual(sol.profile, np.linspace(0.3, 1.5, 7))
-    ok = ok and resid <= 1e-8
-    announce(7, ok, f"critical equality on (log-bubble, bubble, bubble) triples (|gap| <= 1e-5); factorized-equation residual {resid:.2e} <= 1e-8")
+    # the factor kernels the hemisphere expansion runs on, as exact identities
+    resid = sum(hemisphere_factor_solve(n, ell, c).equation_residual()
+                for ell in range(33) for c in factorization_shifts(n))
+    ok = ok and resid == 0
+    announce(7, ok, f"critical equality on (log-bubble, bubble, bubble) triples (|gap| <= 1e-5); factorized-equation residual {resid} == 0 (exact, l <= 32)")
 
 
 def test_criterion_8_energy_lower_bound():

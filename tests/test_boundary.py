@@ -1,5 +1,6 @@
 """The six boundary operators: coefficients, model closed forms, stencils."""
 
+import math
 import random
 import subprocess
 import sys
@@ -23,9 +24,17 @@ from gjms6.boundary import (
 from gjms6.fractional import rising, sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import Poly, degree_weighted, euler_op, laplacian, random_poly, reduce_mod_sphere
-from gjms6.reps import RadialProfile, SeparatedMode, SeparatedOps
+from gjms6.reps import JET_ORDER, RadialProfile, SeparatedMode, SeparatedOps
 from gjms6.series import Series, TruncationError
 from gjms6.solver import halfspace_symbolic_mode
+
+
+def mode_from_derivs(n: int, lam, derivs, order: int) -> SeparatedMode:
+    """The separated mode of order ``order`` whose normal derivatives
+    (d/dtau)^k at the boundary are ``derivs`` (0 past their end): its jet
+    coefficients are derivs[k] / k!."""
+    coeffs = [Q(1, math.factorial(k)) * (derivs[k] if k < len(derivs) else 0) for k in range(order + 1)]
+    return SeparatedMode(n, lam, Series(coeffs, order))
 
 
 class BallPolyOps(BoundaryOps):
@@ -306,7 +315,7 @@ def test_hemisphere_closed_forms_symbolically():
     g = hemisphere(n)
     for ell in (0, 1, 2, 4):
         lam = sphere_eigenvalue(n, ell)
-        mode = SeparatedMode.from_derivs(n, lam, syms, 7)
+        mode = mode_from_derivs(n, lam, syms, 7)
         ops = SeparatedOps(g, lam, order=7)
         u0 = ops.restrict(mode)
         eta_u = ops.eta(mode)
@@ -344,10 +353,10 @@ def test_geodesic_stencils_symbolically():
     gf = GeodesicOperators(n)
     for ell in (0, 1, 2, 5):
         lam = sphere_eigenvalue(n, ell)
-        mode = SeparatedMode.from_derivs(n, lam, syms, 7)
+        mode = mode_from_derivs(n, lam, syms, 7)
         for j in range(6):
             got = apply_B(j, g, mode)
-            want = gf.apply(j, mode.derivs(5), ell)
+            want = gf.apply(j, syms, ell)
             diff = got - want
             assert diff == 0 or diff.iszero(), (ell, j)
 
@@ -361,7 +370,7 @@ def test_geodesic_forms_examples():
     assert gf.apply(0, [Q(5), 0, 0, 0, 0, 0], 2) == 5
     g = hyperbolic_geodesic(7)
     for j, derivs, ell in ((2, [Q(1)], 0), (3, [Q(1)], 4), (0, [Q(5)], 2)):
-        mode = SeparatedMode.from_derivs(7, sphere_eigenvalue(7, ell), derivs, 5)
+        mode = mode_from_derivs(7, sphere_eigenvalue(7, ell), derivs, 5)
         assert apply_B(j, g, mode) == gf.apply(j, derivs, ell)
 
 
@@ -395,6 +404,16 @@ def test_separated_stencil_shape():
             assert max(k for k, _ in form) == j
             assert all(p <= 2 for _, poly in form for p, _ in poly)
             assert sum(len(poly) for _, poly in form) <= 12
+
+
+def test_separated_stencil_reads_to_the_jet_order():
+    """The deepest jet coefficient that any row of any model's stencil reads
+    is c(JET_ORDER), so the mode bases are cut no deeper than B5 needs (a
+    shallower cut raises TruncationError, checked below)."""
+    for model in (halfspace, ball, hemisphere, hyperbolic_geodesic):
+        for n in range(5, 10):
+            stencil = separated_stencil(model(n))
+            assert max(k for form in stencil for k, _ in form) == JET_ORDER, (model, n)
 
 
 def test_separated_mode_below_operator_order_raises():
@@ -449,7 +468,7 @@ def test_leading_symbol():
     for geom in (ball(n), hemisphere(n), hyperbolic_geodesic(n)):
         for ell in (0, 2):
             lam = sphere_eigenvalue(n, ell)
-            mode = SeparatedMode.from_derivs(n, lam, syms, 7)
+            mode = mode_from_derivs(n, lam, syms, 7)
             for j in range(6):
                 rem = apply_B(j, geom, mode) - leading_part(j, geom, mode)
                 if isinstance(rem, Poly):

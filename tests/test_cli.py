@@ -78,6 +78,8 @@ def test_config_errors(tmp_path, capsys):
         ["dtn", "--lmax", "-1"],
         ["dtn", "--tol", "nan"],
         ["dtn", "--tol", "inf"],
+        *([suite, "--n", "7", "--seed", "-1"] for suite in ("covariance", "symmetry", "dtn", "trace", "all")),
+        ["critical", "--n", "5", "--seed", "-1"],
         ["trace", "--n", "7", "--lmax", "129"],
         ["critical", "--n", "5", "--lmax", "129"],
         ["all", "--n", "5", "--lmax", "129"],
@@ -94,6 +96,26 @@ def test_config_errors(tmp_path, capsys):
         main(["trace", "--n", "7", "--geometry", "hemisphere", "--grid", "64"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+def test_symmetry_suite_sees_a_b5_coefficient(monkeypatch):
+    """The energy-symmetry pairs reach B5: with its divPbar(eta u) term
+    changed from 16 to 17, ``symmetry --n 7`` fails."""
+    import gjms6.boundary as boundary
+    from test_memo import clear_all
+
+    apply = boundary.apply_boundary_operator
+
+    def mutant(j, n, C, ops, u, coeffs):
+        out = apply(j, n, C, ops, u, coeffs)
+        return out + ops.divPbar(ops.eta(u)) if j == 5 else out
+
+    clear_all()
+    monkeypatch.setattr(boundary, "apply_boundary_operator", mutant)
+    try:
+        assert main(["symmetry", "--n", "7"]) == 1
+    finally:
+        clear_all()
 
 
 def test_usage_in_the_docstring_lists_the_parser_options(capsys):

@@ -23,9 +23,10 @@ from gjms6.conformal import (
 )
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import Poly, random_poly, sum_all
-from gjms6.reps import SeparatedMode, collar_coefficients
+from gjms6.reps import collar_coefficients
 from gjms6.series import TruncationError
 from gjms6.traces import round_bubble_center
+from test_boundary import mode_from_derivs
 
 
 def test_infinitesimal_trivial_weight_zero_order():
@@ -711,7 +712,7 @@ def normalize_jet(geom, order: int = 5) -> BoundaryJet:
                 derivs.append(eta_sign**k * x)
             else:
                 derivs.append(Q(0))
-        mode = SeparatedMode.from_derivs(n, 0, derivs, order + 2)
+        mode = mode_from_derivs(n, 0, derivs, order + 2)
         val = apply_B(j, geom, mode)
         target = Poly.zero(1) if n > 5 else Poly.const(1, -scalars[f"T{j}"])
         rel = val - target if isinstance(val, Poly) else Poly.const(1, val) - target
@@ -743,7 +744,7 @@ def test_normalize_jet_annihilates():
         jet = normalize_jet(geom)
         _, _, sgn, _ = collar_coefficients(geom.kind, n, 2)
         derivs = [sgn**k * jet.coeffs[k] for k in range(6)] + [Q(0), Q(0)]
-        mode = SeparatedMode.from_derivs(n, 0, derivs, 7)
+        mode = mode_from_derivs(n, 0, derivs, 7)
         assert apply_B(0, geom, mode) == 1
         for j in range(1, 6):
             assert apply_B(j, geom, mode) == 0, (geom.kind, j)

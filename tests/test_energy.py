@@ -1,6 +1,8 @@
 """Energy form: symmetry, decomposition, eigenvalue bound, trace lower bound."""
 
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -130,6 +132,38 @@ def test_dirichlet_eigen_lower_positive():
     est = dirichlet_eigen_lower(7, lmax=4, basis_size=4)
     assert est.lambda_lower > 0
     assert all(v > 0 for _, v in est.modes_checked)
+
+
+def test_dirichlet_eigen_lower_matches_the_scipy_pencil():
+    """The Cholesky reduction gives the least eigenvalue of the pencil that
+    scipy.linalg.eigh(A, M) gives, within 1e-8 relative, up to cond M ~ 1e10
+    (basis size 6)."""
+    import numpy as np
+    import scipy.linalg
+
+    from gjms6.reps import radial_l2_integral
+
+    for n in (5, 6, 7, 9):
+        for size in (4, 6):
+            est = dirichlet_eigen_lower(n, lmax=8, basis_size=size)
+            for ell, got in est.modes_checked:
+                basis = [zero_data_profile(n, ell, m) for m in range(size)]
+                A = np.array([[float(mode_energy_pairing(n, ell, a, b)) for b in basis] for a in basis])
+                M = np.array([[float(radial_l2_integral(a, b)) for b in basis] for a in basis])
+                want = scipy.linalg.eigh(A, M, eigvals_only=True)[0]
+                assert abs(got - want) <= 1e-8 * abs(want), (n, size, ell)
+
+
+def test_dirichlet_eigen_lower_loads_no_scipy():
+    code = (
+        "import sys\n"
+        "from gjms6.energy import dirichlet_eigen_lower\n"
+        "dirichlet_eigen_lower(7, lmax=4, basis_size=4)\n"
+        "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_zero_data_energy_positive():

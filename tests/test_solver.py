@@ -1,5 +1,6 @@
 """Per-mode extension solvers on the four models."""
 
+import dataclasses
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -24,7 +25,6 @@ from gjms6.solver import (
     halfspace_solve,
     halfspace_symbolic_mode,
     hemisphere_factor_solve,
-    hemisphere_factored_residual,
     hemisphere_mode_solve,
     kernel_values,
     mode_basis,
@@ -288,9 +288,8 @@ def test_stacked_kernel_values_match_each_factor_bit_for_bit():
                 assert chi.shape == dchi.shape == (3,) + np.shape(th)
                 for k, fac in enumerate(factors):
                     alone = [g[0] for g in kernel_values([fac], th)]
-                    for one in (alone, fac.chi_and_dchi(th)):
-                        assert chi[k].tobytes() == one[0].tobytes(), (n, ell, k)
-                        assert dchi[k].tobytes() == one[1].tobytes(), (n, ell, k)
+                    assert chi[k].tobytes() == alone[0].tobytes(), (n, ell, k)
+                    assert dchi[k].tobytes() == alone[1].tobytes(), (n, ell, k)
 
 
 def test_hemisphere_mode_solve_applies_mode_guard_after_warm_solve(monkeypatch):
@@ -338,10 +337,27 @@ def test_hemisphere_paths_load_neither_scipy_nor_mpmath():
     assert out.stdout.strip() == "[]"
 
 
-def test_hemisphere_factored_residual_small():
-    sol = hemisphere_mode_solve(5, 1, BoundaryTriple(0.2, 0.5, 0.3))
-    r = hemisphere_factored_residual(sol.profile, np.linspace(0.3, 1.5, 7))
-    assert r <= 1e-8
+def test_hemisphere_factor_equation_holds_exactly():
+    """Every closed-form kernel satisfies its derivative relation and its
+    factor equation as exact polynomial identities in x, in every degree
+    the trace checks admit."""
+    for n in range(5, 10):
+        for ell in range(129):
+            for c in factorization_shifts(n):
+                assert hemisphere_factor_solve(n, ell, c).equation_residual() == 0, (n, ell, c)
+
+
+def test_hemisphere_factor_equation_sees_each_coefficient():
+    """Perturbing any one coefficient of p or of r breaks an identity."""
+    for n, ell in ((5, 0), (7, 3), (9, 40)):
+        for c in factorization_shifts(n):
+            fac = hemisphere_factor_solve(n, ell, c)
+            for name in ("p", "r"):
+                for i in range(len(getattr(fac, name))):
+                    coeffs = list(getattr(fac, name))
+                    coeffs[i] += Q(1, 100)
+                    res = dataclasses.replace(fac, **{name: tuple(coeffs)}).equation_residual()
+                    assert type(res) is Q and res > 0, (n, ell, c, name, i)
 
 
 def test_geodesic_extension_and_symbolic_identities():

@@ -13,7 +13,7 @@ from gjms6.fractional import sphere_eigenvalue
 from gjms6.geometry import HEMISPHERE_NODES, ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import vol_sphere
 from gjms6.reps import radial_pair_integral
-from gjms6.solver import BoundaryTriple, DegenerateModeError, mode_solve
+from gjms6.solver import BoundaryTriple, DegenerateModeError, kernel_values, mode_solve
 from gjms6.traces import (
     CriticalExponentError,
     ExtremalSpec,
@@ -419,7 +419,7 @@ def old_hemisphere_gram(n, ell, points):
     def evaluate(prof):
         chi = dchi = lap = dlap = 0.0
         for fac, al in zip(prof.factors, prof.alphas):
-            c, dc = fac.chi_and_dchi(th)
+            c, dc = (g[0] for g in kernel_values([fac], th))
             chi = chi + al * c
             dchi = dchi + al * dc
             lap = lap + al * float(fac.shift) * c
