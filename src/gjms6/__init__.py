@@ -6,8 +6,8 @@ The package has two layers.  The exact layer, every module imported here,
 checks covariance, the energy form and the DtN identities in rational
 arithmetic and imports no numpy.  The float layer is ``traces``, the sharp
 trace inequalities (import it as ``gjms6.traces``; it imports numpy), and
-the float functions of ``solver`` (the float Dirichlet solve, the
-hemisphere profiles and ``kernel_values``) and
+the float functions of ``solver`` (``float_matrices``, the guard of the
+float Dirichlet solves, the hemisphere profiles and ``kernel_values``) and
 ``energy.dirichlet_eigen_lower``, which import numpy when they run.  So a
 run pays for numpy only once a float path does.
 """

@@ -10,22 +10,23 @@ r^(l+2m); the hemisphere the jets of its closed-form factor kernels
 (``HemisphereFactor``, whose ``equation_residual`` checks that closed form
 exactly); the geodesic model the scattering-series jets of unit data in each
 slot, so its Dirichlet matrix is the identity.  ``_coefficients`` is the one
-solve of the 3x3 Dirichlet system, exact in Fractions or with the one
-``COND_GUARD`` check of a float system; ``_solve_modes`` superposes the basis
-and reads back the achieved triple, and ``unit_extensions`` needs the
-coefficients alone.
+solve of the 3x3 Dirichlet system, exact in Fractions or, for floats, after
+the ``COND_GUARD`` check of ``float_matrices``; ``_solve_modes`` superposes
+the basis and reads back the achieved triple.  ``unit_coefficients`` solves
+unit data at every degree up to a top one, with one guard over the stack of
+their matrices, for the interior Gram matrices of ``traces``.
 
 ``mode_basis`` holds the basis jets and the Dirichlet matrix per (model, l),
-and each hemisphere factor is memoized.  The geodesic branch recurrence runs
-on integer numerators over one common denominator, since every Fraction
-operation pays for a gcd.  The interior pairings of ``traces`` evaluate the
-hemisphere kernels on their quadrature nodes (``kernel_values``) and
-superpose the unit profiles of a degree from those values.
+and each hemisphere factor is memoized.  The closed forms of the hemisphere
+factors and the geodesic branch recurrence run on integers, with one
+Fraction per coefficient, since every Fraction operation pays for a gcd.
+``traces`` evaluates the hemisphere kernels on its quadrature nodes
+(``kernel_values``) and superposes the unit profiles from those values.
 
 ``mode_solve`` is the only place that picks the per-mode solver of a
 round-boundary model.  Only the float functions import numpy, when they run:
-the float branch of ``_coefficients``, the hemisphere branch of
-``_native_profiles`` and ``kernel_values``; the exact solves never load it.
+``float_matrices``, the hemisphere branch of ``_native_profiles`` and
+``kernel_values``; the exact solves never load it.
 """
 from __future__ import annotations
 
@@ -44,10 +45,12 @@ from .series import Series
 
 Q = Fraction
 
-# Largest condition number a float Dirichlet system may have.  The CLI admits
-# l <= 128 (ZONAL_NODES // 2).  The ball stays below it there, at most 1.43e8
-# (n = 5..9); the hemisphere matrix grows to 2.1e9 at l <= 32 and first passes
-# it at l = 99, 99, 98, 98, 97 for n = 5..9, where a run exits with status 2.
+# Largest condition number a float Dirichlet system may have, read when a
+# check runs.  The CLI admits l <= 128 (ZONAL_NODES // 2).  The ball stays
+# below it there, at most 1.43e8 (n = 5..9); the hemisphere matrix grows to
+# 2.1e9 at l <= 32 and first passes it at l = 99, 99, 98, 98, 97 for n = 5..9,
+# where a run exits with status 2.  Both rise strictly with l, so guarding
+# every degree up to the last with data trips where guarding those would.
 COND_GUARD = 1e12
 
 # The half space carries no curvature, so its boundary operators are the same
@@ -126,19 +129,28 @@ def _coefficients(M, rhs_list, exact: bool) -> list:
 
     Exact when ``exact``, with M taken to Fractions (an int pivot would
     divide int entries to floats); otherwise M and the right-hand sides are
-    taken to floats, and M must be within ``COND_GUARD``: one check, however
-    many right-hand sides share it."""
+    taken to floats, and M must be within ``COND_GUARD`` (``float_matrices``):
+    one check, however many right-hand sides share it."""
     if exact:
         M = [[Q(x) for x in row] for row in M]
     else:
-        import numpy as np
-
-        M = [[float(x) for x in row] for row in M]
-        cond = np.linalg.cond(M)
-        if cond > COND_GUARD:
-            raise DegenerateModeError(f"mode matrix condition {cond:.3g} exceeds the guard")
+        [M] = float_matrices([M])
         rhs_list = [[float(v) for v in rhs] for rhs in rhs_list]
     return [_solve3(M, rhs) for rhs in rhs_list]
+
+
+def float_matrices(Ms) -> list:
+    """The Dirichlet matrices Ms as float rows, every one within
+    ``COND_GUARD``: one ``np.linalg.cond`` over the stack, and
+    ``DegenerateModeError`` with the condition of the first one past it."""
+    import numpy as np
+
+    Ms = [[[float(x) for x in row] for row in M] for M in Ms]
+    cond = np.linalg.cond(Ms)
+    past = cond[cond > COND_GUARD]
+    if past.size:
+        raise DegenerateModeError(f"mode matrix condition {past[0]:.3g} exceeds the guard")
+    return Ms
 
 
 def _solve_modes(geom: ModelGeometry, M, basis, data: BoundaryTriple) -> tuple:
@@ -244,28 +256,28 @@ def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
     return mode_basis(ball(n), ell)[1]
 
 
-def _native_profiles(geom: ModelGeometry, ell: int, coefs) -> list:
-    """The degree-l extensions with the basis coefficients ``coefs`` in the
+def _native_profiles(geom: ModelGeometry, ell: int, coef):
+    """The degree-l extension with the basis coefficients ``coef`` in the
     native form of a round model: RadialProfile on the ball, HemisphereProfile
-    on the hemisphere, whose profiles share the three factor kernels."""
+    on the hemisphere, over the memoized factor kernels."""
     n = geom.n
     if geom.kind is GeometryKind.EUCLIDEAN_BALL:
-        return [RadialProfile(n, ell, dict(enumerate(c))) for c in coefs]
+        return RadialProfile(n, ell, dict(enumerate(coef)))
     import numpy as np
 
     factors = [hemisphere_factor_solve(n, ell, shift) for shift in factorization_shifts(n)]
-    return [HemisphereProfile(n, ell, factors, np.array(c)) for c in coefs]
+    return HemisphereProfile(n, ell, factors, np.array(coef))
 
 
-def unit_extensions(geom: ModelGeometry, ell: int) -> list:
-    """Native profiles of the degree-l extensions of float unit data in each
-    slot, on the ball or the hemisphere: the coefficients that ``mode_solve``
-    finds for that data, bit for bit, from one ``COND_GUARD`` check of the
-    degree's Dirichlet matrix (``DegenerateModeError`` past it).  No jet is
-    superposed and no boundary value read back."""
-    _, M = mode_basis(geom, ell)
-    units = [[1.0 if j == slot else 0.0 for j in range(3)] for slot in range(3)]
-    return _native_profiles(geom, ell, _coefficients(M, units, exact=False))
+def unit_coefficients(geom: ModelGeometry, top: int) -> list:
+    """coefs[l][slot], the basis coefficients of the degree-l extension of
+    float unit data in each slot, for l <= top on the ball or the
+    hemisphere: those ``mode_solve`` finds for that data, bit for bit, with
+    one ``_solve3`` per degree and slot after one ``float_matrices`` guard
+    of the stacked Dirichlet matrices of ``mode_basis``."""
+    units = [[float(j == slot) for j in range(3)] for slot in range(3)]
+    Ms = float_matrices([mode_basis(geom, ell)[1] for ell in range(top + 1)])
+    return [[_solve3(M, u) for u in units] for M in Ms]
 
 
 def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
@@ -273,7 +285,7 @@ def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     g = ball(n)
     basis, M = mode_basis(g, ell)
     coef, *rest = _solve_modes(g, M, basis, data)
-    return SolveResult(_native_profiles(g, ell, [coef])[0], *rest)
+    return SolveResult(_native_profiles(g, ell, coef), *rest)
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +373,19 @@ def hemisphere_factor_solve(n: int, ell: int, shift) -> HemisphereFactor:
     if shift not in shifts:
         raise ValueError(f"shift {shift} is not a factorization shift of n = {n}")
     k = shifts.index(shift) + 1
-    C = ell + Q(n + 1, 2)
-    p = [Q(1)]
-    for j in range(k - 1):
-        p.append(p[-1] * (j + 1 - k) * (k + j) / ((C + j) * (j + 1)))
-    equator = sum(c / 2**j for j, c in enumerate(p))
-    p = [c / equator for c in p] + [Q(0)]
-    m = ell + Q(n - 1, 2)
-    r = tuple((j - m) * p[j] - (j + 1) * p[j + 1] for j in range(k))
-    dv0 = sum(c / 2**j for j, c in enumerate(r))
-    return HemisphereFactor(n, ell, Q(shift), tuple(p[:k]), r, dv0)
+    # In integers, with 2C = 2l + n + 1 and 2m = 2l + n - 1: p_j = 2^(k-1) N_j / E,
+    # N_j = prod_(i<j) 2(i+1-k)(k+i) prod_(j<=i<k-1) (2C+2i)(i+1), E = sum_j N_j
+    # 2^(k-1-j) the equator sum cleared by 2^(k-1); r_j = 2^(k-1) R_j / (2E),
+    # R_j = (2j - 2m) N_j - 2(j+1) N_(j+1), N_k = 0.
+    c2, m2 = 2 * ell + n + 1, 2 * ell + n - 1
+    N = [math.prod(2 * (i + 1 - k) * (k + i) for i in range(j))
+         * math.prod((c2 + 2 * i) * (i + 1) for i in range(j, k - 1)) for j in range(k)] + [0]
+    E = sum(x << (k - 1 - j) for j, x in enumerate(N[:k]))
+    R = [(2 * j - m2) * N[j] - 2 * (j + 1) * N[j + 1] for j in range(k)]
+    p = tuple(Q(x << (k - 1), E) for x in N[:k])
+    r = tuple(Q(x << (k - 1), 2 * E) for x in R)
+    dv0 = Q(sum(x << (k - 1 - j) for j, x in enumerate(R)), 2 * E)
+    return HemisphereFactor(n, ell, Q(shift), p, r, dv0)
 
 
 @dataclass
@@ -389,20 +404,6 @@ class HemisphereProfile:
         basis, _ = mode_basis(hemisphere(self.n), self.ell)
         return sum_all([b * float(al) for b, al in zip(basis, self.alphas)])
 
-    def chi_dchi_lapchi_dlapchi(self, factor_values):
-        """chi, chi', Delta-profile, (Delta-profile)' on a grid, superposed
-        from ``factor_values``, the ``kernel_values`` (chi, dchi) of the
-        factors on that grid; profiles of one degree share the factors, so
-        their values are evaluated once for all of them.  The factor
-        relation Delta chi_i = shift_i chi_i avoids high derivatives."""
-        chi = dchi = lap = dlap = 0.0
-        for fac, al, c, dc in zip(self.factors, self.alphas, *factor_values):
-            chi = chi + al * c
-            dchi = dchi + al * dc
-            lap = lap + al * float(fac.shift) * c
-            dlap = dlap + al * float(fac.shift) * dc
-        return chi, dchi, lap, dlap
-
 
 def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     """Solve the hemisphere extension per mode via the three factor kernels,
@@ -410,7 +411,7 @@ def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult
     g = hemisphere(n)
     basis, M = mode_basis(g, ell)
     coef, *rest = _solve_modes(g, M, basis, data)
-    return SolveResult(_native_profiles(g, ell, [coef])[0], *rest)
+    return SolveResult(_native_profiles(g, ell, coef), *rest)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ including every displayed boundary cross term.  Boundary functions are
 expanded in Gegenbauer zonal series; interior energies reduce per harmonic
 degree to a quadratic form in the three Dirichlet slots, whose 3x3 Gram
 matrix of unit-extension pairings comes from exact radial integrals (ball) or
-Gauss-Legendre quadrature (hemisphere).  The Gram matrices are memoized on
-(n, l), so every check after the first at a degree reads nine floats.  A
-cold entry reads the unit-data coefficients of ``solver.unit_extensions``,
-one ``COND_GUARD`` check per degree, and on the hemisphere evaluates the
-three closed-form factor kernels with one ``solver.kernel_values`` call.
+Gauss-Legendre quadrature (hemisphere).  ``interior_grams`` builds those of
+every degree up to the last one with data in one pass, memoized on (model,
+n, top): one ``COND_GUARD`` check of the stacked Dirichlet matrices
+(``solver.unit_coefficients``), one ``kernel_values`` call per hemisphere
+degree, and the superposition and pairings as array operations.
 Both quadrature rules are fixed (``geometry.ZONAL_NODES`` for the zonal
 grids, ``geometry.HEMISPHERE_NODES`` for the hemisphere interior), each one
 read-only ``gauss_legendre`` rule, numpy's Legendre module loaded with this
@@ -34,11 +34,10 @@ import numpy as np
 import numpy.polynomial.legendre  # noqa: F401  (loaded with this module, not by the first rule)
 
 from .fractional import DTN_IDENTITIES, gamma_ratio, round_multiplier, sphere_eigenvalue
-from .geometry import (HEMISPHERE_NODES, ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError,
-                       ball, hemisphere)
+from .geometry import HEMISPHERE_NODES, ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError, ball
 from .polys import vol_sphere
-from .reps import radial_pair_integral
-from .solver import BoundaryTriple, kernel_values, unit_extensions
+from .gjms import factorization_shifts
+from .solver import BoundaryTriple, hemisphere_factor_solve, kernel_values, unit_coefficients
 
 Q = Fraction
 
@@ -116,8 +115,7 @@ class ZonalGrid:
         alpha = (n - 1) / 2.0
         self.C = C = np.array(gegenbauer(alpha, self.t, lmax))
         self.C1 = np.array([self._c_at_one(ell, alpha) for ell in range(lmax + 1)])
-        self.norms = np.array([self.vol_minor * float(np.sum(self.wq * C[ell] ** 2))
-                               for ell in range(lmax + 1)])
+        self.norms = self.vol_minor * np.sum(self.wq * C**2, axis=-1)
         for a in (self.theta, self.wq, self.t, self.C, self.C1, self.norms):
             a.setflags(write=False)
 
@@ -131,10 +129,7 @@ class ZonalGrid:
 
     def expand(self, fvals: np.ndarray) -> np.ndarray:
         """Gegenbauer coefficients of a zonal function sampled on self.t."""
-        return np.array([
-            self.vol_minor * float(np.sum(self.wq * self.C[ell] * fvals)) / self.norms[ell]
-            for ell in range(self.lmax + 1)
-        ])
+        return self.vol_minor * np.sum(self.wq * self.C * fvals, axis=-1) / self.norms
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
         return coeffs @ self.C
@@ -312,56 +307,61 @@ def sharp_term(grid: ZonalGrid, gamma: Fraction, vals, front) -> float:
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def ball_interior_gram(n: int, ell: int) -> tuple:
-    """G[a][b], the interior pairing of the Laplacians of the degree-l unit
-    extensions of slots a and b on the ball (``radial_pair_integral``), as
-    floats.  Memoized on (n, l); an entry is stored only once the Dirichlet
-    matrix of the degree passed its one ``COND_GUARD`` check in
-    ``solver.unit_extensions``, since a check that trips raises."""
-    laps = [p.lap() for p in unit_extensions(ball(n), ell)]
-    return tuple(tuple(float(radial_pair_integral(la, lb)) for lb in laps) for la in laps)
-
-
-@functools.lru_cache(maxsize=None)
-def hemisphere_interior_gram(n: int, ell: int) -> tuple:
-    """G[a][b], the interior seminorm pairing (``hemisphere_interior_coeffs``)
-    of the degree-l unit extensions of slots a and b on the hemisphere, by
-    HEMISPHERE_NODES-point Gauss-Legendre quadrature in the colatitude on
-    (0, pi/2), with weight sin^n, as floats.  The three factor kernels are
-    evaluated on the nodes in one ``solver.kernel_values`` pass and shared by
-    the three unit profiles.  All nine entries are computed: the quadrature
-    is symmetric only up to the last bit.  Memoized on (n, l); an entry is
-    stored only once the Dirichlet matrix of the degree passed its one
-    ``COND_GUARD`` check in ``solver.unit_extensions``, since a check that
-    trips raises."""
-    x, w = gauss_legendre(HEMISPHERE_NODES)
-    theta = (x + 1.0) * (math.pi / 4)
-    w = w * (math.pi / 4) * np.sin(theta) ** n
-    profs = unit_extensions(hemisphere(n), ell)
-    values = kernel_values(profs[0].factors, theta)
-    evals = [p.chi_dchi_lapchi_dlapchi(values) for p in profs]
-    lam = sphere_eigenvalue(n, ell)
-    s2 = np.sin(theta) ** 2
-    c1, c2, c3, c4 = hemisphere_interior_coeffs(n)
-
-    def pair(evala, evalb) -> float:
-        ca, dca, la, dla = evala
-        cb, dcb, lb, dlb = evalb
-        integ = (
-            c1 * (dla * dlb + lam * la * lb / s2)
-            + c2 * (la * lb)
-            + c3 * (dca * dcb + lam * ca * cb / s2)
-            + c4 * (ca * cb)
-        )
-        return float(np.sum(w * integ))
-
-    return tuple(tuple(pair(ea, eb) for eb in evals) for ea in evals)
+def interior_grams(geom: ModelGeometry, top: int) -> tuple:
+    """grams[l][a][b] for l <= top, the interior pairing of the degree-l unit
+    extensions of slots a and b, as immutable tuples of floats: on the ball
+    the radial integrals of ``reps.radial_pair_integral`` of their
+    Laplacians, on the hemisphere the seminorm of
+    ``hemisphere_interior_coeffs`` by HEMISPHERE_NODES-point Gauss-Legendre
+    quadrature in the colatitude on (0, pi/2), weight sin^n, all nine
+    entries (the quadrature is symmetric only up to the last bit).  Array
+    operations over (l, a, b) form and sum each term in the order of the
+    per-pair scalar sums, so every entry equals them bit for bit.  Memoized
+    on (geom, top); a stack whose ``COND_GUARD`` check trips raises and is
+    not stored."""
+    n = geom.n
+    coef = np.array(unit_coefficients(geom, top))  # [l, slot, basis]
+    ells = np.arange(top + 1)
+    lam = ells * (ells + n - 1)
+    if geom.kind is GeometryKind.EUCLIDEAN_BALL:
+        # the Laplacian of sum_m c_m r^(l+2m) has coefficients 2m(2m+2l+n-1) c_m
+        # at r^(l+2m-2): laps[i] is that of r^(l+2i)
+        laps = [(2 * m * (2 * m + 2 * ells + n - 1))[:, None] * coef[:, :, m] for m in (1, 2)]
+        grams = 0.0
+        for i, j in np.ndindex(2, 2):
+            ki, kj = ells + 2 * i, ells + 2 * j
+            w = (ki * kj + lam) / (ki + kj + n - 1)
+            grams = grams + w[:, None, None] * laps[i][:, :, None] * laps[j][:, None, :]
+    else:
+        x, w = gauss_legendre(HEMISPHERE_NODES)
+        theta = (x + 1.0) * (math.pi / 4)
+        w = w * (math.pi / 4) * np.sin(theta) ** n
+        shifts = factorization_shifts(n)
+        values = zip(*(kernel_values([hemisphere_factor_solve(n, ell, c) for c in shifts], theta)
+                       for ell in range(top + 1)))
+        chi, dchi = (np.array(v)[:, None] for v in values)  # [l, 1, factor, node]
+        # chi, chi', Delta-profile and its derivative of each unit profile,
+        # from the factor relation Delta chi_i = shift_i chi_i
+        u = [0.0] * 4
+        for i, c in enumerate(shifts):
+            al = coef[:, :, i, None]
+            u = [u[0] + al * chi[:, :, i], u[1] + al * dchi[:, :, i],
+                 u[2] + al * float(c) * chi[:, :, i], u[3] + al * float(c) * dchi[:, :, i]]
+        ca, dca, la, dla = (v[:, :, None] for v in u)
+        cb, dcb, lb, dlb = (v[:, None] for v in u)
+        lam = lam[:, None, None, None]
+        s2 = np.sin(theta) ** 2
+        c1, c2, c3, c4 = hemisphere_interior_coeffs(n)
+        integ = (c1 * (dla * dlb + lam * la * lb / s2) + c2 * (la * lb)
+                 + c3 * (dca * dcb + lam * ca * cb / s2) + c4 * (ca * cb))
+        grams = np.sum(w * integ, axis=-1)
+    return tuple(tuple(map(tuple, g)) for g in grams.tolist())
 
 
 class TraceChecker:
     """Evaluator for the trace-inequality statements on one geometry.  The
-    interior seminorm reads the per-degree Gram matrices memoized on (n, l):
-    ``ball_interior_gram`` or ``hemisphere_interior_gram``."""
+    interior seminorm reads the Gram matrices of ``interior_grams`` up to
+    the last degree at which any slot has data."""
 
     def __init__(self, geom: ModelGeometry, lmax: int = 32):
         if geom.kind not in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE):
@@ -400,15 +400,14 @@ class TraceChecker:
         terms; returns (value, interior, boundary)."""
         n = self.n
         grid = self.grid
-        gram = ball_interior_gram if self.geom.kind is GeometryKind.EUCLIDEAN_BALL else hemisphere_interior_gram
         cosangs = [[float(np.dot(slots[a].axis, slots[b].axis)) for b in range(3)] for a in range(3)]
         angles = [[grid.angle_factors(c) for c in row] for row in cosangs]
+        live = [ell for ell in range(self.lmax + 1) if not all(abs(slot.coeffs[ell]) < 1e-300 for slot in slots)]
+        grams = interior_grams(self.geom, live[-1]) if live else ()
         interior = 0.0
-        for ell in range(self.lmax + 1):
+        for ell in live:
             lamfree = [slots[s].coeffs[ell] for s in range(3)]
-            if all(abs(c) < 1e-300 for c in lamfree):
-                continue
-            G = gram(n, ell)
+            G = grams[ell]
             for a in range(3):
                 for b in range(3):
                     ca, cb = lamfree[a], lamfree[b]

@@ -155,7 +155,7 @@ def test_guard_trips_are_config_errors(monkeypatch, capsys):
     lower --lmax.  The critical run takes lmax 16, at which its extremal data
     are resolved, so that its guard is reached."""
     import gjms6.solver as solver
-    from gjms6.traces import ball_interior_gram, hemisphere_interior_gram
+    from gjms6.traces import interior_grams
 
     monkeypatch.setattr(solver, "COND_GUARD", 1.0)
     for argv in (
@@ -163,8 +163,7 @@ def test_guard_trips_are_config_errors(monkeypatch, capsys):
         ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "8"],
         ["critical", "--n", "5", "--geometry", "hemisphere", "--lmax", "16"],
     ):
-        ball_interior_gram.cache_clear()
-        hemisphere_interior_gram.cache_clear()
+        interior_grams.cache_clear()
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("configuration error: mode matrix condition"), argv

@@ -22,9 +22,8 @@ KNOWN = {
     "gjms6.reps.collar_coefficients",
     "gjms6.solver.hemisphere_factor_solve",
     "gjms6.solver.mode_basis",
-    "gjms6.traces.ball_interior_gram",
     "gjms6.traces.gauss_legendre",
-    "gjms6.traces.hemisphere_interior_gram",
+    "gjms6.traces.interior_grams",
     "gjms6.traces.zonal_grid",
 }
 

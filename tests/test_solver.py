@@ -14,6 +14,7 @@ from gjms6.fractional import rising, round_multiplier, sphere_eigenvalue
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.gjms import factorization_shifts, hyperbolic_shifted_factor
 from gjms6.polys import Poly
+from gjms6.reps import RadialProfile
 from gjms6.series import Series
 from gjms6.solver import (
     BoundaryTriple,
@@ -30,7 +31,7 @@ from gjms6.solver import (
     mode_basis,
     mode_solve,
     poisson_branch_series,
-    unit_extensions,
+    unit_coefficients,
 )
 
 
@@ -83,12 +84,12 @@ def test_ball_solve_linearity_and_uniqueness():
 
 
 def test_ball_dirichlet_matrix_is_built_once_per_degree():
-    from gjms6.traces import ball_interior_gram, corollary_check
+    from gjms6.traces import corollary_check, interior_grams
 
     # nonzero in every degree l <= 8, with a tail far below the guard
     coeffs = [[10.0 ** (-2 * k) for k in range(9)]] * 3
     # a warm interior Gram memo would skip the unit solves that build them
-    ball_interior_gram.cache_clear()
+    interior_grams.cache_clear()
     mode_basis.cache_clear()
     first = corollary_check(ball(7), coeffs, lmax=8)
     second = corollary_check(ball(7), coeffs, lmax=8)
@@ -223,6 +224,35 @@ def test_hemisphere_dv0_matches_gauss_summation():
                 assert hemisphere_factor_solve(n, ell, shift).dv0 == want, (n, ell, k)
 
 
+def fraction_hemisphere_factor(n, ell, shift):
+    """(p, r, dv0) of the closed-form factor kernel in Fraction arithmetic
+    throughout, as ``hemisphere_factor_solve`` computed them before its
+    integer form."""
+    k = factorization_shifts(n).index(shift) + 1
+    C = ell + Q(n + 1, 2)
+    p = [Q(1)]
+    for j in range(k - 1):
+        p.append(p[-1] * (j + 1 - k) * (k + j) / ((C + j) * (j + 1)))
+    equator = sum(c / 2**j for j, c in enumerate(p))
+    p = [c / equator for c in p] + [Q(0)]
+    m = ell + Q(n - 1, 2)
+    r = tuple((j - m) * p[j] - (j + 1) * p[j + 1] for j in range(k))
+    dv0 = sum(c / 2**j for j, c in enumerate(r))
+    return tuple(p[:k]), r, dv0
+
+
+def test_hemisphere_factor_integer_form_matches_the_fraction_reference():
+    count = 0
+    for n in range(5, 10):
+        for ell in range(129):
+            for shift in factorization_shifts(n):
+                fac = hemisphere_factor_solve(n, ell, shift)
+                assert (fac.p, fac.r, fac.dv0) == fraction_hemisphere_factor(n, ell, shift), (n, ell, shift)
+                assert all(type(c) is Q for c in fac.p + fac.r + (fac.dv0,))
+                count += 1
+    assert count == 1935
+
+
 def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
     """The mode matrix comes from the memoized basis of the degree: a warm
     solve evaluates only the three boundary values of its solution."""
@@ -252,26 +282,26 @@ def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
     assert hemisphere_factor_solve.cache_info().misses == 3
 
 
-def test_unit_extensions_match_unit_mode_solves_bit_for_bit():
-    """The coefficient-only unit solves give the profiles that ``mode_solve``
-    gives for float unit data, bit for bit, on the ball and the hemisphere;
-    the three hemisphere profiles of a degree share its factor kernels."""
+def test_unit_coefficients_match_unit_mode_solves_bit_for_bit():
+    """The stacked coefficient-only unit solves give the coefficients that
+    ``mode_solve`` finds for float unit data, bit for bit, on the ball and
+    the hemisphere."""
     for n in range(5, 10):
-        for ell in range(33):
-            for geom in (ball(n), hemisphere(n)):
-                profs = unit_extensions(geom, ell)
-                assert len(profs) == 3
-                for slot, prof in enumerate(profs):
+        for geom in (ball(n), hemisphere(n)):
+            coefs = unit_coefficients(geom, 32)
+            assert len(coefs) == 33
+            for ell, row in enumerate(coefs):
+                assert len(row) == 3
+                for slot, coef in enumerate(row):
+                    assert all(type(c) is float for c in coef)
                     data = [0.0, 0.0, 0.0]
                     data[slot] = 1.0
                     want = mode_solve(geom, ell, BoundaryTriple(*data)).profile
-                    assert type(prof) is type(want) and (prof.n, prof.ell) == (n, ell)
                     if geom.kind is ball(n).kind:
-                        assert repr(prof.coeffs) == repr(want.coeffs), (n, ell, slot)
+                        got = RadialProfile(n, ell, dict(enumerate(coef)))
+                        assert repr(got.coeffs) == repr(want.coeffs), (n, ell, slot)
                     else:
-                        assert prof.alphas.tobytes() == want.alphas.tobytes(), (n, ell, slot)
-                        assert all(a is b for a, b in zip(prof.factors, want.factors))
-                        assert prof.factors is profs[0].factors
+                        assert np.array(coef).tobytes() == want.alphas.tobytes(), (n, ell, slot)
 
 
 def test_stacked_kernel_values_match_each_factor_bit_for_bit():
@@ -316,7 +346,7 @@ def test_every_float_system_is_guarded(monkeypatch):
         assert solve(exact).exact
     for geom in (ball(7), hemisphere(7)):
         with pytest.raises(DegenerateModeError, match="mode matrix condition"):
-            unit_extensions(geom, 3)
+            unit_coefficients(geom, 3)
 
 
 def test_hemisphere_paths_load_neither_scipy_nor_mpmath():

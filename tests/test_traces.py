@@ -13,7 +13,7 @@ from gjms6.fractional import sphere_eigenvalue
 from gjms6.geometry import HEMISPHERE_NODES, ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import vol_sphere
 from gjms6.reps import radial_pair_integral
-from gjms6.solver import BoundaryTriple, DegenerateModeError, kernel_values, mode_solve
+from gjms6.solver import COND_GUARD, BoundaryTriple, DegenerateModeError, kernel_values, mode_basis, mode_solve
 from gjms6.traces import (
     CriticalExponentError,
     ExtremalSpec,
@@ -21,13 +21,12 @@ from gjms6.traces import (
     ZONAL_NODES,
     UnderResolvedError,
     ZonalGrid,
-    ball_interior_gram,
     corollary_check,
     critical_check,
     display_terms,
     gauss_legendre,
     hemisphere_interior_coeffs,
-    hemisphere_interior_gram,
+    interior_grams,
     sharp_constant,
     sphere_sobolev_check,
     zonal_grid,
@@ -173,6 +172,21 @@ def test_gegenbauer_tables_match_the_row_loop():
     assert np.array_equal(grid.C, C)
     for k in (0, 17, ZONAL_NODES - 1):
         assert grid.angle_factors(float(grid.t[k])) == list(C[:, k] / grid.C1)
+
+
+def test_stacked_expansion_matches_the_degree_loop():
+    """The norms and the expansion as one reduction over the Gegenbauer
+    table give, bit for bit, the per-degree sums they replaced."""
+    rng = np.random.default_rng(4)
+    for n in range(5, 10):
+        for lmax in (4, 16, 32, 128):
+            grid = ZonalGrid(n, lmax)
+            norms = [grid.vol_minor * float(np.sum(grid.wq * grid.C[ell] ** 2)) for ell in range(lmax + 1)]
+            assert grid.norms.tobytes() == np.array(norms).tobytes(), (n, lmax)
+            for f in (rng.standard_normal(ZONAL_NODES), (1.0 + 0.4 * grid.t) ** -1.5):
+                want = [grid.vol_minor * float(np.sum(grid.wq * grid.C[ell] * f)) / grid.norms[ell]
+                        for ell in range(lmax + 1)]
+                assert grid.expand(f).tobytes() == np.array(want).tobytes(), (n, lmax)
 
 
 def test_gauss_legendre_rule_is_shared_by_node_count(monkeypatch):
@@ -337,15 +351,14 @@ def test_critical_rejects_power_top_slot():
 
 
 # ---------------------------------------------------------------------------
-# the per-degree interior Gram memos
+# the stacked interior Gram memo
 # ---------------------------------------------------------------------------
 
 GRAM_COEFFS = [[1.0, 0.3, 0.1], [0.5, 0.2], [0.4, 0.1, 0.05]]
 
 
 def clear_grams():
-    ball_interior_gram.cache_clear()
-    hemisphere_interior_gram.cache_clear()
+    interior_grams.cache_clear()
 
 
 def unit_profile(geom, ell, slot):
@@ -381,31 +394,70 @@ def test_angle_factors_are_normalized_gegenbauer_values():
 
 
 def test_interior_gram_is_fully_keyed(monkeypatch):
+    """One memo entry per (model kind, n, top): a different n, model or top
+    never shares one, and each degree reads the same matrix whatever the
+    top of its stack."""
     import gjms6.traces as traces
 
     clear_grams()
-    for n, ell in ((5, 2), (6, 2), (5, 3), (5, 2)):
-        hemisphere_interior_gram(n, ell)
-    info = hemisphere_interior_gram.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (3, 3, 1)
-    assert hemisphere_interior_gram(5, 2) != hemisphere_interior_gram(6, 2)
+    keys = [(hemisphere(5), 2), (hemisphere(6), 2), (hemisphere(5), 3), (ball(5), 2), (hemisphere(5), 2)]
+    for geom, top in keys:
+        interior_grams(geom, top)
+    info = interior_grams.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (4, 4, 1)
+    assert interior_grams(hemisphere(5), 2) != interior_grams(hemisphere(6), 2)
+    assert interior_grams(hemisphere(5), 2) != interior_grams(ball(5), 2)
+    assert interior_grams(hemisphere(5), 3)[:3] == interior_grams(hemisphere(5), 2)
 
     calls = []
-    extend = traces.unit_extensions
-    monkeypatch.setattr(traces, "unit_extensions", lambda *args: calls.append(args) or extend(*args))
+    solve = traces.unit_coefficients
+    monkeypatch.setattr(traces, "unit_coefficients", lambda *args: calls.append(args) or solve(*args))
     for geom in (ball(7), hemisphere(7)):
         first = corollary_check(geom, GRAM_COEFFS, lmax=8)
-        assert len(calls) == 3  # one set of unit extensions at each of the degrees 0, 1, 2
+        assert calls == [(geom, 2)]  # one stack, up to the last degree with data
         assert corollary_check(geom, GRAM_COEFFS, lmax=8) == first
-        assert len(calls) == 3
+        assert len(calls) == 1
         calls.clear()
 
     # half-space data are evaluated on the ball and read its entries
-    misses = ball_interior_gram.cache_info().misses
+    misses = interior_grams.cache_info().misses
     flat = corollary_check(halfspace(7), GRAM_COEFFS, lmax=8)
     assert flat == corollary_check(ball(7), GRAM_COEFFS, lmax=8)
-    assert ball_interior_gram.cache_info().misses == misses
+    assert interior_grams.cache_info().misses == misses
     assert calls == []
+
+
+def test_one_check_builds_each_stack_at_most_once(monkeypatch):
+    """A cold check builds one stack, whose top is its last degree with
+    data, for extremal and for coefficient data; the stack is immutable."""
+    import gjms6.traces as traces
+
+    calls = []
+    solve = traces.unit_coefficients
+    monkeypatch.setattr(traces, "unit_coefficients", lambda *args: calls.append(args) or solve(*args))
+    for geom in (ball(7), hemisphere(7), halfspace(7)):
+        clear_grams()
+        calls.clear()
+        corollary_check(geom, offcenter_specs(7), lmax=32)
+        corollary_check(geom, [[0.0, 0.0, 0.5], [0.0, 0.2, 0.1, 0.0], []], lmax=32)
+        eval_geom = ball(7) if geom == halfspace(7) else geom
+        assert calls == [(eval_geom, 32), (eval_geom, 2)], geom
+    grams = interior_grams(hemisphere(7), 3)
+    assert type(grams) is tuple and len(grams) == 4
+    assert all(type(g) is tuple and all(type(row) is tuple for row in g) for g in grams)
+    assert {type(x) for g in grams for row in g for x in row} == {float}
+    with pytest.raises(TypeError):
+        grams[0] = grams[1]
+    with pytest.raises(TypeError):
+        grams[0][0] = grams[0][1]
+
+
+def old_ball_gram(n, ell):
+    """The interior pairings of the ball as a checker computed them per
+    degree: the Laplacians of the unit profiles, one exact radial integral
+    per pair, each taken to a float."""
+    laps = [unit_profile(ball(n), ell, a).lap() for a in range(3)]
+    return tuple(tuple(float(radial_pair_integral(la, lb)) for lb in laps) for la in laps)
 
 
 def old_hemisphere_gram(n, ell, points):
@@ -446,15 +498,16 @@ def old_hemisphere_gram(n, ell, points):
 
 
 def test_interior_gram_matches_the_per_pair_route_bit_for_bit():
+    """Every degree of every stack equals the per-degree, per-pair route
+    exactly, on both models, for n = 5..9 and tops up to 96."""
     clear_grams()
-    for ell in range(7):
-        G = ball_interior_gram(7, ell)
-        for a in range(3):
-            for b in range(3):
-                pa, pb = unit_profile(ball(7), ell, a), unit_profile(ball(7), ell, b)
-                assert G[a][b] == float(radial_pair_integral(pa.lap(), pb.lap()))
-        for n in (7, 5):
-            assert hemisphere_interior_gram(n, ell) == tuple(map(tuple, old_hemisphere_gram(n, ell, HEMISPHERE_NODES)))
+    tops = (0, 5, 16, 32, 96)
+    for n in range(5, 10):
+        for geom, old in ((ball(n), old_ball_gram), (hemisphere(n), None)):
+            want = [old(n, ell) if old else tuple(map(tuple, old_hemisphere_gram(n, ell, HEMISPHERE_NODES)))
+                    for ell in range(max(tops) + 1)]
+            for top in tops:
+                assert list(interior_grams(geom, top)) == want[: top + 1], (geom, top)
 
 
 def test_hemisphere_rule_is_converged_below_the_guard():
@@ -463,8 +516,9 @@ def test_hemisphere_rule_is_converged_below_the_guard():
     up to degrees near those at which COND_GUARD trips (l = 97..99)."""
     assert HEMISPHERE_NODES == 64
     for n in range(5, 10):
+        grams = interior_grams(hemisphere(n), 96)
         for ell in (0, 16, 32, 64, 96):
-            got = np.array(hemisphere_interior_gram(n, ell))
+            got = np.array(grams[ell])
             want = np.array(old_hemisphere_gram(n, ell, ZONAL_NODES))
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (n, ell)
 
@@ -493,14 +547,14 @@ def test_critical_statements_share_the_subcritical_tables():
 
     clear_grams()
     critical_check(hemisphere(5), GRAM_COEFFS, lmax=8)
-    info = hemisphere_interior_gram.cache_info()
-    assert (info.currsize, info.misses) == (3, 3)
-    entries = [hemisphere_interior_gram(5, ell) for ell in range(3)]
+    info = interior_grams.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+    entries = interior_grams(hemisphere(5), 2)
     checker = TraceChecker(hemisphere(5), lmax=8)
     value, interior, _ = checker.lhs_energy(checker.slots_from_coeffs(GRAM_COEFFS))
-    info = hemisphere_interior_gram.cache_info()
-    assert (info.currsize, info.misses, info.hits) == (3, 3, 6)
-    assert entries == [hemisphere_interior_gram(5, ell) for ell in range(3)]
+    info = interior_grams.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    assert entries is interior_grams(hemisphere(5), 2)
     assert critical_check(hemisphere(5), GRAM_COEFFS, lmax=8).breakdown["interior"] == interior
 
 
@@ -513,11 +567,39 @@ def test_guards_fire_around_the_gram_memo(monkeypatch):
         with pytest.raises(DegenerateModeError, match="mode matrix condition"):
             corollary_check(hemisphere(7), GRAM_COEFFS, lmax=8)
     # lru_cache stores no call that raised, so no unguarded system is kept
-    assert hemisphere_interior_gram.cache_info().currsize == 0
+    assert interior_grams.cache_info().currsize == 0
     corollary_check(hemisphere(7), GRAM_COEFFS, lmax=8)
-    assert hemisphere_interior_gram.cache_info().currsize == 3
+    assert interior_grams.cache_info().currsize == 1
     # a warm memo does not bypass the resolution guard, which library
     # callers still see as a ValueError
     assert issubclass(UnderResolvedError, ValueError)
     with pytest.raises(UnderResolvedError, match="under-resolved"):
         corollary_check(hemisphere(7), [np.ones(9), np.ones(9), np.ones(9)], lmax=8)
+
+
+def test_guard_condition_rises_strictly_with_the_degree():
+    """The condition number of the float Dirichlet matrix rises strictly in
+    l on both models, so the degrees past COND_GUARD form a tail: none on
+    the ball up to the CLI cap, from l = 99, 99, 98, 98, 97 on the
+    hemisphere for n = 5..9.  Guarding every degree up to the top one with
+    data therefore trips exactly when guarding the degrees with data does."""
+    for geom, first in ((ball, [None] * 5), (hemisphere, [99, 99, 98, 98, 97])):
+        for n, want in zip(range(5, 10), first):
+            conds = [np.linalg.cond([[float(x) for x in row] for row in mode_basis(geom(n), ell)[1]])
+                     for ell in range(ZONAL_NODES // 2 + 1)]
+            assert all(a < b for a, b in zip(conds, conds[1:])), (geom, n)
+            assert next((ell for ell, c in enumerate(conds) if c > COND_GUARD), None) == want, (geom, n)
+
+
+def test_guard_reads_only_up_to_the_last_degree_with_data():
+    """Six coefficients pass on the hemisphere at lmax 128, since degrees
+    without data are never guarded; one coefficient at l = 100 trips."""
+    clear_grams()
+    six = [[1.0, 0.3, 0.1, 0.05, 0.02, 0.01]] * 3
+    rep = corollary_check(hemisphere(7), six, lmax=128)
+    assert rep.gap > 0
+    assert interior_grams.cache_info().currsize == 1
+    late = [[0.0] * 100 + [1.0], [], []]
+    with pytest.raises(DegenerateModeError, match="mode matrix condition"):
+        corollary_check(hemisphere(7), late, lmax=128)
+    assert interior_grams.cache_info().currsize == 1
