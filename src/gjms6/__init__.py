@@ -4,12 +4,11 @@ and the sharp Sobolev trace inequalities on the model geometries.
 
 The package has two layers.  The exact layer, every module imported here,
 checks covariance, the energy form and the DtN identities in rational
-arithmetic and imports no numpy.  The float layer is ``traces``, the sharp
-trace inequalities (import it as ``gjms6.traces``; it imports numpy), and
-the float functions of ``solver`` (``float_matrices``, the guard of the
-float Dirichlet solves, the hemisphere profiles and ``kernel_values``) and
-``energy.dirichlet_eigen_lower``, which import numpy when they run.  So a
-run pays for numpy only once a float path does.
+arithmetic and imports no numpy; every Dirichlet solve, on every model, is
+one exact inverse.  The float layer is ``traces``, the sharp trace
+inequalities (import it as ``gjms6.traces``; it imports numpy), and
+``solver.kernel_values`` and ``energy.dirichlet_eigen_lower``, which import
+numpy when they run.  So a run pays for numpy only once a float path does.
 """
 
 from .geometry import (

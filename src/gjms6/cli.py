@@ -9,8 +9,8 @@ most 128 and run fixed quadrature rules (the report config names the
 64-point hemisphere rule as "grid").  On the hemisphere, critical also checks
 the closed-form factor kernels of every degree l <= --lmax exactly.
 Exit status is 1 if any check fails, and 2 for a configuration that cannot
-be checked: bad options (a negative --seed among them), data under-resolved
-at --lmax, or a degree whose Dirichlet system trips the conditioning guard.
+be checked: bad options (a negative --seed among them) or data
+under-resolved at --lmax.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from . import geometry
 from .geometry import HEMISPHERE_NODES, ZONAL_NODES, GeometryKind, ModelGeometry, UnderResolvedError
 from .polys import random_poly
 from .report import CheckReport, emit_csv
-from .solver import DegenerateModeError
 
 Q = Fraction
 
@@ -237,9 +236,6 @@ def run_suite(args) -> CheckReport:
     except UnderResolvedError as exc:
         # the fixed extremal data of trace and critical need a larger lmax
         raise ConfigError(f"{exc}; raise --lmax") from exc
-    except DegenerateModeError as exc:
-        # the float Dirichlet systems of high degrees trip COND_GUARD
-        raise ConfigError(f"{exc}; lower --lmax") from exc
     run_multiplier_table(report, args.n, args.lmax)
     return report
 

@@ -183,7 +183,7 @@ class DtNOperator:
     geom: ModelGeometry
 
     def multiplier_from_solve(self, ell: int):
-        """Solve-then-apply route; exact on the ball and geodesic model."""
+        """Solve-then-apply route; exact on every round-boundary model."""
         from .solver import BoundaryTriple, mode_solve
 
         _, slot, read = DTN_IDENTITIES[self.j]
@@ -256,35 +256,20 @@ def dtn_verify(geom: ModelGeometry, n: int, mode, data=None, tol: float = 1e-8):
     return out
 
 
-def dtn_selfadjointness(geom: ModelGeometry, n: int, j: int, modes, tol: float = 1e-8):
+def dtn_selfadjointness(geom: ModelGeometry, n: int, j: int, modes):
     """Formal self-adjointness of the Dirichlet-to-Neumann operators.
 
     Per-mode multipliers are real (exact rationals); cross-degree pairings
     vanish by orthogonality, so symmetry reduces to the reality of the
-    diagonal.  The solve-then-apply route must reproduce the multipliers.
-    Returns a list of ``CheckEntry`` tagged "dtn-selfadjointness".  ``n``
-    must equal ``geom.n``.
+    diagonal.  The exact solve-then-apply route must reproduce the
+    multipliers exactly.  Returns a list of ``CheckEntry`` tagged
+    "dtn-selfadjointness".  ``n`` must equal ``geom.n``.
     """
     _check_dimension(geom, n)
     op = DtNOperator(j, geom)
-    out = []
-    for ell in modes:
-        got = op.multiplier_from_solve(ell)
-        want = op.multiplier_expected(ell)
-        if isinstance(got, Fraction):
-            resid, exact = got - want, True
-        else:
-            resid, exact = abs(float(got) - float(want)) / max(abs(float(want)), 1.0), False
-        out.append(
-            CheckEntry(
-                f"dtn-selfadjoint-{geom.kind.value}-j{j}-ell{ell}",
-                "dtn-selfadjointness",
-                resid,
-                0.0 if exact else tol,
-                exact,
-            )
-        )
-    return out
+    return [CheckEntry(f"dtn-selfadjoint-{geom.kind.value}-j{j}-ell{ell}", "dtn-selfadjointness",
+                       op.multiplier_from_solve(ell) - op.multiplier_expected(ell), 0.0, True)
+            for ell in modes]
 
 
 def _check_dimension(geom: ModelGeometry, n: int):

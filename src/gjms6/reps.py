@@ -15,7 +15,7 @@ per model:
 ``collar_coefficients`` holds this table.  Its readers: ``SeparatedOps``,
 hence ``boundary.separated_stencil`` and ``gjms.apply_L6`` on separated
 modes; the hemisphere factor jets (``solver.factor_jet``, through
-``solver.mode_basis``); the geodesic Poisson branches
+``solver.round_basis``); the geodesic Poisson branches
 (``solver.poisson_branch_series``); and geodesic L6
 (``gjms.hyperbolic_shifted_factor``).
 
@@ -26,9 +26,9 @@ modes e^(-t y)(a + b y + c y^2) are jets of this kind
 (exact), floats (numeric solves), or Poly symbols (operator-identity checks);
 the code is generic over them.
 
-A mode's profile is its Taylor jet in tau at the boundary, built once per
-model basis (the ball's binomial jets by ``RadialProfile.to_separated``) and
-cut at ``JET_ORDER``, the deepest coefficient that the boundary operators read.
+A mode's profile is its Taylor jet in tau at the boundary (the ball's
+binomial jets: ``solver.round_basis``, ``RadialProfile.to_separated``), cut
+at ``JET_ORDER``, the deepest coefficient that the boundary operators read.
 
 This module holds two of the three primitive kits of
 ``boundary.apply_boundary_operator``: ``SeparatedOps`` on every model, from

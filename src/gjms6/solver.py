@@ -5,28 +5,25 @@ operator-harmonic extension on each model geometry.  A mode is a boundary
 jet, a ``SeparatedMode`` of order ``reps.JET_ORDER``, that ``apply_B`` reads
 through the ``boundary.separated_stencil`` of its model.  Each model derives
 its three basis jets once: the half space (boundary eigenvalue lam = t^2 at
-frequency t) the jets of y^m e^(-t y); the ball the binomial jets of
-r^(l+2m); the hemisphere the jets of its closed-form factor kernels
+frequency t) the jets of y^m e^(-t y); the ball and the hemisphere their
+jets in every degree at once, as polynomials in l (``round_basis``): the
+binomial jets of r^(l+2m) and the jets of the closed-form factor kernels
 (``HemisphereFactor``, whose ``equation_residual`` checks that closed form
 exactly); the geodesic model the scattering-series jets of unit data in each
-slot, so its Dirichlet matrix is the identity.  ``_coefficients`` is the one
-solve of the 3x3 Dirichlet system, exact in Fractions or, for floats, after
-the ``COND_GUARD`` check of ``float_matrices``; ``_solve_modes`` superposes
-the basis and reads back the achieved triple.  ``unit_coefficients`` solves
-unit data at every degree up to a top one, with one guard over the stack of
-their matrices, for the interior Gram matrices of ``traces``.
+slot, so its Dirichlet matrix is the identity.
 
-``mode_basis`` holds the basis jets and the Dirichlet matrix per (model, l),
-and each hemisphere factor is memoized.  The closed forms of the hemisphere
+Every Dirichlet system is solved one way, alpha = adj(M) rhs / det M, exact
+whenever M and the data are: per mode on the half space and the geodesic
+model (``inverse``), and on the ball and the hemisphere from the adjugate
+that ``round_basis`` takes once in l (``dirichlet_inverse``).  ``mode_basis``
+holds the basis jets and the Dirichlet matrix per (model, l).  Polynomials
+in l are evaluated by integer Horner, and the closed forms of the hemisphere
 factors and the geodesic branch recurrence run on integers, with one
 Fraction per coefficient, since every Fraction operation pays for a gcd.
-``traces`` evaluates the hemisphere kernels on its quadrature nodes
-(``kernel_values``) and superposes the unit profiles from those values.
-
-``mode_solve`` is the only place that picks the per-mode solver of a
-round-boundary model.  Only the float functions import numpy, when they run:
-``float_matrices``, the hemisphere branch of ``_native_profiles`` and
-``kernel_values``; the exact solves never load it.
+``traces`` reads the unit coefficients (``unit_coefficients``) and evaluates
+the hemisphere kernels on its quadrature nodes (``kernel_values``, the one
+function that imports numpy).  ``mode_solve`` is the only place that picks
+the per-mode solver of a round-boundary model.
 """
 from __future__ import annotations
 
@@ -35,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .boundary import apply_B
+from .boundary import apply_B, separated_weights
 from .fractional import d_gamma, round_multiplier, sphere_eigenvalue
 from .geometry import GeometryKind, ModelGeometry, ball, halfspace, hemisphere, hyperbolic_geodesic
 from .gjms import factorization_shifts
@@ -44,14 +41,6 @@ from .reps import JET_ORDER, RadialProfile, SeparatedMode, collar_coefficients
 from .series import Series
 
 Q = Fraction
-
-# Largest condition number a float Dirichlet system may have, read when a
-# check runs.  The CLI admits l <= 128 (ZONAL_NODES // 2).  The ball stays
-# below it there, at most 1.43e8 (n = 5..9); the hemisphere matrix grows to
-# 2.1e9 at l <= 32 and first passes it at l = 99, 99, 98, 98, 97 for n = 5..9,
-# where a run exits with status 2.  Both rise strictly with l, so guarding
-# every degree up to the last with data trips where guarding those would.
-COND_GUARD = 1e12
 
 # The half space carries no curvature, so its boundary operators are the same
 # in every dimension; its modes are tagged with, and read on, this one.
@@ -95,78 +84,38 @@ class SolveResult:
 
 
 class DegenerateModeError(ValueError):
-    pass
+    """The zero frequency of the half space, where the modes degenerate."""
 
 
-def _residual_norms(achieved: BoundaryTriple, data: BoundaryTriple) -> tuple:
-    return tuple(abs(x - y) for x, y in zip(achieved.aslist(), data.aslist()))
+def adjugate(M) -> tuple:
+    """adj M of a 3x3 matrix over any commutative ring, as rows: entry (i, j)
+    is the cofactor of M[j][i], whose cyclic form carries its sign."""
+    return tuple(tuple(M[(j + 1) % 3][(i + 1) % 3] * M[(j + 2) % 3][(i + 2) % 3]
+                       - M[(j + 1) % 3][(i + 2) % 3] * M[(j + 2) % 3][(i + 1) % 3] for j in range(3))
+                 for i in range(3))
 
 
-def _solve3(M, rhs):
-    """Gaussian elimination, generic over Fraction or float entries."""
-    A = [list(M[i]) + [rhs[i]] for i in range(3)]
-    for c in range(3):
-        piv = None
-        for r in range(c, 3):
-            if A[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            raise DegenerateModeError("singular Dirichlet system")
-        A[c], A[piv] = A[piv], A[c]
-        pv = A[c][c]
-        A[c] = [x / pv for x in A[c]]
-        for r in range(3):
-            if r != c and A[r][c] != 0:
-                fac = A[r][c]
-                A[r] = [x - fac * y for x, y in zip(A[r], A[c])]
-    return [A[r][3] for r in range(3)]
+def inverse(M) -> tuple:
+    """M^-1 = adj M / det M of a 3x3 matrix, as rows; exact for an exact M
+    (det M is summed from Fraction 0, so int entries divide exactly)."""
+    adj = adjugate(M)
+    det = sum((M[0][k] * adj[k][0] for k in range(3)), Q(0))
+    return tuple(tuple(a / det for a in row) for row in adj)
 
 
-def _coefficients(M, rhs_list, exact: bool) -> list:
-    """Basis coefficients alpha with M alpha = rhs for each right-hand side,
-    column m of M being B0..B2 of the basis jet m.
-
-    Exact when ``exact``, with M taken to Fractions (an int pivot would
-    divide int entries to floats); otherwise M and the right-hand sides are
-    taken to floats, and M must be within ``COND_GUARD`` (``float_matrices``):
-    one check, however many right-hand sides share it."""
-    if exact:
-        M = [[Q(x) for x in row] for row in M]
-    else:
-        [M] = float_matrices([M])
-        rhs_list = [[float(v) for v in rhs] for rhs in rhs_list]
-    return [_solve3(M, rhs) for rhs in rhs_list]
-
-
-def float_matrices(Ms) -> list:
-    """The Dirichlet matrices Ms as float rows, every one within
-    ``COND_GUARD``: one ``np.linalg.cond`` over the stack, and
-    ``DegenerateModeError`` with the condition of the first one past it."""
-    import numpy as np
-
-    Ms = [[[float(x) for x in row] for row in M] for M in Ms]
-    cond = np.linalg.cond(Ms)
-    past = cond[cond > COND_GUARD]
-    if past.size:
-        raise DegenerateModeError(f"mode matrix condition {past[0]:.3g} exceeds the guard")
-    return Ms
-
-
-def _solve_modes(geom: ModelGeometry, M, basis, data: BoundaryTriple) -> tuple:
-    """Solve M alpha = data (``_coefficients``), exactly when M and the data
-    are rational, superpose the basis and read back the achieved triple.
-    An exact superposition skips the basis jets whose coefficient is 0 (the
-    geodesic solves of unit data keep one of three), keeping one term if all
-    are 0; a float one keeps every term, since dropping 0.0 * b can change
-    the sign of a zero.  Returns the coefficients, the superposed jet, the
-    achieved triple, the residual norms and the exactness flag."""
-    exact = data.exact and all(isinstance(x, (int, Fraction)) for row in M for x in row)
-    [coef] = _coefficients(M, [data.aslist()], exact)
+def _solve_modes(geom: ModelGeometry, basis, inv, data: BoundaryTriple) -> tuple:
+    """(coefficients, jet, achieved triple, residual norms, exactness flag):
+    alpha = inv data, ``inv`` the inverse of the Dirichlet matrix (column m
+    holds B0..B2 of basis jet m), exact when ``inv`` and the data are, and
+    the basis superposed.  An exact superposition skips the jets whose
+    coefficient is 0, keeping one term if all are 0; a float one keeps every
+    term, since dropping 0.0 * b can change the sign of a zero."""
+    exact = data.exact and all(isinstance(x, (int, Fraction)) for row in inv for x in row)
+    coef = [sum(a * v for a, v in zip(row, data.aslist())) for row in inv]
     terms = [b * c for b, c in zip(basis, coef) if not exact or c != 0]
     mode = sum_all(terms or [basis[0] * coef[0]])
     achieved = BoundaryTriple(*(apply_B(j, geom, mode) for j in range(3)))
-    return coef, mode, achieved, _residual_norms(achieved, data), exact
+    return coef, mode, achieved, tuple(abs(x - y) for x, y in zip(achieved.aslist(), data.aslist())), exact
 
 
 # ---------------------------------------------------------------------------
@@ -195,59 +144,116 @@ def halfspace_solve(t, data: BoundaryTriple) -> SolveResult:
         raise DegenerateModeError("frequency must be positive; the zero mode is degenerate")
     g = halfspace(HALFSPACE_N)
     basis = _halfspace_basis(t)
-    M = [[apply_B(j, g, m) for m in basis] for j in range(3)]
-    coef, *rest = _solve_modes(g, M, basis, data)
+    coef, *rest = _solve_modes(g, basis, inverse([[apply_B(j, g, m) for m in basis] for j in range(3)]), data)
     return SolveResult(tuple(coef), *rest)
 
 
 # ---------------------------------------------------------------------------
-# round models: one basis memo
+# round models: one basis in l, one basis memo
 # ---------------------------------------------------------------------------
 
 def factor_jet(A, B, lam, shift, chi0, dchi0, order: int) -> Series:
     """Jet of the solution of chi'' + A chi' - lam B chi = shift chi, one
     second-order factor in a collar with Laplacian d^2 + A d - lam B (A and B
     as coefficient sequences), solved order by order from chi(0) = chi0 and
-    chi'(0) = dchi0.  Generic over Fraction and float."""
+    chi'(0) = dchi0, over Fraction or over Poly in the degree l."""
     a = [chi0, dchi0] + [0] * (order - 1)
     for k in range(order - 1):
         acc = shift * a[k]
         for i in range(k + 1):
             acc += lam * B[i] * a[k - i] - A[i] * (k - i + 1) * a[k - i + 1]
-        a[k + 2] = acc / ((k + 2) * (k + 1))
+        a[k + 2] = acc * Q(1, (k + 2) * (k + 1))
     return Series(a, order)
+
+
+def _integer_rows(polys) -> tuple:
+    """(rows, d): polynomials in l (int, Fraction or Poly) as integer rows,
+    highest power first, over one common denominator d."""
+    terms = [p.terms if isinstance(p, Poly) else {(0,): p} for p in polys]
+    d = math.lcm(*(c.denominator for t in terms for c in t.values()))
+    rows = ([t.get((e,), 0) for e in range(max((e for (e,) in t), default=0), -1, -1)] for t in terms)
+    return tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in rows), d
+
+
+def _horner(row, x: int) -> int:
+    acc = 0
+    for c in row:
+        acc = acc * x + c
+    return acc
+
+
+@functools.lru_cache(maxsize=None)
+def round_basis(geom: ModelGeometry) -> tuple:
+    """The basis of the ball or the hemisphere in every degree at once:
+    (jets, scales, M_s, inv) as ``_integer_rows`` of polynomials in l,
+    memoized per model and built on first use.  Jet m is that of a regular
+    solution times a scale s_m(l) that makes it polynomial in l: on the ball
+    r^(l+2m), s_m = 1; on the hemisphere factor kernel k, from chi = 1 and
+    chi' = -dv0 at the equator (z = cos(theta) decreases with theta) by
+    ``factor_jet``, s_k = 2E of ``factor_closed_form``.  The stencil on these
+    jets gives M_s(l), whose determinant is a constant (16 on the ball, -6144
+    on the hemisphere), so the unscaled basis has the polynomial inverse
+    ``inv`` = diag(s) adj M_s / det M_s; matrices are nine entries, by rows."""
+    n = geom.n
+    ell = Poly.var(1, 0)
+    lam = sphere_eigenvalue(n, ell)
+    if geom.kind is GeometryKind.EUCLIDEAN_BALL:
+        # r^p = (1 + tau)^p has the binomial coefficients C(p, k)
+        jets = [Series([math.prod(ell + 2 * m - i for i in range(k)) * Q(1, math.factorial(k))
+                        for k in range(JET_ORDER + 1)], JET_ORDER) for m in range(3)]
+        scales = [1, 1, 1]
+    elif geom.kind is GeometryKind.ROUND_HEMISPHERE:
+        A, B, _, _ = collar_coefficients(geom.kind, n, JET_ORDER)
+        jets, scales = [], []
+        for k, shift in enumerate(factorization_shifts(n), start=1):
+            _, _, E, D = factor_closed_form(n, ell, k)
+            jets.append(factor_jet(A.coeffs, B.coeffs, lam, shift, 2 * E, -D, JET_ORDER))
+            scales.append(2 * E)
+    else:
+        raise ValueError("the basis in l is built on the ball and the hemisphere")
+    M = [[sum(w * jet.coeffs[k] for k, w in separated_weights(geom, j, lam)) for jet in jets] for j in range(3)]
+    adj = adjugate(M)
+    (det,), d = _integer_rows([sum(M[0][k] * adj[k][0] for k in range(3))])
+    if len(det) != 1:
+        raise ArithmeticError(f"the Dirichlet determinant of {geom} depends on l")
+    inv_det = Q(d, det[0])
+    return (tuple(_integer_rows(jet.coeffs) for jet in jets), _integer_rows(scales),
+            _integer_rows([x for row in M for x in row]),
+            _integer_rows([s * a * inv_det for s, row in zip(scales, adj) for a in row]))
 
 
 @functools.lru_cache(maxsize=None)
 def mode_basis(geom: ModelGeometry, ell: int) -> tuple:
-    """(basis, M) of a round model in degree l: the boundary jets of its three
-    basis solutions and the Dirichlet matrix M[j][m] = B_j(basis[m]), as
-    immutable tuples, every jet of order ``JET_ORDER``.  The ball takes the
-    binomial jets of r^l, r^(l+2), r^(l+4) (``RadialProfile.to_separated``),
-    exact; the hemisphere the three factor kernels, as floats, each jet
-    solved by ``factor_jet`` in the collar table from chi = 1 and the
-    closed-form dv0 at the equator; the geodesic model the exact extensions
-    of unit data in each slot (``geodesic_mode_extension``), which reproduce
-    their data, so its M is the identity.  Memoized on (geom, l), so callers
-    share the jets and must not mutate them."""
+    """(basis, M) of a round model in degree l: the exact boundary jets of its
+    three basis solutions, of order ``JET_ORDER``, and the Dirichlet matrix
+    M[j][m] = B_j(basis[m]), as immutable tuples.  The ball and the
+    hemisphere evaluate the jets and M_s of ``round_basis`` at l over their
+    scales; the geodesic model takes the extensions of unit data in each
+    slot (``geodesic_mode_extension``), so its M is the identity.  Memoized
+    on (geom, l), so callers share the jets and must not mutate them."""
     n = geom.n
-    if geom.kind is GeometryKind.EUCLIDEAN_BALL:
-        basis = tuple(RadialProfile(n, ell, {m: Q(1)}).to_separated() for m in range(3))
-    elif geom.kind is GeometryKind.ROUND_HEMISPHERE:
-        A, B, _, _ = collar_coefficients(geom.kind, n, JET_ORDER)
-        A = [float(c) for c in A.coeffs]
-        B = [float(c) for c in B.coeffs]
-        lam = sphere_eigenvalue(n, ell)
-        facs = [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)]
-        # z = cos(theta) decreases with theta, so chi'(0) = -dv0
-        basis = tuple(SeparatedMode(n, lam, factor_jet(A, B, lam, float(f.shift), 1.0, -float(f.dv0), JET_ORDER))
-                      for f in facs)
-    elif geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
+    if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
         units = ([Q(int(j == slot)) for j in range(3)] for slot in range(3))
         basis = tuple(geodesic_mode_extension(n, ell, BoundaryTriple(*u)) for u in units)
-    else:
-        raise ValueError("the basis memo holds the round-boundary models")
-    return basis, tuple(tuple(apply_B(j, geom, m) for m in basis) for j in range(3))
+        return basis, tuple(tuple(apply_B(j, geom, m) for m in basis) for j in range(3))
+    jets, (srows, ds), (mrows, dm), _ = round_basis(geom)
+    lam = sphere_eigenvalue(n, ell)
+    scales = [_horner(s, ell) for s in srows]
+    basis = tuple(SeparatedMode(n, lam, Series([Q(_horner(c, ell) * ds, d * s) for c in rows], JET_ORDER))
+                  for (rows, d), s in zip(jets, scales))
+    return basis, tuple(tuple(Q(_horner(mrows[3 * j + m], ell) * ds, dm * scales[m]) for m in range(3))
+                        for j in range(3))
+
+
+@functools.lru_cache(maxsize=None)
+def dirichlet_inverse(geom: ModelGeometry, ell: int) -> tuple:
+    """The exact inverse of the Dirichlet matrix of ``mode_basis`` in degree
+    l, as immutable rows: that of ``round_basis`` at l on the ball and the
+    hemisphere, ``inverse`` of M = I on the geodesic model.  Memoized."""
+    if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
+        return inverse(mode_basis(geom, ell)[1])
+    rows, d = round_basis(geom)[3]
+    return tuple(tuple(Q(_horner(c, ell), d) for c in rows[3 * i:3 * i + 3]) for i in range(3))
 
 
 def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
@@ -256,36 +262,34 @@ def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
     return mode_basis(ball(n), ell)[1]
 
 
-def _native_profiles(geom: ModelGeometry, ell: int, coef):
-    """The degree-l extension with the basis coefficients ``coef`` in the
-    native form of a round model: RadialProfile on the ball, HemisphereProfile
-    on the hemisphere, over the memoized factor kernels."""
+def _round_mode_solve(geom: ModelGeometry, ell: int, data: BoundaryTriple) -> SolveResult:
+    """Solve in degree l with the memoized jets and inverse; the profile is a
+    RadialProfile on the ball, a HemisphereProfile over the memoized factor
+    kernels on the hemisphere and the jet itself on the geodesic model."""
     n = geom.n
+    coef, mode, *rest = _solve_modes(geom, mode_basis(geom, ell)[0], dirichlet_inverse(geom, ell), data)
     if geom.kind is GeometryKind.EUCLIDEAN_BALL:
-        return RadialProfile(n, ell, dict(enumerate(coef)))
-    import numpy as np
-
-    factors = [hemisphere_factor_solve(n, ell, shift) for shift in factorization_shifts(n)]
-    return HemisphereProfile(n, ell, factors, np.array(coef))
+        profile = RadialProfile(n, ell, dict(enumerate(coef)))
+    elif geom.kind is GeometryKind.ROUND_HEMISPHERE:
+        profile = HemisphereProfile(n, ell, [hemisphere_factor_solve(n, ell, c) for c in factorization_shifts(n)],
+                                    tuple(coef))
+    else:
+        profile = mode
+    return SolveResult(profile, mode, *rest)
 
 
 def unit_coefficients(geom: ModelGeometry, top: int) -> list:
     """coefs[l][slot], the basis coefficients of the degree-l extension of
-    float unit data in each slot, for l <= top on the ball or the
-    hemisphere: those ``mode_solve`` finds for that data, bit for bit, with
-    one ``_solve3`` per degree and slot after one ``float_matrices`` guard
-    of the stacked Dirichlet matrices of ``mode_basis``."""
-    units = [[float(j == slot) for j in range(3)] for slot in range(3)]
-    Ms = float_matrices([mode_basis(geom, ell)[1] for ell in range(top + 1)])
-    return [[_solve3(M, u) for u in units] for M in Ms]
+    unit data in each slot, for l <= top on the ball or the hemisphere: the
+    columns of ``dirichlet_inverse`` taken to floats, which ``mode_solve``
+    finds for float unit data, bit for bit."""
+    return [[[float(row[slot]) for row in inv] for slot in range(3)]
+            for inv in (dirichlet_inverse(geom, ell) for ell in range(top + 1))]
 
 
 def ball_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     """Exact (rational data) or floating solve in the triharmonic basis."""
-    g = ball(n)
-    basis, M = mode_basis(g, ell)
-    coef, *rest = _solve_modes(g, M, basis, data)
-    return SolveResult(_native_profiles(g, ell, coef), *rest)
+    return _round_mode_solve(ball(n), ell, data)
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +377,25 @@ def hemisphere_factor_solve(n: int, ell: int, shift) -> HemisphereFactor:
     if shift not in shifts:
         raise ValueError(f"shift {shift} is not a factorization shift of n = {n}")
     k = shifts.index(shift) + 1
-    # In integers, with 2C = 2l + n + 1 and 2m = 2l + n - 1: p_j = 2^(k-1) N_j / E,
-    # N_j = prod_(i<j) 2(i+1-k)(k+i) prod_(j<=i<k-1) (2C+2i)(i+1), E = sum_j N_j
-    # 2^(k-1-j) the equator sum cleared by 2^(k-1); r_j = 2^(k-1) R_j / (2E),
-    # R_j = (2j - 2m) N_j - 2(j+1) N_(j+1), N_k = 0.
+    N, R, E, D = factor_closed_form(n, ell, k)
+    p = tuple(Q(x << (k - 1), E) for x in N)
+    r = tuple(Q(x << (k - 1), 2 * E) for x in R)
+    return HemisphereFactor(n, ell, Q(shift), p, r, Q(D, 2 * E))
+
+
+def factor_closed_form(n: int, ell, k: int) -> tuple:
+    """(N, R, E, D), the integer closed form of factor kernel k in degree l,
+    for an int l or a Poly l: with 2C = 2l + n + 1 and 2m = 2l + n - 1,
+    p_j = 2^(k-1) N_j / E, N_j = prod_(i<j) 2(i+1-k)(k+i) prod_(j<=i<k-1)
+    (2C+2i)(i+1), E = sum_j N_j 2^(k-1-j) the equator sum cleared by 2^(k-1);
+    r_j = 2^(k-1) R_j / (2E), R_j = (2j - 2m) N_j - 2(j+1) N_(j+1), N_k = 0;
+    and dv0 = D / (2E), D = sum_j R_j 2^(k-1-j)."""
     c2, m2 = 2 * ell + n + 1, 2 * ell + n - 1
     N = [math.prod(2 * (i + 1 - k) * (k + i) for i in range(j))
          * math.prod((c2 + 2 * i) * (i + 1) for i in range(j, k - 1)) for j in range(k)] + [0]
-    E = sum(x << (k - 1 - j) for j, x in enumerate(N[:k]))
     R = [(2 * j - m2) * N[j] - 2 * (j + 1) * N[j + 1] for j in range(k)]
-    p = tuple(Q(x << (k - 1), E) for x in N[:k])
-    r = tuple(Q(x << (k - 1), 2 * E) for x in R)
-    dv0 = Q(sum(x << (k - 1 - j) for j, x in enumerate(R)), 2 * E)
-    return HemisphereFactor(n, ell, Q(shift), p, r, dv0)
+    E, D = (sum(x * 2 ** (k - 1 - j) for j, x in enumerate(xs)) for xs in (N[:k], R))
+    return N[:k], R, E, D
 
 
 @dataclass
@@ -396,7 +406,7 @@ class HemisphereProfile:
     n: int
     ell: int
     factors: list
-    alphas: "numpy.ndarray"
+    alphas: tuple
 
     def separated(self) -> SeparatedMode:
         """The profile as the boundary jet ``apply_B`` reads: the memoized
@@ -406,12 +416,8 @@ class HemisphereProfile:
 
 
 def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
-    """Solve the hemisphere extension per mode via the three factor kernels,
-    whose jets and mode matrix come from ``mode_basis``."""
-    g = hemisphere(n)
-    basis, M = mode_basis(g, ell)
-    coef, *rest = _solve_modes(g, M, basis, data)
-    return SolveResult(_native_profiles(g, ell, coef), *rest)
+    """Solve the hemisphere extension per mode via the three factor kernels."""
+    return _round_mode_solve(hemisphere(n), ell, data)
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +520,7 @@ def geodesic_mode_extension(n: int, ell: int, data: BoundaryTriple, order: int =
 def geodesic_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
     """Solve the geodesic extension per mode against the unit-slot jets of
     ``mode_basis``; the profile is the superposed jet itself."""
-    g = hyperbolic_geodesic(n)
-    basis, M = mode_basis(g, ell)
-    _, mode, *rest = _solve_modes(g, M, basis, data)
-    return SolveResult(mode, mode, *rest)
+    return _round_mode_solve(hyperbolic_geodesic(n), ell, data)
 
 
 # ---------------------------------------------------------------------------

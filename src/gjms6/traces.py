@@ -7,8 +7,8 @@ expanded in Gegenbauer zonal series; interior energies reduce per harmonic
 degree to a quadratic form in the three Dirichlet slots, whose 3x3 Gram
 matrix of unit-extension pairings comes from exact radial integrals (ball) or
 Gauss-Legendre quadrature (hemisphere).  ``interior_grams`` builds those of
-every degree up to the last one with data in one pass, memoized on (model,
-n, top): one ``COND_GUARD`` check of the stacked Dirichlet matrices
+every degree up to a check's lmax in one pass, memoized on (model, n,
+lmax): the unit coefficients from the exact inverse Dirichlet matrices
 (``solver.unit_coefficients``), one ``kernel_values`` call per hemisphere
 degree, and the superposition and pairings as array operations.
 Both quadrature rules are fixed (``geometry.ZONAL_NODES`` for the zonal
@@ -317,8 +317,7 @@ def interior_grams(geom: ModelGeometry, top: int) -> tuple:
     entries (the quadrature is symmetric only up to the last bit).  Array
     operations over (l, a, b) form and sum each term in the order of the
     per-pair scalar sums, so every entry equals them bit for bit.  Memoized
-    on (geom, top); a stack whose ``COND_GUARD`` check trips raises and is
-    not stored."""
+    on (geom, top)."""
     n = geom.n
     coef = np.array(unit_coefficients(geom, top))  # [l, slot, basis]
     ells = np.arange(top + 1)
@@ -360,8 +359,8 @@ def interior_grams(geom: ModelGeometry, top: int) -> tuple:
 
 class TraceChecker:
     """Evaluator for the trace-inequality statements on one geometry.  The
-    interior seminorm reads the Gram matrices of ``interior_grams`` up to
-    the last degree at which any slot has data."""
+    interior seminorm reads the one stack of ``interior_grams`` up to lmax,
+    which every check of the same model, n and lmax shares."""
 
     def __init__(self, geom: ModelGeometry, lmax: int = 32):
         if geom.kind not in (GeometryKind.EUCLIDEAN_BALL, GeometryKind.ROUND_HEMISPHERE):
@@ -402,12 +401,9 @@ class TraceChecker:
         grid = self.grid
         cosangs = [[float(np.dot(slots[a].axis, slots[b].axis)) for b in range(3)] for a in range(3)]
         angles = [[grid.angle_factors(c) for c in row] for row in cosangs]
-        live = [ell for ell in range(self.lmax + 1) if not all(abs(slot.coeffs[ell]) < 1e-300 for slot in slots)]
-        grams = interior_grams(self.geom, live[-1]) if live else ()
         interior = 0.0
-        for ell in live:
+        for ell, G in enumerate(interior_grams(self.geom, self.lmax)):
             lamfree = [slots[s].coeffs[ell] for s in range(3)]
-            G = grams[ell]
             for a in range(3):
                 for b in range(3):
                     ca, cb = lamfree[a], lamfree[b]

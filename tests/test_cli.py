@@ -42,21 +42,21 @@ def test_reports_are_deterministic(tmp_path):
 
 def test_exact_suites_leave_numpy_unloaded():
     """import gjms6 and the suites that compute nothing in floats (covariance,
-    symmetry, and dtn on the ball, half space and geodesic model) never load
-    numpy; only the float layer does."""
+    symmetry, and dtn on every model, whose identity and self-adjointness
+    lines all solve exactly) never load numpy; only the float layer does."""
     code = (
         "import sys\n"
         "import gjms6\n"
         "assert 'numpy' not in sys.modules\n"
         "from gjms6.cli import main\n"
         "runs = [['covariance', '--n', '5'], ['symmetry', '--n', '7']]\n"
-        "runs += [['dtn', '--n', '7', '--geometry', g] for g in ('ball', 'halfspace', 'hyperbolic')]\n"
+        "runs += [['dtn', '--n', '7', '--geometry', g] for g in ('ball', 'halfspace', 'hyperbolic', 'hemisphere')]\n"
         "print([main(argv) for argv in runs])\n"
         "print('numpy' in sys.modules)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=600)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0]", "False"]
+    assert out.stdout.splitlines()[-2:] == ["[0, 0, 0, 0, 0, 0]", "False"]
 
 
 def test_covariance_suite_small():
@@ -150,38 +150,16 @@ def test_dtn_degree_caps_are_named(tmp_path):
     assert ids[0] == ids[1] and len(ids[0]) == 36
 
 
-def test_guard_trips_are_config_errors(monkeypatch, capsys):
-    """A Gram solve past COND_GUARD ends the run with status 2 and asks for a
-    lower --lmax.  The critical run takes lmax 16, at which its extremal data
-    are resolved, so that its guard is reached."""
-    import gjms6.solver as solver
-    from gjms6.traces import interior_grams
-
-    monkeypatch.setattr(solver, "COND_GUARD", 1.0)
-    for argv in (
-        ["trace", "--n", "7", "--lmax", "8"],
-        ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "8"],
-        ["critical", "--n", "5", "--geometry", "hemisphere", "--lmax", "16"],
-    ):
-        interior_grams.cache_clear()
-        assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error: mode matrix condition"), argv
-        assert err.rstrip().endswith("lower --lmax"), argv
-
-
 @pytest.mark.parametrize("argv", [
     ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "100"],
+    ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "128"],
     ["critical", "--n", "5", "--geometry", "hemisphere", "--lmax", "100"],
 ])
-def test_guard_trips_on_real_hemisphere_degrees(argv):
-    """With the guard as shipped, the float hemisphere matrix passes it
-    below the --lmax cap of 128 (first at l = 98 for n = 7, l = 99 for
-    n = 5), and the run ends with status 2."""
-    out = run_cli(argv)
-    assert out.returncode == 2, out.stderr
-    assert out.stderr.startswith("configuration error: mode matrix condition"), out.stderr
-    assert out.stderr.rstrip().endswith("lower --lmax"), out.stderr
+def test_hemisphere_checks_run_to_the_lmax_cap(argv, capsys):
+    """The hemisphere Dirichlet systems are solved exactly in every degree,
+    so trace and critical pass at degrees up to the --lmax cap of 128."""
+    assert main(argv) == 0, argv
+    assert "configuration error" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("suite,geometry,n", [
@@ -194,9 +172,8 @@ def test_guard_trips_on_real_hemisphere_degrees(argv):
     pytest.param("covariance", None, "5", id="covariance-5"),
 ])
 def test_dtn_reports_match_golden_files(tmp_path, suite, geometry, n):
-    """Byte-identical default reports.  These runs are exact, or on the
-    hemisphere plain float arithmetic on correctly rounded inputs, so the
-    files do not depend on BLAS or libm.  A run without a geometry uses the
+    """Byte-identical default reports.  These runs are exact, so the files
+    do not depend on BLAS or libm.  A run without a geometry uses the
     default one, and its file name leaves the geometry out."""
     out = tmp_path / "report.json"
     where = ["--geometry", geometry] if geometry else []

@@ -13,7 +13,7 @@ from gjms6.cli import main
 from gjms6.geometry import ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import Poly, random_poly
 from gjms6.series import Series, series_inverse
-from gjms6.solver import BoundaryTriple, _coefficients, mode_solve
+from gjms6.solver import BoundaryTriple, inverse, mode_solve
 from test_conformal import normalize_jet
 
 MODELS = (halfspace, ball, hemisphere, hyperbolic_geodesic)
@@ -28,12 +28,13 @@ def test_normalizing_jets_are_fractions():
 
 def test_exact_solves_read_back_fractions():
     data = BoundaryTriple(Q(3), Q(-1, 2), Q(5, 7))
-    for model in (ball, hyperbolic_geodesic):
+    for model in (ball, hemisphere, hyperbolic_geodesic):
         for n in (5, 7, 8):
             g = model(n)
             for ell in (0, 1, 4):
-                mode = mode_solve(g, ell, data).mode
-                got = [apply_B(j, g, mode) for j in range(6)]
+                res = mode_solve(g, ell, data)
+                assert res.exact, (model.__name__, n, ell)
+                got = [apply_B(j, g, res.mode) for j in range(6)]
                 assert all(type(v) is Q for v in got), (model.__name__, n, ell, got)
 
 
@@ -61,9 +62,9 @@ def test_integral_poly_coefficients_are_ints():
 def test_integer_inputs_divide_exactly():
     """int / int is a float: the exact solve and the series inverse take
     integer entries through Fraction."""
-    [coef] = _coefficients([[2, 0, 0], [1, 3, 0], [0, 0, 1]], [[1, 0, 0]], exact=True)
-    assert coef == [Q(1, 2), Q(-1, 6), 0]
-    assert all(type(c) is Q for c in coef)
+    inv = inverse([[2, 0, 0], [1, 3, 0], [0, 0, 1]])
+    assert [row[0] for row in inv] == [Q(1, 2), Q(-1, 6), 0]
+    assert all(type(c) is Q for row in inv for c in row)
     inv = series_inverse(Series([2, 1], 3))
     assert inv.coeffs == [Q(1, 2), Q(-1, 4), Q(1, 8), Q(-1, 16)]
     assert all(type(c) is Q for c in inv.coeffs)

@@ -87,12 +87,11 @@ def test_dtn_verify_all_models():
 
 @pytest.mark.parametrize("n", [5, 7])
 def test_dtn_verify_hemisphere_across_degrees(n):
-    """The residuals stay within the default tolerance up to l = 22 and
-    within the CLI tolerance up to l = 32."""
+    """The hemisphere solves are exact, so every residual is exactly 0 up to
+    l = 32."""
     for ell in range(33):
-        tol = 1e-8 if ell <= 22 else 1e-6
-        recs = dtn_verify(hemisphere(n), n, ell, tol=tol)
-        assert all(r.passed for r in recs), (n, ell, [r.residual for r in recs])
+        recs = dtn_verify(hemisphere(n), n, ell)
+        assert all(r.passed and r.exact and r.residual == 0 for r in recs), (n, ell, [r.residual for r in recs])
 
 
 def test_dtn_checks_reject_a_second_dimension():

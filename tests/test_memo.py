@@ -20,8 +20,10 @@ KNOWN = {
     "gjms6.conformal._engine",
     "gjms6.polys.sphere_relation_power",
     "gjms6.reps.collar_coefficients",
+    "gjms6.solver.dirichlet_inverse",
     "gjms6.solver.hemisphere_factor_solve",
     "gjms6.solver.mode_basis",
+    "gjms6.solver.round_basis",
     "gjms6.traces.gauss_legendre",
     "gjms6.traces.interior_grams",
     "gjms6.traces.zonal_grid",

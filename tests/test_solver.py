@@ -19,18 +19,23 @@ from gjms6.series import Series
 from gjms6.solver import (
     BoundaryTriple,
     DegenerateModeError,
+    adjugate,
     ball_dirichlet_matrix,
     ball_mode_solve,
+    dirichlet_inverse,
+    factor_closed_form,
     geodesic_mode_extension,
     geodesic_mode_solve,
     halfspace_solve,
     halfspace_symbolic_mode,
     hemisphere_factor_solve,
     hemisphere_mode_solve,
+    inverse,
     kernel_values,
     mode_basis,
     mode_solve,
     poisson_branch_series,
+    round_basis,
     unit_coefficients,
 )
 
@@ -84,17 +89,19 @@ def test_ball_solve_linearity_and_uniqueness():
 
 
 def test_ball_dirichlet_matrix_is_built_once_per_degree():
+    """A trace check evaluates the inverse Dirichlet matrix of each degree
+    once, and the matrix of ``mode_basis`` is immutable."""
     from gjms6.traces import corollary_check, interior_grams
 
     # nonzero in every degree l <= 8, with a tail far below the guard
     coeffs = [[10.0 ** (-2 * k) for k in range(9)]] * 3
-    # a warm interior Gram memo would skip the unit solves that build them
+    # a warm interior Gram memo would skip the unit solves that read them
     interior_grams.cache_clear()
-    mode_basis.cache_clear()
+    dirichlet_inverse.cache_clear()
     first = corollary_check(ball(7), coeffs, lmax=8)
     second = corollary_check(ball(7), coeffs, lmax=8)
     assert first == second
-    assert mode_basis.cache_info().misses == 9
+    assert dirichlet_inverse.cache_info().misses == 9
     M = ball_dirichlet_matrix(7, 3)
     assert M is mode_basis(ball(7), 3)[1]
     with pytest.raises(TypeError):
@@ -254,8 +261,9 @@ def test_hemisphere_factor_integer_form_matches_the_fraction_reference():
 
 
 def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
-    """The mode matrix comes from the memoized basis of the degree: a warm
-    solve evaluates only the three boundary values of its solution."""
+    """The mode matrix comes from the basis in l, evaluated once per degree:
+    every solve, cold or warm, applies only the three boundary operators of
+    its solution."""
     import gjms6.solver as solver
 
     calls = []
@@ -276,8 +284,8 @@ def test_hemisphere_unit_solves_reuse_factor_columns(monkeypatch):
         sol = hemisphere_mode_solve(7, 5, BoundaryTriple(*data))
         per_solve.append(len(calls) - before)
         factors.append(sol.profile.factors)
-    # the 3x3 mode matrix of the factor jets, then the achieved triple
-    assert per_solve == [9 + 3, 3, 3]
+    # the achieved triple only
+    assert per_solve == [3, 3, 3]
     assert all(a is b for a, b in zip(factors[0], factors[2]))
     assert hemisphere_factor_solve.cache_info().misses == 3
 
@@ -301,7 +309,7 @@ def test_unit_coefficients_match_unit_mode_solves_bit_for_bit():
                         got = RadialProfile(n, ell, dict(enumerate(coef)))
                         assert repr(got.coeffs) == repr(want.coeffs), (n, ell, slot)
                     else:
-                        assert np.array(coef).tobytes() == want.alphas.tobytes(), (n, ell, slot)
+                        assert np.array(coef).tobytes() == np.array(want.alphas).tobytes(), (n, ell, slot)
 
 
 def test_stacked_kernel_values_match_each_factor_bit_for_bit():
@@ -322,31 +330,79 @@ def test_stacked_kernel_values_match_each_factor_bit_for_bit():
                     assert dchi[k].tobytes() == alone[1].tobytes(), (n, ell, k)
 
 
-def test_hemisphere_mode_solve_applies_mode_guard_after_warm_solve(monkeypatch):
-    import gjms6.solver as solver
+def test_dirichlet_inverse_inverts_every_round_matrix():
+    """The exact inverse of every degree, read from the basis in l on the
+    ball and the hemisphere, inverts the Dirichlet matrix that ``apply_B``
+    reads off the evaluated jets, which is the matrix of ``mode_basis``, up
+    to the --lmax cap of the trace checks."""
+    eye = [[int(i == j) for j in range(3)] for i in range(3)]
+    for n in range(5, 10):
+        for g in (ball(n), hemisphere(n), hyperbolic_geodesic(n)):
+            for ell in (0, 1, 4, 33) + ((128,) if g.kind is not hyperbolic_geodesic(n).kind else ()):
+                basis, M = mode_basis(g, ell)
+                assert M == tuple(tuple(apply_B(j, g, b) for b in basis) for j in range(3)), (g, ell)
+                inv = dirichlet_inverse(g, ell)
+                assert all(type(x) is Q for row in inv for x in row)
+                assert [[sum(inv[i][k] * M[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == eye, (g, ell)
 
-    data = BoundaryTriple(Q(1), Q(0), Q(0))
-    hemisphere_mode_solve(7, 3, data)
-    monkeypatch.setattr(solver, "COND_GUARD", 1.0)
-    with pytest.raises(DegenerateModeError, match="mode matrix condition"):
-        hemisphere_mode_solve(7, 3, data)
+
+def test_adjugate_holds_over_any_ring():
+    """adj M . M = M . adj M = det M . I for integer, Fraction and Poly
+    entries, and ``inverse`` divides integer entries exactly."""
+    import random
+
+    rng = random.Random(3)
+    x, y = Poly.var(2, 0), Poly.var(2, 1)
+    mats = [[[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)] for _ in range(20)]
+    mats += [[[Q(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)] for _ in range(3)] for _ in range(20)]
+    mats.append([[x, y, 1], [x * y, 2, x], [y, x + y, 3]])
+    for M in mats:
+        adj = adjugate(M)
+        det = sum(M[0][k] * adj[k][0] for k in range(3))
+        for A, B in ((adj, M), (M, adj)):
+            prod = [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+            assert prod == [[det if i == j else 0 for j in range(3)] for i in range(3)], M
+        if det != 0 and not isinstance(det, Poly):
+            assert all(type(a) is Q for row in inverse(M) for a in row)
 
 
-def test_every_float_system_is_guarded(monkeypatch):
-    """The one solve checks every float Dirichlet system against
-    COND_GUARD; exact systems are solved exactly and carry no guard."""
-    import gjms6.solver as solver
+def test_symbolic_factor_closed_form_is_the_kernel():
+    """The closed form of ``factor_closed_form`` in a Poly l, evaluated at
+    each degree, gives the p, r and dv0 of ``hemisphere_factor_solve``, for
+    n = 5..9 and every degree the trace checks admit."""
+    ell = Poly.var(1, 0)
 
-    floats = BoundaryTriple(0.2, 0.5, 0.3)
-    exact = BoundaryTriple(Q(2), Q(-1), Q(3))
-    monkeypatch.setattr(solver, "COND_GUARD", 1.0)
-    for solve in (lambda d: halfspace_solve(Q(3, 2), d), lambda d: ball_mode_solve(7, 3, d)):
-        with pytest.raises(DegenerateModeError, match="mode matrix condition"):
-            solve(floats)
-        assert solve(exact).exact
-    for geom in (ball(7), hemisphere(7)):
-        with pytest.raises(DegenerateModeError, match="mode matrix condition"):
-            unit_coefficients(geom, 3)
+    def at(x, value):
+        return sum(c * value ** e for (e,), c in x.terms.items()) if isinstance(x, Poly) else x
+
+    for n in range(5, 10):
+        for k, shift in enumerate(factorization_shifts(n), start=1):
+            N, R, E, D = factor_closed_form(n, ell, k)
+            for value in range(129):
+                fac = hemisphere_factor_solve(n, value, shift)
+                e = at(E, value)
+                assert fac.p == tuple(Q(at(x, value) * 2 ** (k - 1), e) for x in N), (n, k, value)
+                assert fac.r == tuple(Q(at(x, value) * 2 ** (k - 1), 2 * e) for x in R), (n, k, value)
+                assert fac.dv0 == Q(at(D, value), 2 * e), (n, k, value)
+
+
+def test_round_basis_has_a_constant_determinant():
+    """The Dirichlet matrix of the basis scaled to polynomial jets has
+    determinant 16 on the ball and -6144 on the hemisphere in every degree,
+    so its inverse is a polynomial in l: integer rows over one denominator,
+    of degree at most 6 (the adjugate's at most 4, the scale's at most 2)."""
+    for n in range(5, 10):
+        for g, want in ((ball(n), 16), (hemisphere(n), -6144)):
+            _, (srows, ds), _, (rows, _) = round_basis(g)
+            assert len(rows) == 9 and max(len(r) for r in rows) <= 7
+            assert all(type(c) is int for r in rows for c in r)
+            for ell in (0, 1, 7, 64, 128):
+                M = mode_basis(g, ell)[1]
+                adj = adjugate(M)
+                det = sum(M[0][k] * adj[k][0] for k in range(3))
+                for s in srows:
+                    det *= Q(sum(c * ell ** e for e, c in enumerate(reversed(s))), ds)
+                assert det == want, (g, ell)
 
 
 def test_hemisphere_paths_load_neither_scipy_nor_mpmath():

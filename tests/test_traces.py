@@ -9,15 +9,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from gjms6.fractional import sphere_eigenvalue
+from gjms6.fractional import DTN_IDENTITIES, round_multiplier, sphere_eigenvalue
 from gjms6.geometry import HEMISPHERE_NODES, ball, halfspace, hemisphere, hyperbolic_geodesic
 from gjms6.polys import vol_sphere
 from gjms6.reps import radial_pair_integral
-from gjms6.solver import COND_GUARD, BoundaryTriple, DegenerateModeError, kernel_values, mode_basis, mode_solve
+from gjms6.solver import BoundaryTriple, kernel_values, mode_solve
 from gjms6.traces import (
     CriticalExponentError,
     ExtremalSpec,
     TraceChecker,
+    SLOT_GAMMAS,
     ZONAL_NODES,
     UnderResolvedError,
     ZonalGrid,
@@ -396,7 +397,7 @@ def test_angle_factors_are_normalized_gegenbauer_values():
 def test_interior_gram_is_fully_keyed(monkeypatch):
     """One memo entry per (model kind, n, top): a different n, model or top
     never shares one, and each degree reads the same matrix whatever the
-    top of its stack."""
+    top of its stack.  A check reads the stack up to its lmax."""
     import gjms6.traces as traces
 
     clear_grams()
@@ -414,7 +415,7 @@ def test_interior_gram_is_fully_keyed(monkeypatch):
     monkeypatch.setattr(traces, "unit_coefficients", lambda *args: calls.append(args) or solve(*args))
     for geom in (ball(7), hemisphere(7)):
         first = corollary_check(geom, GRAM_COEFFS, lmax=8)
-        assert calls == [(geom, 2)]  # one stack, up to the last degree with data
+        assert calls == [(geom, 8)]  # one stack, up to lmax
         assert corollary_check(geom, GRAM_COEFFS, lmax=8) == first
         assert len(calls) == 1
         calls.clear()
@@ -425,11 +426,17 @@ def test_interior_gram_is_fully_keyed(monkeypatch):
     assert flat == corollary_check(ball(7), GRAM_COEFFS, lmax=8)
     assert interior_grams.cache_info().misses == misses
     assert calls == []
+    # a warm memo does not bypass the resolution guard, which library
+    # callers see as a ValueError
+    assert issubclass(UnderResolvedError, ValueError)
+    with pytest.raises(UnderResolvedError, match="under-resolved"):
+        corollary_check(hemisphere(7), [np.ones(9), np.ones(9), np.ones(9)], lmax=8)
 
 
 def test_one_check_builds_each_stack_at_most_once(monkeypatch):
-    """A cold check builds one stack, whose top is its last degree with
-    data, for extremal and for coefficient data; the stack is immutable."""
+    """A cold check builds one stack, whose top is its lmax, for extremal
+    data, and a check of coefficient data with the same lmax reads it; the
+    stack is immutable."""
     import gjms6.traces as traces
 
     calls = []
@@ -441,7 +448,7 @@ def test_one_check_builds_each_stack_at_most_once(monkeypatch):
         corollary_check(geom, offcenter_specs(7), lmax=32)
         corollary_check(geom, [[0.0, 0.0, 0.5], [0.0, 0.2, 0.1, 0.0], []], lmax=32)
         eval_geom = ball(7) if geom == halfspace(7) else geom
-        assert calls == [(eval_geom, 32), (eval_geom, 2)], geom
+        assert calls == [(eval_geom, 32)], geom
     grams = interior_grams(hemisphere(7), 3)
     assert type(grams) is tuple and len(grams) == 4
     assert all(type(g) is tuple and all(type(row) is tuple for row in g) for g in grams)
@@ -510,14 +517,14 @@ def test_interior_gram_matches_the_per_pair_route_bit_for_bit():
                 assert list(interior_grams(geom, top)) == want[: top + 1], (geom, top)
 
 
-def test_hemisphere_rule_is_converged_below_the_guard():
+def test_hemisphere_rule_is_converged_to_the_lmax_cap():
     """The fixed HEMISPHERE_NODES-point rule gives the Gram matrices of a
-    ZONAL_NODES-point rule within 1e-10 relative to their largest entry,
-    up to degrees near those at which COND_GUARD trips (l = 97..99)."""
+    ZONAL_NODES-point rule within 1e-10 relative to their largest entry, up
+    to the --lmax cap of the trace checks (ZONAL_NODES // 2)."""
     assert HEMISPHERE_NODES == 64
     for n in range(5, 10):
-        grams = interior_grams(hemisphere(n), 96)
-        for ell in (0, 16, 32, 64, 96):
+        grams = interior_grams(hemisphere(n), ZONAL_NODES // 2)
+        for ell in (0, 16, 32, 64, 96, 128):
             got = np.array(grams[ell])
             want = np.array(old_hemisphere_gram(n, ell, ZONAL_NODES))
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (n, ell)
@@ -549,57 +556,30 @@ def test_critical_statements_share_the_subcritical_tables():
     critical_check(hemisphere(5), GRAM_COEFFS, lmax=8)
     info = interior_grams.cache_info()
     assert (info.currsize, info.misses) == (1, 1)
-    entries = interior_grams(hemisphere(5), 2)
+    entries = interior_grams(hemisphere(5), 8)
     checker = TraceChecker(hemisphere(5), lmax=8)
     value, interior, _ = checker.lhs_energy(checker.slots_from_coeffs(GRAM_COEFFS))
     info = interior_grams.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
-    assert entries is interior_grams(hemisphere(5), 2)
+    assert entries is interior_grams(hemisphere(5), 8)
     assert critical_check(hemisphere(5), GRAM_COEFFS, lmax=8).breakdown["interior"] == interior
 
 
-def test_guards_fire_around_the_gram_memo(monkeypatch):
-    import gjms6.solver as solver
-
-    clear_grams()
-    with monkeypatch.context() as m:
-        m.setattr(solver, "COND_GUARD", 1.0)
-        with pytest.raises(DegenerateModeError, match="mode matrix condition"):
-            corollary_check(hemisphere(7), GRAM_COEFFS, lmax=8)
-    # lru_cache stores no call that raised, so no unguarded system is kept
-    assert interior_grams.cache_info().currsize == 0
-    corollary_check(hemisphere(7), GRAM_COEFFS, lmax=8)
-    assert interior_grams.cache_info().currsize == 1
-    # a warm memo does not bypass the resolution guard, which library
-    # callers still see as a ValueError
-    assert issubclass(UnderResolvedError, ValueError)
-    with pytest.raises(UnderResolvedError, match="under-resolved"):
-        corollary_check(hemisphere(7), [np.ones(9), np.ones(9), np.ones(9)], lmax=8)
-
-
-def test_guard_condition_rises_strictly_with_the_degree():
-    """The condition number of the float Dirichlet matrix rises strictly in
-    l on both models, so the degrees past COND_GUARD form a tail: none on
-    the ball up to the CLI cap, from l = 99, 99, 98, 98, 97 on the
-    hemisphere for n = 5..9.  Guarding every degree up to the top one with
-    data therefore trips exactly when guarding the degrees with data does."""
-    for geom, first in ((ball, [None] * 5), (hemisphere, [99, 99, 98, 98, 97])):
-        for n, want in zip(range(5, 10), first):
-            conds = [np.linalg.cond([[float(x) for x in row] for row in mode_basis(geom(n), ell)[1]])
-                     for ell in range(ZONAL_NODES // 2 + 1)]
-            assert all(a < b for a, b in zip(conds, conds[1:])), (geom, n)
-            assert next((ell for ell, c in enumerate(conds) if c > COND_GUARD), None) == want, (geom, n)
-
-
-def test_guard_reads_only_up_to_the_last_degree_with_data():
-    """Six coefficients pass on the hemisphere at lmax 128, since degrees
-    without data are never guarded; one coefficient at l = 100 trips."""
-    clear_grams()
-    six = [[1.0, 0.3, 0.1, 0.05, 0.02, 0.01]] * 3
-    rep = corollary_check(hemisphere(7), six, lmax=128)
-    assert rep.gap > 0
-    assert interior_grams.cache_info().currsize == 1
-    late = [[0.0] * 100 + [1.0], [], []]
-    with pytest.raises(DegenerateModeError, match="mode matrix condition"):
-        corollary_check(hemisphere(7), late, lmax=128)
-    assert interior_grams.cache_info().currsize == 1
+def test_interior_gram_meets_the_dtn_multipliers():
+    """An independent reference for the unit extensions: their energy, the
+    interior Gram matrix G(l) plus the displayed boundary terms D(l), is the
+    sum of the three DtN pairings, so the symmetric parts of G + D are
+    diag(front * round_multiplier(n, gamma, l)) for the slot gammas 5/2,
+    3/2, 1/2, within 1e-10 of the largest diagonal entry, on both models
+    and up to the --lmax cap."""
+    for n in range(5, 10):
+        for geom in (ball(n), hemisphere(n)):
+            grams = interior_grams(geom, ZONAL_NODES // 2)
+            for ell in (0, 1, 2, 16, 32, 64, 96, 128):
+                got = np.array(grams[ell])
+                for a, b, co, p in display_terms(geom.kind, n):
+                    got[a, b] += float(co * sphere_eigenvalue(n, ell) ** p)
+                got = (got + got.T) / 2
+                want = np.diag([float(DTN_IDENTITIES[int(2 * g)].front * round_multiplier(n, g, ell))
+                                for g in SLOT_GAMMAS])
+                assert np.max(np.abs(got - want)) <= 1e-10 * np.max(want), (geom, ell)
