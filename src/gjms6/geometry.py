@@ -22,7 +22,7 @@ ZONAL_NODES = 256
 
 # Gauss-Legendre nodes of the hemisphere interior quadrature of ``traces``.
 # Measured against the ZONAL_NODES-node rule, the per-degree Gram matrices
-# agree within 9e-12 of their largest entry for n = 5..9 and within 1e-10
+# agree within 1.4e-11 of their largest entry for n = 5..9 and within 1e-10
 # up to n = 24, at every degree up to the --lmax cap of 128; at 32 nodes
 # they are off by up to 3e-4 at l = 96.
 HEMISPHERE_NODES = 64

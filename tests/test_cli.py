@@ -150,6 +150,20 @@ def test_dtn_degree_caps_are_named(tmp_path):
     assert ids[0] == ids[1] and len(ids[0]) == 36
 
 
+def test_dtn_ignores_the_float_tolerance(tmp_path):
+    """Every dtn line is exact, so --tol changes only the config of the
+    report: a tolerance of 1e-30 writes the checks and summary of the
+    default."""
+    docs = []
+    for extra in ([], ["--tol", "1e-30"]):
+        out = tmp_path / f"dtn{len(extra)}.json"
+        assert main(["dtn", "--n", "7", "--geometry", "hemisphere", *extra, "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    assert docs[0]["checks"] == docs[1]["checks"]
+    assert docs[0]["summary"] == docs[1]["summary"]
+    assert (docs[0]["config"]["tol"], docs[1]["config"]["tol"]) == (1e-6, 1e-30)
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "100"],
     ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "128"],

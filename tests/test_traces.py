@@ -190,35 +190,93 @@ def test_stacked_expansion_matches_the_degree_loop():
                 assert grid.expand(f).tobytes() == np.array(want).tobytes(), (n, lmax)
 
 
-def test_gauss_legendre_rule_is_shared_by_node_count(monkeypatch):
-    """One read-only rule per node count, bit for bit numpy's, serves the
-    zonal grids of every dimension."""
+def mp_gauss_legendre(points, k):
+    """The k-th largest node of the points-point Gauss-Legendre rule and its
+    weight 2 (1 - x^2) / (points P_(points-1)(x))^2, at 40 digits: Newton's
+    method on the Bonnet recurrence from cos(pi (4k - 1) / (4 points + 2))."""
+    with mp.workdps(40):
+        x = mp.cos(mp.pi * (4 * k - 1) / (4 * points + 2))
+        for _ in range(50):
+            p0, p1 = mp.mpf(1), x
+            for j in range(2, points + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dx = p1 * (1 - x * x) / (points * (p0 - x * p1))
+            x -= dx
+            if abs(dx) < mp.mpf(10) ** -36:
+                break
+        p0, p1 = mp.mpf(1), x
+        for j in range(2, points):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return x, 2 * (1 - x * x) / (points * p1) ** 2
+
+
+@pytest.mark.parametrize("points", [2, 7, 48, 64, 256])
+def test_gauss_legendre_rule_matches_mpmath(points):
+    """Against 40-digit roots, on every 8th node and both ends: nodes within
+    5e-16, weights within 1e-12 relative and, at the two rules the trace
+    checks use, no worse than numpy's eigenvalue rule; exact mirror
+    symmetry and the weights summing to 2 within 1e-14."""
+    x, w = gauss_legendre(points)
+    assert x.shape == w.shape == (points,)
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    assert abs(float(np.sum(w)) - 2.0) <= 1e-14
+    rx, rw = np.polynomial.legendre.leggauss(points)
+    node_err, weight_err, numpy_weight_err = 0.0, 0.0, 0.0
+    for i in sorted({*range(0, points, 8), points - 1}):
+        want_x, want_w = mp_gauss_legendre(points, points - i)
+        node_err = max(node_err, abs(float(x[i] - want_x)))
+        weight_err = max(weight_err, abs(float((w[i] - want_w) / want_w)))
+        numpy_weight_err = max(numpy_weight_err, abs(float((rw[i] - want_w) / want_w)))
+    assert node_err <= 5e-16, node_err
+    assert weight_err <= 1e-12, weight_err
+    if points in (HEMISPHERE_NODES, ZONAL_NODES):
+        assert weight_err <= numpy_weight_err, (weight_err, numpy_weight_err)
+
+
+def test_gauss_legendre_rule_is_shared_by_node_count():
+    """One read-only rule per node count serves the zonal grids of every
+    dimension: the second grid is a cache hit."""
     x, w = gauss_legendre(48)
-    rx, rw = np.polynomial.legendre.leggauss(48)
-    assert x.tobytes() == rx.tobytes() and w.tobytes() == rw.tobytes()
     with pytest.raises(ValueError):
         x[0] = 0.0
     with pytest.raises(ValueError):
         w[0] = 0.0
 
-    calls = []
-    leggauss = np.polynomial.legendre.leggauss
-    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda *args: calls.append(args) or leggauss(*args))
     gauss_legendre.cache_clear()
     first = ZonalGrid(5, 8)
-    assert calls == [(ZONAL_NODES,)]
+    info = gauss_legendre.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 0, 1)
     second = ZonalGrid(9, 8)
-    assert calls == [(ZONAL_NODES,)]
+    info = gauss_legendre.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert first.theta.tobytes() == second.theta.tobytes()
 
 
-def test_legendre_module_loads_with_the_package():
-    """numpy.polynomial.legendre is imported with gjms6.traces, so the first
-    Gauss-Legendre rule of a run does not pay for loading it."""
-    code = "import sys\nimport gjms6.traces\nprint('numpy.polynomial.legendre' in sys.modules)\n"
+def test_gauss_legendre_newton_pass_cap_raises(monkeypatch):
+    """The 64-node rule needs two Newton passes; with one allowed the build
+    fails loudly instead of returning unconverged nodes."""
+    import gjms6.traces as traces
+
+    monkeypatch.setattr(traces, "_NEWTON_PASSES", 1)
+    with pytest.raises(ArithmeticError, match="Newton"):
+        gauss_legendre.__wrapped__(HEMISPHERE_NODES)
+    monkeypatch.setattr(traces, "_NEWTON_PASSES", 2)
+    x, w = gauss_legendre.__wrapped__(HEMISPHERE_NODES)
+    assert x.tobytes() == gauss_legendre(HEMISPHERE_NODES)[0].tobytes()
+
+
+def test_rules_load_no_numpy_polynomial():
+    """The Gauss-Legendre rules are built without numpy.polynomial, which
+    neither gjms6.traces nor the first rule of a run imports."""
+    code = (
+        "import sys\n"
+        "import gjms6.traces as traces\n"
+        "traces.gauss_legendre(traces.ZONAL_NODES)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'polynomial']))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "True"
+    assert out.stdout.strip() == "[]"
 
 
 def test_zonal_norms_match_the_closed_form_up_to_the_cli_cap():
@@ -467,11 +525,11 @@ def old_ball_gram(n, ell):
     return tuple(tuple(float(radial_pair_integral(la, lb)) for lb in laps) for la in laps)
 
 
-def old_hemisphere_gram(n, ell, points):
-    """The interior pairings as a checker computed them before the memo: its
-    own nodes, a fresh superposition of each unit profile, one quadrature per
-    pair."""
-    x, w = np.polynomial.legendre.leggauss(points)
+def old_hemisphere_gram(n, ell, rule):
+    """The interior pairings as a checker computed them before the memo, on
+    the Gauss-Legendre rule (nodes, weights) given: a fresh superposition of
+    each unit profile, one quadrature per pair."""
+    x, w = rule
     th = (x + 1.0) * (math.pi / 4)
     w = w * (math.pi / 4) * np.sin(th) ** n
 
@@ -509,9 +567,10 @@ def test_interior_gram_matches_the_per_pair_route_bit_for_bit():
     exactly, on both models, for n = 5..9 and tops up to 96."""
     clear_grams()
     tops = (0, 5, 16, 32, 96)
+    rule = gauss_legendre(HEMISPHERE_NODES)
     for n in range(5, 10):
         for geom, old in ((ball(n), old_ball_gram), (hemisphere(n), None)):
-            want = [old(n, ell) if old else tuple(map(tuple, old_hemisphere_gram(n, ell, HEMISPHERE_NODES)))
+            want = [old(n, ell) if old else tuple(map(tuple, old_hemisphere_gram(n, ell, rule)))
                     for ell in range(max(tops) + 1)]
             for top in tops:
                 assert list(interior_grams(geom, top)) == want[: top + 1], (geom, top)
@@ -520,13 +579,15 @@ def test_interior_gram_matches_the_per_pair_route_bit_for_bit():
 def test_hemisphere_rule_is_converged_to_the_lmax_cap():
     """The fixed HEMISPHERE_NODES-point rule gives the Gram matrices of a
     ZONAL_NODES-point rule within 1e-10 relative to their largest entry, up
-    to the --lmax cap of the trace checks (ZONAL_NODES // 2)."""
+    to the --lmax cap of the trace checks (ZONAL_NODES // 2).  The reference
+    rule is numpy's eigenvalue rule, independent of ``gauss_legendre``."""
     assert HEMISPHERE_NODES == 64
+    rule = np.polynomial.legendre.leggauss(ZONAL_NODES)
     for n in range(5, 10):
         grams = interior_grams(hemisphere(n), ZONAL_NODES // 2)
         for ell in (0, 16, 32, 64, 96, 128):
             got = np.array(grams[ell])
-            want = np.array(old_hemisphere_gram(n, ell, ZONAL_NODES))
+            want = np.array(old_hemisphere_gram(n, ell, rule))
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), (n, ell)
 
 
