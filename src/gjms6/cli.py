@@ -8,8 +8,10 @@ self-adjointness at l <= min(--lmax, 4); trace and critical take --lmax at
 most 128 and run fixed quadrature rules (the report config names the
 64-point hemisphere rule as "grid").  On the hemisphere, critical also checks
 the closed-form factor kernels of every degree l <= --lmax exactly.
---tol is the float tolerance of trace and critical (critical floors it at
-1e-5); every dtn line is exact and ignores it.
+--tol is the float tolerance of trace and critical: the trace extremal lines
+compare the relative gap with it, while critical-trace-extremals compares
+the absolute gap, whose two sides are about 1283 at n = 5, with
+max(--tol, 1e-5).  Every dtn line is exact and ignores it.
 Exit status is 1 if any check fails, and 2 for a configuration that cannot
 be checked: bad options (a negative --seed among them) or data
 under-resolved at --lmax.
@@ -251,8 +253,9 @@ def main(argv=None) -> int:
                     help=f"harmonic-degree cap (dtn: identities at l <= {DTN_IDENTITY_LMAX}, "
                          f"self-adjointness at l <= {DTN_SELFADJOINT_LMAX})")
     ap.add_argument("--tol", type=float, default=1e-6,
-                    help="float tolerance of the trace and critical checks (critical floors it "
-                         "at 1e-5); every dtn line is exact and ignores it")
+                    help="float tolerance of the trace lines (on the relative gap) and of "
+                         "critical-trace-extremals (on the absolute gap, floored at 1e-5); "
+                         "every dtn line is exact and ignores it")
     ap.add_argument("--seed", type=int, default=0, help="random seed (>= 0)")
     ap.add_argument("--out", type=str, default=None, help="JSON report path")
     ap.add_argument("--csv", type=str, default=None, metavar="WHAT:PATH",

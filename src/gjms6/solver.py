@@ -5,21 +5,20 @@ operator-harmonic extension on each model geometry.  A mode is a boundary
 jet, a ``SeparatedMode`` of order ``reps.JET_ORDER``, that ``apply_B`` reads
 through the ``boundary.separated_stencil`` of its model.  Each model derives
 its three basis jets once: the half space (boundary eigenvalue lam = t^2 at
-frequency t) the jets of y^m e^(-t y); the ball and the hemisphere their
-jets in every degree at once, as polynomials in l (``round_basis``): the
-binomial jets of r^(l+2m) and the jets of the closed-form factor kernels
-(``HemisphereFactor``, whose ``equation_residual`` checks that closed form
-exactly); the geodesic model the scattering-series jets of unit data in each
-slot, so its Dirichlet matrix is the identity.
+frequency t) the jets of y^m e^(-t y); the three round models their jets in
+every degree at once, as polynomials in l (``round_basis``): the binomial
+jets of r^(l+2m) on the ball, the jets of the closed-form factor kernels on
+the hemisphere (``HemisphereFactor``, whose ``equation_residual`` checks
+that closed form exactly), and on the geodesic model the scattering-series
+jets of unit data in each slot, so its Dirichlet matrix is the identity.
 
 Every Dirichlet system is solved one way, alpha = adj(M) rhs / det M, exact
-whenever M and the data are: per mode on the half space and the geodesic
-model (``inverse``), and on the ball and the hemisphere from the adjugate
-that ``round_basis`` takes once in l (``dirichlet_inverse``).  ``mode_basis``
-holds the basis jets and the Dirichlet matrix per (model, l).  Polynomials
-in l are evaluated by integer Horner, and the closed forms of the hemisphere
-factors and the geodesic branch recurrence run on integers, with one
-Fraction per coefficient, since every Fraction operation pays for a gcd.
+whenever M and the data are: per mode on the half space (``inverse``), and
+on the three round models from the adjugate that ``round_basis`` takes once
+in l (``dirichlet_inverse``).  ``mode_basis`` holds the basis jets per
+(model, l).  Polynomials in l are evaluated by integer Horner, and the
+closed forms of the hemisphere factors run on integers, with one Fraction
+per coefficient, since every Fraction operation pays for a gcd.
 ``traces`` reads the unit coefficients (``unit_coefficients``) and evaluates
 the hemisphere kernels on its quadrature nodes (``kernel_values``, the one
 function that imports numpy).  ``mode_solve`` is the only place that picks
@@ -184,16 +183,19 @@ def _horner(row, x: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def round_basis(geom: ModelGeometry) -> tuple:
-    """The basis of the ball or the hemisphere in every degree at once:
-    (jets, scales, M_s, inv) as ``_integer_rows`` of polynomials in l,
-    memoized per model and built on first use.  Jet m is that of a regular
-    solution times a scale s_m(l) that makes it polynomial in l: on the ball
-    r^(l+2m), s_m = 1; on the hemisphere factor kernel k, from chi = 1 and
-    chi' = -dv0 at the equator (z = cos(theta) decreases with theta) by
-    ``factor_jet``, s_k = 2E of ``factor_closed_form``.  The stencil on these
-    jets gives M_s(l), whose determinant is a constant (16 on the ball, -6144
-    on the hemisphere), so the unscaled basis has the polynomial inverse
-    ``inv`` = diag(s) adj M_s / det M_s; matrices are nine entries, by rows."""
+    """The basis of a round model in every degree at once: (jets, scales,
+    inv) as ``_integer_rows`` of polynomials in l, memoized per model and
+    built on first use.  Jet m is that of a regular solution times a scale
+    s_m(l) that makes it polynomial in l: on the ball r^(l+2m), s_m = 1; on
+    the hemisphere factor kernel k, from chi = 1 and chi' = -dv0 at the
+    equator (z = cos(theta) decreases with theta) by ``factor_jet``,
+    s_k = 2E of ``factor_closed_form``; on the geodesic model the extension
+    of unit data in slot m (``geodesic_mode_extension`` in a Poly l, whose
+    branches and scattering multipliers are polynomials in l), s_m = 1.
+    The stencil on these jets gives M_s(l), whose determinant is a constant
+    (16 on the ball, -6144 on the hemisphere, 1 on the geodesic model, where
+    M_s = I), so the unscaled basis has the polynomial inverse
+    ``inv`` = diag(s) adj M_s / det M_s, nine entries by rows."""
     n = geom.n
     ell = Poly.var(1, 0)
     lam = sphere_eigenvalue(n, ell)
@@ -209,8 +211,12 @@ def round_basis(geom: ModelGeometry) -> tuple:
             _, _, E, D = factor_closed_form(n, ell, k)
             jets.append(factor_jet(A.coeffs, B.coeffs, lam, shift, 2 * E, -D, JET_ORDER))
             scales.append(2 * E)
+    elif geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
+        units = ([Q(int(j == slot)) for j in range(3)] for slot in range(3))
+        jets = [geodesic_mode_extension(n, ell, BoundaryTriple(*u)).profile for u in units]
+        scales = [1, 1, 1]
     else:
-        raise ValueError("the basis in l is built on the ball and the hemisphere")
+        raise ValueError("the basis in l is built on the round models")
     M = [[sum(w * jet.coeffs[k] for k, w in separated_weights(geom, j, lam)) for jet in jets] for j in range(3)]
     adj = adjugate(M)
     (det,), d = _integer_rows([sum(M[0][k] * adj[k][0] for k in range(3))])
@@ -218,48 +224,38 @@ def round_basis(geom: ModelGeometry) -> tuple:
         raise ArithmeticError(f"the Dirichlet determinant of {geom} depends on l")
     inv_det = Q(d, det[0])
     return (tuple(_integer_rows(jet.coeffs) for jet in jets), _integer_rows(scales),
-            _integer_rows([x for row in M for x in row]),
             _integer_rows([s * a * inv_det for s, row in zip(scales, adj) for a in row]))
 
 
 @functools.lru_cache(maxsize=None)
 def mode_basis(geom: ModelGeometry, ell: int) -> tuple:
-    """(basis, M) of a round model in degree l: the exact boundary jets of its
-    three basis solutions, of order ``JET_ORDER``, and the Dirichlet matrix
-    M[j][m] = B_j(basis[m]), as immutable tuples.  The ball and the
-    hemisphere evaluate the jets and M_s of ``round_basis`` at l over their
-    scales; the geodesic model takes the extensions of unit data in each
-    slot (``geodesic_mode_extension``), so its M is the identity.  Memoized
-    on (geom, l), so callers share the jets and must not mutate them."""
-    n = geom.n
-    if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
-        units = ([Q(int(j == slot)) for j in range(3)] for slot in range(3))
-        basis = tuple(geodesic_mode_extension(n, ell, BoundaryTriple(*u)) for u in units)
-        return basis, tuple(tuple(apply_B(j, geom, m) for m in basis) for j in range(3))
-    jets, (srows, ds), (mrows, dm), _ = round_basis(geom)
-    lam = sphere_eigenvalue(n, ell)
+    """The exact boundary jets of the three basis solutions of a round model
+    in degree l, of order ``JET_ORDER``, as a tuple: the jets of
+    ``round_basis`` evaluated at l over their scales.  Memoized on
+    (geom, l), so callers share the jets and must not mutate them."""
+    jets, (srows, ds), _ = round_basis(geom)
+    lam = sphere_eigenvalue(geom.n, ell)
     scales = [_horner(s, ell) for s in srows]
-    basis = tuple(SeparatedMode(n, lam, Series([Q(_horner(c, ell) * ds, d * s) for c in rows], JET_ORDER))
-                  for (rows, d), s in zip(jets, scales))
-    return basis, tuple(tuple(Q(_horner(mrows[3 * j + m], ell) * ds, dm * scales[m]) for m in range(3))
-                        for j in range(3))
+    return tuple(SeparatedMode(geom.n, lam, Series([Q(_horner(c, ell) * ds, d * s) for c in rows], JET_ORDER))
+                 for (rows, d), s in zip(jets, scales))
 
 
 @functools.lru_cache(maxsize=None)
 def dirichlet_inverse(geom: ModelGeometry, ell: int) -> tuple:
     """The exact inverse of the Dirichlet matrix of ``mode_basis`` in degree
-    l, as immutable rows: that of ``round_basis`` at l on the ball and the
-    hemisphere, ``inverse`` of M = I on the geodesic model.  Memoized."""
-    if geom.kind is GeometryKind.HYPERBOLIC_GEODESIC:
-        return inverse(mode_basis(geom, ell)[1])
-    rows, d = round_basis(geom)[3]
+    l, as immutable rows: the inverse of ``round_basis`` evaluated at l.
+    Memoized."""
+    rows, d = round_basis(geom)[2]
     return tuple(tuple(Q(_horner(c, ell), d) for c in rows[3 * i:3 * i + 3]) for i in range(3))
 
 
 def ball_dirichlet_matrix(n: int, ell: int) -> tuple:
     """Exact 3x3 matrix of the first three boundary operators on the regular
-    triharmonic basis, as immutable rows, read from ``mode_basis``."""
-    return mode_basis(ball(n), ell)[1]
+    triharmonic basis, as immutable rows: ``apply_B`` on the jets of
+    ``mode_basis``."""
+    g = ball(n)
+    basis = mode_basis(g, ell)
+    return tuple(tuple(apply_B(j, g, b) for b in basis) for j in range(3))
 
 
 def _round_mode_solve(geom: ModelGeometry, ell: int, data: BoundaryTriple) -> SolveResult:
@@ -267,7 +263,7 @@ def _round_mode_solve(geom: ModelGeometry, ell: int, data: BoundaryTriple) -> So
     RadialProfile on the ball, a HemisphereProfile over the memoized factor
     kernels on the hemisphere and the jet itself on the geodesic model."""
     n = geom.n
-    coef, mode, *rest = _solve_modes(geom, mode_basis(geom, ell)[0], dirichlet_inverse(geom, ell), data)
+    coef, mode, *rest = _solve_modes(geom, mode_basis(geom, ell), dirichlet_inverse(geom, ell), data)
     if geom.kind is GeometryKind.EUCLIDEAN_BALL:
         profile = RadialProfile(n, ell, dict(enumerate(coef)))
     elif geom.kind is GeometryKind.ROUND_HEMISPHERE:
@@ -411,8 +407,7 @@ class HemisphereProfile:
     def separated(self) -> SeparatedMode:
         """The profile as the boundary jet ``apply_B`` reads: the memoized
         factor jets of ``mode_basis`` superposed."""
-        basis, _ = mode_basis(hemisphere(self.n), self.ell)
-        return sum_all([b * float(al) for b, al in zip(basis, self.alphas)])
+        return sum_all([b * float(al) for b, al in zip(mode_basis(hemisphere(self.n), self.ell), self.alphas)])
 
 
 def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult:
@@ -424,9 +419,9 @@ def hemisphere_mode_solve(n: int, ell: int, data: BoundaryTriple) -> SolveResult
 # geodesic compactification of hyperbolic space
 # ---------------------------------------------------------------------------
 
-def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F") -> Series:
+def poisson_branch_series(n: int, ell, s_param, order: int, which: str = "F") -> Series:
     """Normalized branch series of the mode Poisson equation on hyperbolic
-    space with round infinity.
+    space with round infinity, for an int l or a Poly l.
 
     which = "F": the r^(n-s)-relative series with leading coefficient 1;
     which = "G": the r^s-relative series with leading coefficient 1.
@@ -435,53 +430,37 @@ def poisson_branch_series(n: int, ell: int, s_param, order: int, which: str = "F
         lam sum_i B_i c_(k-2-i) - sum_i A_i (a+k-1-i) c_(k-1-i),
     chi(k) = -(a+k)(a+k-n) - s(n-s), so the c_k are solved in one pass; at a
     resonant order (chi(k) = 0) the obstruction is asserted to vanish and the
-    coefficient set to zero.  The pass is in integers: A, B are scaled by
-    the lcm L of their denominators, a and s by the lcm d of theirs, and the
-    c_k are carried as numerators over one denominator, rescaled at each
-    order and reduced by their common gcd; one Fraction is built per
-    coefficient at the end.  Not memoized: ``mode_basis`` holds the geodesic
-    jets built from the branches, six per (n, l).
+    coefficient set to zero.  chi(k) does not depend on l, so over a Poly l
+    the c_k are polynomials in l and the resonant orders are those of (n, s).
+    Not memoized: ``round_basis`` runs it six times per n, on a Poly l, and
+    holds the geodesic jets built from the branches.
     """
     s_param = Q(s_param)
     lam = sphere_eigenvalue(n, ell)
     a = (n - s_param) if which == "F" else s_param
     A, B, _, _ = collar_coefficients(GeometryKind.HYPERBOLIC_GEODESIC, n, order)
-    # A_i = Ai/L, B_i = Bi/L, a = a2/d, s = s2/d, c_k = N_k/D, chi(k) =
-    # X_k/d^2, and the rest of order k is R_k/(L d D)
-    L = math.lcm(*(x.denominator for x in A.coeffs + B.coeffs))
-    Ai = [int(x * L) for x in A.coeffs]
-    Bi = [int(x * L) for x in B.coeffs]
-    d = math.lcm(a.denominator, s_param.denominator)
-    a2, s2 = int(a * d), int(s_param * d)
-    N, D = [1], 1
+    A, B = A.coeffs, B.coeffs
+    c = [Q(1)]
     for k in range(1, order + 1):
-        R = 0
+        rest = Q(0)
         for i in range(k - 1):
-            R += Bi[i] * N[k - 2 - i]
-        R *= d * lam
+            rest += lam * B[i] * c[k - 2 - i]
         for i in range(k):
-            R -= Ai[i] * (a2 + d * (k - 1 - i)) * N[k - 1 - i]
-        X = -(a2 + d * k) * (a2 + d * (k - n)) - s2 * (d * n - s2)
-        if X == 0:
-            if R != 0:
+            rest -= A[i] * (a + k - 1 - i) * c[k - 1 - i]
+        chi = -(a + k) * (a + k - n) - s_param * (n - s_param)
+        if chi == 0:
+            if rest != 0:
                 raise ArithmeticError("resonant obstruction does not vanish")
-            N.append(0)
-            continue
-        if X < 0:
-            X, R = -X, -R
-        # c_k = -rest/chi = -R d/(L D X), over the common denominator L D X
-        N = [x * L * X for x in N] + [-R * d]
-        D *= L * X
-        g = math.gcd(D, *N)
-        if g > 1:
-            N = [x // g for x in N]
-            D //= g
-    return Series([Q(x, D) for x in N], order)
+            c.append(Q(0))
+        else:
+            c.append(rest * (-1 / chi))
+    return Series(c, order)
 
 
-def geodesic_mode_extension(n: int, ell: int, data: BoundaryTriple, order: int = JET_ORDER,
+def geodesic_mode_extension(n: int, ell, data: BoundaryTriple, order: int = JET_ORDER,
                             scattering=None) -> SeparatedMode:
-    """Operator-harmonic extension on the geodesic model as an exact jet.
+    """Operator-harmonic extension on the geodesic model as an exact jet, in
+    an int degree l or in a Poly l.
 
     Superposes the three slot solutions (with the internal combination
     signs +1, -1, +1/2) built from the two Poisson branches per slot; the
@@ -511,7 +490,7 @@ def geodesic_mode_extension(n: int, ell: int, data: BoundaryTriple, order: int =
         if scattering is not None:
             smult = scattering[gamma]
         else:
-            smult = round_multiplier(n, gamma, ell) / d_gamma(gamma)
+            smult = round_multiplier(n, gamma, ell) * (1 / d_gamma(gamma))
         add(Fb, offset, sign * value)
         add(Gb, int(2 * gamma) + offset, sign * smult * value)
     return SeparatedMode(n, lam, Series(total, order))

@@ -164,6 +164,18 @@ def test_dtn_ignores_the_float_tolerance(tmp_path):
     assert (docs[0]["config"]["tol"], docs[1]["config"]["tol"]) == (1e-6, 1e-30)
 
 
+def test_critical_floors_the_tolerance_of_its_absolute_gap(tmp_path):
+    """critical-trace-extremals compares an absolute gap, whose two sides
+    are about 1283 at n = 5, with max(--tol, 1e-5): a tolerance of 1e-9
+    reads 1e-5 on that line."""
+    out = tmp_path / "critical.json"
+    assert main(["critical", "--n", "5", "--tol", "1e-9", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    line = next(c for c in doc["checks"] if c["id"] == "critical-trace-extremals")
+    assert line["tolerance"] == "1.000e-05"
+    assert doc["config"]["tol"] == 1e-9
+
+
 @pytest.mark.parametrize("argv", [
     ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "100"],
     ["trace", "--n", "7", "--geometry", "hemisphere", "--lmax", "128"],

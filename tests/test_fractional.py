@@ -94,6 +94,15 @@ def test_dtn_verify_hemisphere_across_degrees(n):
         assert all(r.passed and r.exact and r.residual == 0 for r in recs), (n, ell, [r.residual for r in recs])
 
 
+def test_dtn_verify_geodesic_at_high_degrees():
+    """The geodesic basis is read off polynomials in l, so the identities
+    hold exactly far above the CLI's degree cap."""
+    for n in range(5, 10):
+        for ell in (16, 64, 128):
+            recs = dtn_verify(hyperbolic_geodesic(n), n, ell)
+            assert all(r.passed and r.exact and r.residual == 0 for r in recs), (n, ell, [r.residual for r in recs])
+
+
 def test_dtn_checks_reject_a_second_dimension():
     for geom in (ball(7), hemisphere(7), halfspace(7)):
         with pytest.raises(ValueError, match="differs"):

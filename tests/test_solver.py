@@ -88,9 +88,10 @@ def test_ball_solve_linearity_and_uniqueness():
     assert again.coeffs == s1.coeffs
 
 
-def test_ball_dirichlet_matrix_is_built_once_per_degree():
+def test_trace_check_evaluates_each_inverse_once_and_the_ball_matrix_is_read_off_the_basis():
     """A trace check evaluates the inverse Dirichlet matrix of each degree
-    once, and the matrix of ``mode_basis`` is immutable."""
+    once; ``ball_dirichlet_matrix`` is ``apply_B`` on the jets of
+    ``mode_basis``, as immutable rows."""
     from gjms6.traces import corollary_check, interior_grams
 
     # nonzero in every degree l <= 8, with a tail far below the guard
@@ -103,7 +104,7 @@ def test_ball_dirichlet_matrix_is_built_once_per_degree():
     assert first == second
     assert dirichlet_inverse.cache_info().misses == 9
     M = ball_dirichlet_matrix(7, 3)
-    assert M is mode_basis(ball(7), 3)[1]
+    assert M == tuple(tuple(apply_B(j, ball(7), b) for b in mode_basis(ball(7), 3)) for j in range(3))
     with pytest.raises(TypeError):
         M[0][0] = Q(0)
     with pytest.raises(TypeError):
@@ -331,16 +332,15 @@ def test_stacked_kernel_values_match_each_factor_bit_for_bit():
 
 
 def test_dirichlet_inverse_inverts_every_round_matrix():
-    """The exact inverse of every degree, read from the basis in l on the
-    ball and the hemisphere, inverts the Dirichlet matrix that ``apply_B``
-    reads off the evaluated jets, which is the matrix of ``mode_basis``, up
-    to the --lmax cap of the trace checks."""
+    """The exact inverse of every degree, read from the basis in l, inverts
+    the Dirichlet matrix that ``apply_B`` reads off the evaluated jets of
+    ``mode_basis``, on the three round models up to the --lmax cap of the
+    trace checks."""
     eye = [[int(i == j) for j in range(3)] for i in range(3)]
     for n in range(5, 10):
         for g in (ball(n), hemisphere(n), hyperbolic_geodesic(n)):
-            for ell in (0, 1, 4, 33) + ((128,) if g.kind is not hyperbolic_geodesic(n).kind else ()):
-                basis, M = mode_basis(g, ell)
-                assert M == tuple(tuple(apply_B(j, g, b) for b in basis) for j in range(3)), (g, ell)
+            for ell in (0, 1, 4, 33, 128):
+                M = tuple(tuple(apply_B(j, g, b) for b in mode_basis(g, ell)) for j in range(3))
                 inv = dirichlet_inverse(g, ell)
                 assert all(type(x) is Q for row in inv for x in row)
                 assert [[sum(inv[i][k] * M[k][j] for k in range(3)) for j in range(3)] for i in range(3)] == eye, (g, ell)
@@ -388,16 +388,17 @@ def test_symbolic_factor_closed_form_is_the_kernel():
 
 def test_round_basis_has_a_constant_determinant():
     """The Dirichlet matrix of the basis scaled to polynomial jets has
-    determinant 16 on the ball and -6144 on the hemisphere in every degree,
-    so its inverse is a polynomial in l: integer rows over one denominator,
-    of degree at most 6 (the adjugate's at most 4, the scale's at most 2)."""
+    determinant 16 on the ball, -6144 on the hemisphere and 1 on the
+    geodesic model in every degree, so its inverse is a polynomial in l:
+    integer rows over one denominator, of degree at most 6 (the adjugate's
+    at most 4, the scale's at most 2)."""
     for n in range(5, 10):
-        for g, want in ((ball(n), 16), (hemisphere(n), -6144)):
-            _, (srows, ds), _, (rows, _) = round_basis(g)
+        for g, want in ((ball(n), 16), (hemisphere(n), -6144), (hyperbolic_geodesic(n), 1)):
+            _, (srows, ds), (rows, _) = round_basis(g)
             assert len(rows) == 9 and max(len(r) for r in rows) <= 7
             assert all(type(c) is int for r in rows for c in r)
             for ell in (0, 1, 7, 64, 128):
-                M = mode_basis(g, ell)[1]
+                M = [[apply_B(j, g, b) for b in mode_basis(g, ell)] for j in range(3)]
                 adj = adjugate(M)
                 det = sum(M[0][k] * adj[k][0] for k in range(3))
                 for s in srows:
@@ -489,6 +490,20 @@ def test_poisson_branches_are_annihilated_by_the_operator():
                     assert all(c == 0 for c in out.coeffs), (n, ell, s, which)
 
 
+def test_poisson_branches_in_ell_are_annihilated_identically():
+    """Over a Poly l the branches are polynomials in l, and the operator
+    kills r^a times each branch as a polynomial identity in l."""
+    ell = Poly.var(1, 0)
+    for n in range(5, 10):
+        lam = sphere_eigenvalue(n, ell)
+        for gamma in (Q(5, 2), Q(3, 2), Q(1, 2)):
+            s = Q(n, 2) + gamma
+            for which, a in (("F", n - s), ("G", s)):
+                out = hyperbolic_shifted_factor(n, lam, a, s, poisson_branch_series(n, ell, s, 8, which))
+                assert len(out.coeffs) == 9
+                assert all(Poly(1, {}) == c for c in out.coeffs), (n, s, which)
+
+
 def test_poisson_branch_series_applies_no_operator(monkeypatch):
     poisson_branch_series(7, 3, Q(6), 8, "F")  # warm the collar table
 
@@ -524,8 +539,9 @@ def test_poisson_branch_series_depends_on_every_argument():
 
 
 def test_geodesic_basis_memo_holds_the_branches(monkeypatch):
-    """A cold geodesic basis runs the branch recurrence six times, two
-    branches per unit slot; a warm one reads the memo and runs it none."""
+    """A cold geodesic basis in l runs the branch recurrence six times per
+    n, two branches per unit slot, on a Poly l; the jets of any degree are
+    then read off it, and run it none."""
     import gjms6.solver as solver
 
     calls = []
@@ -536,19 +552,23 @@ def test_geodesic_basis_memo_holds_the_branches(monkeypatch):
         return branch(*args)
 
     monkeypatch.setattr(solver, "poisson_branch_series", counted)
-    for n, ell in ((5, 2), (7, 3)):
+    for n in (5, 7):
         g = hyperbolic_geodesic(n)
+        round_basis.cache_clear()
         mode_basis.cache_clear()
-        mode_basis(g, ell)
+        round_basis(g)
         assert len(calls) == 6 and len(set(calls)) == 6
+        assert all(isinstance(args[1], Poly) for args in calls)
         calls.clear()
-        mode_basis(g, ell)
+        for ell in (3, 40, 128):
+            mode_basis(g, ell)
         assert calls == []
 
 
 def test_geodesic_solve_is_the_same_cold_and_warm():
     data = BoundaryTriple(Q(2), Q(-1, 3), Q(5, 7))
     for ell in range(7):
+        round_basis.cache_clear()
         mode_basis.cache_clear()
         cold = geodesic_mode_solve(7, ell, data)
         warm = geodesic_mode_solve(7, ell, data)
@@ -585,7 +605,7 @@ def reference_poisson_branch(n, ell, s_param, order, which):
     return c
 
 
-def test_poisson_branch_integer_recurrence_matches_the_fraction_reference():
+def test_poisson_branch_recurrence_matches_the_fraction_reference():
     count = 0
     for n in range(5, 10):
         for ell in range(12):
@@ -605,7 +625,7 @@ def test_poisson_branch_integer_recurrence_matches_the_fraction_reference():
 
 
 def test_poisson_branch_resonance_guard_fires_where_the_reference_does():
-    """Over every half-integer s in (0, 2n) the integer recurrence raises on
+    """Over every half-integer s in (0, 2n) the recurrence raises on
     exactly the (n, l, 2s, branch) set where the reference finds a nonzero
     resonant obstruction, and agrees with it everywhere else."""
     raised, raised_ref, total = set(), set(), 0
@@ -632,12 +652,13 @@ def test_poisson_branch_resonance_guard_fires_where_the_reference_does():
 
 
 def test_geodesic_basis_matrix_is_the_identity():
-    one, zero = Q(1), Q(0)
     for n in range(5, 10):
+        g = hyperbolic_geodesic(n)
         for ell in range(9):
-            basis, M = mode_basis(hyperbolic_geodesic(n), ell)
-            assert M == tuple(tuple(one if j == m else zero for m in range(3)) for j in range(3)), (n, ell)
+            basis = mode_basis(g, ell)
             assert len(basis) == 3
+            M = [[apply_B(j, g, b) for b in basis] for j in range(3)]
+            assert M == [[int(j == m) for m in range(3)] for j in range(3)], (n, ell)
 
 
 def test_geodesic_solve_superposes_the_extension():
